@@ -8,6 +8,9 @@ Two semantics live side by side, on purpose:
 * ``predict`` evolves the channel's density matrix through the exact
   attack channel and integrates the outcome statistics in closed form.
   It is the ground truth the Monte-Carlo sessions are validated against.
+  Each attack acts on one ququart, so the channel only touches that
+  ququart's row and column axes of rho viewed as a (4,)*2n tensor; no
+  full-register operator is built.
 
 Targets are in-transit ququart positions: in a round, position 1 travels
 to Bob and position 2 to Charlie.  Position 0 stays with the source
@@ -16,6 +19,7 @@ party (Alice) and is never attackable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .linalg import DIM, StateVector, embed, measure_projective
 from .channels import ChannelSpec
-from .observables import key_basis
+from .observables import _bits_of, key_basis
 
 ATTACK_KINDS = (
     "none",
@@ -49,16 +53,20 @@ class AttackModel:
     strength: float = 0.0
 
     def __post_init__(self):
-        assert self.kind in ATTACK_KINDS, f"unknown attack kind: {self.kind!r}"
-        assert 0.0 <= self.strength <= 1.0, "strength must lie in [0, 1]"
+        # user-reachable input: checked by raising, since python -O strips asserts
+        if self.kind not in ATTACK_KINDS:
+            raise ValueError(f"unknown attack kind: {self.kind!r}")
+        if not 0.0 <= self.strength <= 1.0:
+            raise ValueError("strength must lie in [0, 1]")
         if self.kind == "none":
-            assert not self.targets, "kind none takes no targets"
-        else:
-            assert self.targets, "attack needs at least one target"
-            assert all(t >= 1 for t in self.targets), "position 0 never transits"
-            assert tuple(sorted(set(self.targets))) == self.targets, (
-                "targets must be sorted and unique"
-            )
+            if self.targets:
+                raise ValueError("kind none takes no targets")
+        elif not self.targets:
+            raise ValueError("attack needs at least one target")
+        elif not all(t >= 1 for t in self.targets):
+            raise ValueError("position 0 never transits")
+        elif tuple(sorted(set(self.targets))) != self.targets:
+            raise ValueError("targets must be sorted and unique")
 
 
 @dataclass(frozen=True)
@@ -86,15 +94,6 @@ def _shift_matrix(amount: int) -> np.ndarray:
     m = np.zeros((DIM, DIM), dtype=complex)
     for j in range(DIM):
         m[(j + amount) % DIM, j] = 1.0
-    return m
-
-
-def _controlled_shift() -> np.ndarray:
-    """|j>|k> -> |j>|k + j mod 4> on a (target, probe) ququart pair."""
-    m = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for j in range(DIM):
-        for k in range(DIM):
-            m[DIM * j + (k + j) % DIM, DIM * j + k] = 1.0
     return m
 
 
@@ -198,40 +197,6 @@ def make_attack_hook(
     return hook
 
 
-def _pair_coupling(pair_unitary: np.ndarray, first: int, num_ququarts: int) -> np.ndarray:
-    """Embed a two-ququart unitary acting on positions (first, last)."""
-    dim = DIM**num_ququarts
-    out = np.zeros((dim, dim), dtype=complex)
-    last = num_ququarts - 1
-    assert first < last
-    for col in range(dim):
-        digits = _digits(col, num_ququarts)
-        pair_in = DIM * digits[first] + digits[last]
-        for pair_out in range(DIM * DIM):
-            amp = pair_unitary[pair_out, pair_in]
-            if amp == 0:
-                continue
-            digits_out = list(digits)
-            digits_out[first], digits_out[last] = divmod(pair_out, DIM)
-            out[_index(digits_out), col] += amp
-    return out
-
-
-def _digits(index: int, n: int) -> list:
-    digits = []
-    for _ in range(n):
-        digits.append(index % DIM)
-        index //= DIM
-    return digits[::-1]
-
-
-def _index(digits) -> int:
-    out = 0
-    for d in digits:
-        out = DIM * out + d
-    return out
-
-
 def apply_attack(
     state: StateVector, model: AttackModel, rng: np.random.Generator
 ) -> StateVector:
@@ -243,81 +208,56 @@ def apply_attack(
 # density-matrix oracle
 
 
-def _dephase(rho: np.ndarray, projs) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for p in projs:
-        out += p @ rho @ p
-    return out
+def _conjugate(rho: np.ndarray, local: np.ndarray, t: int, n: int) -> np.ndarray:
+    """rho -> L rho L^dagger with the single-ququart L acting on position t."""
+    rho = np.moveaxis(np.tensordot(local, rho, axes=(1, t)), 0, t)
+    return np.moveaxis(np.tensordot(rho, local.conj(), axes=(n + t, 1)), -1, n + t)
 
 
-def _replace_with_mixed(rho: np.ndarray, target: int, num_parties: int) -> np.ndarray:
-    """Exact channel that swaps the target's marginal for I/4."""
-    out = np.zeros_like(rho)
-    for j in range(DIM):
-        for k in range(DIM):
-            kraus = embed(_single_ketbra(j, k), target, num_parties) / 2.0
-            out += kraus @ rho @ kraus.conj().T
-    return out
+def _delta(t: int, n: int) -> np.ndarray:
+    """delta(i_t, j_t), broadcastable against a (4,)*2n tensor."""
+    shape = [1] * (2 * n)
+    shape[t] = shape[n + t] = DIM
+    return np.eye(DIM).reshape(shape)
 
 
-def _single_ketbra(i: int, j: int) -> np.ndarray:
-    m = np.zeros((DIM, DIM), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
-def _probe_channel(rho: np.ndarray, target: int, num_parties: int) -> np.ndarray:
-    """Couple a fresh probe to the target, then trace the probe out."""
-    probe0 = np.zeros((DIM, DIM), dtype=complex)
-    probe0[0, 0] = 1.0
-    big = np.kron(rho, probe0)
-    u = _pair_coupling(_controlled_shift(), target, num_parties + 1)
-    big = u @ big @ u.conj().T
-    # partial trace over the last ququart
-    d = DIM**num_parties
-    big = big.reshape(d, DIM, d, DIM)
-    return np.einsum("ikjk->ij", big)
+def _key_rotation() -> np.ndarray:
+    """Columns are the key vectors: U^dagger maps to key-basis coordinates."""
+    return np.column_stack(key_basis().vectors)
 
 
 def attack_channel(model: AttackModel, rho: np.ndarray, num_parties: int) -> np.ndarray:
-    """Apply the exact (generally mixing) channel of an attack model."""
+    """Apply the exact (generally mixing) channel of an attack model.
+
+    A computational intercept keeps the diagonal of the target's axes.
+    The entangle-probe is the same channel: its controlled shift copies
+    the target's computational digit into the probe, so tracing the probe
+    out removes exactly the target's computational coherences.  A key
+    intercept dephases in the key basis.  Depolarizing mixes in
+    Tr_target(rho) x I/4 with weight strength.
+    """
     _validate_targets(model, num_parties)
     if model.kind == "none":
         return rho
-    kb = key_basis()
+    n = num_parties
+    out = rho.reshape((DIM,) * (2 * n))
     for t in model.targets:
-        if model.kind == "intercept-computational":
-            projs = [
-                embed(np.outer(e, e.conj()), t, num_parties)
-                for e in np.eye(DIM, dtype=complex)
-            ]
-            rho = _dephase(rho, projs)
+        delta = _delta(t, n)
+        if model.kind == "depolarize":
+            reduced = np.expand_dims(np.trace(out, axis1=t, axis2=n + t), (t, n + t))
+            out = (1.0 - model.strength) * out + model.strength * reduced * delta / DIM
         elif model.kind == "intercept-key":
-            rho = _dephase(rho, [embed(p, t, num_parties) for p in kb.projectors])
-        elif model.kind == "entangle-probe":
-            rho = _probe_channel(rho, t, num_parties)
+            key = _key_rotation()
+            out = _conjugate(_conjugate(out, key.conj().T, t, n) * delta, key, t, n)
         else:
-            rho = (1.0 - model.strength) * rho + model.strength * _replace_with_mixed(
-                rho, t, num_parties
-            )
-    return rho
+            out = out * delta
+    return out.reshape(rho.shape)
 
 
-def _key_joint_distribution(rho: np.ndarray, num_parties: int) -> np.ndarray:
-    """Joint probabilities over all parties' key-basis outcomes."""
-    kb = key_basis()
-    shape = (4,) * num_parties
-    joint = np.zeros(shape)
-    for idx in np.ndindex(*shape):
-        proj = np.eye(1, dtype=complex)
-        for outcome in idx:
-            proj = np.kron(proj, kb.projectors[outcome])
-        joint[idx] = float(np.real(np.trace(rho @ proj)))
-    return joint
-
-
-def _bits(index: int) -> tuple[int, int]:
-    return index // 2, index % 2
+def _probability(p: float) -> float:
+    """Clamp to [0, 1]; a value below PROBABILITY_TOL is the rounding
+    residue of an exact zero and is reported as exactly 0."""
+    return 0.0 if p < PROBABILITY_TOL else min(float(p), 1.0)
 
 
 def _two_party_qber(joint: np.ndarray) -> float:
@@ -325,8 +265,8 @@ def _two_party_qber(joint: np.ndarray) -> float:
     err = 0.0
     for a in range(4):
         for b in range(4):
-            pa, ha = _bits(a)
-            pb, hb = _bits(b)
+            pa, ha = _bits_of(a)
+            pb, hb = _bits_of(b)
             err += joint[a, b] * ((pa != pb ^ 1) + (ha != hb ^ 1)) / 2.0
     return err
 
@@ -337,9 +277,9 @@ def _three_party_qber(joint: np.ndarray) -> float:
     for a in range(4):
         for b in range(4):
             for c in range(4):
-                pa, ha = _bits(a)
-                pb, hb = _bits(b)
-                pc, hc = _bits(c)
+                pa, ha = _bits_of(a)
+                pb, hb = _bits_of(b)
+                pc, hc = _bits_of(c)
                 err += joint[a, b, c] * ((pa ^ pb != pc) + (ha ^ hb != hc)) / 2.0
     return err
 
@@ -348,24 +288,23 @@ def predict(model: AttackModel, spec: ChannelSpec) -> AttackPrediction:
     """Exact detection and error statistics for an attacked channel.
 
     Per check (O, expected), the violation probability is
-    tr(rho' (I - expected*O)/2): the joint product-measurement outcome
-    disagrees with the expected eigenvalue exactly on that projector's
-    support.  The qber comes from the key-basis joint distribution.
+    tr(rho' (I - expected*O)/2) = (tr rho' - expected * sum(rho' * O^T))/2:
+    the joint product-measurement outcome disagrees with the expected
+    eigenvalue exactly on that projector's support.  The qber comes from
+    the key-basis joint distribution diag(U^dagger rho' U), U the n-fold
+    tensor power of the key rotation.
     """
-    _validate_targets(model, spec.party_count)
+    n = spec.party_count
     psi = spec.state.amplitudes
-    rho = attack_channel(model, np.outer(psi, psi.conj()), spec.party_count)
+    rho = attack_channel(model, np.outer(psi, psi.conj()), n)
 
+    total = np.trace(rho).real
     violation = {}
-    eye = np.eye(rho.shape[0])
     for check in spec.checks:
-        op = check.joint_matrix()
-        p = float(np.real(np.trace(rho @ (eye - check.expected * op) / 2.0)))
-        violation[check.name] = min(max(p, 0.0), 1.0)
+        overlap = np.sum(rho * check.joint_matrix().T).real
+        violation[check.name] = _probability((total - check.expected * overlap) / 2.0)
 
-    joint = _key_joint_distribution(rho, spec.party_count)
-    if spec.party_count == 2:
-        qber = _two_party_qber(joint)
-    else:
-        qber = _three_party_qber(joint)
-    return AttackPrediction(violation, float(min(max(qber, 0.0), 1.0)))
+    u = functools.reduce(np.kron, [_key_rotation()] * n)
+    joint = np.sum(u.conj() * (rho @ u), axis=0).real.reshape((DIM,) * n)
+    qber = _two_party_qber(joint) if n == 2 else _three_party_qber(joint)
+    return AttackPrediction(violation, _probability(qber))

@@ -12,6 +12,7 @@ as channel x environment and carries no eavesdropper correlations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,10 +43,16 @@ class ChannelCheck:
         return "_".join(self.operators)
 
     def joint_matrix(self) -> np.ndarray:
-        out = np.eye(1, dtype=complex)
-        for op_name in self.operators:
-            out = np.kron(out, check_observable(op_name).matrix)
-        return out
+        return _joint_matrix(self.operators)
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_matrix(operators: tuple) -> np.ndarray:
+    """The tensor product of the named observables, built once per tuple;
+    read-only because every caller shares it."""
+    out = functools.reduce(np.kron, (check_observable(name).matrix for name in operators))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,14 +178,13 @@ def stabilized_subspace(
 
     Each constraint is (operator, expected eigenvalue) with the operator a
     Hermitian involution on the dim-dimensional space.  The subspace is
-    computed from the product of the eigenprojectors (I + expected*O)/2.
-    For a commuting constraint set one pass of the product is already the
-    orthogonal projector onto the intersection.  The three-party check
-    set does not commute pairwise, so the product is squared repeatedly
-    until its singular spectrum splits cleanly at {1} versus {0}; the
-    limit of that iteration is the intersection projector for any
-    constraint set.  Vectors inside the intersection are fixed exactly at
-    every step, so the split is unambiguous at the 1e-8 rank threshold.
+    the kernel of the positive semidefinite sum of the violating
+    projectors, sum_i (I - expected_i*O_i)/2: a vector is annihilated by
+    the sum exactly when every term annihilates it, i.e. when it lies in
+    every expected eigenspace.  This needs no commutation, so it holds for
+    the three-party check set, whose checks do not commute pairwise.  One
+    Hermitian eigendecomposition splits the spectrum at the 1e-8 rank
+    threshold.
 
     Returns a certificate whose basis residual is re-verified against the
     raw constraints, independent of the algebra above.
@@ -189,28 +195,18 @@ def stabilized_subspace(
         assert np.max(np.abs(op - op.conj().T)) < CHECK_TOL, "constraint not Hermitian"
         assert np.max(np.abs(op @ op - np.eye(dim))) < CHECK_TOL, "constraint not an involution"
 
-    product = np.eye(dim, dtype=complex)
+    penalty = np.zeros((dim, dim), dtype=complex)
     for op, expected in constraints:
-        product = product @ (np.eye(dim) + expected * op) / 2
+        penalty += (np.eye(dim) - expected * op) / 2
+    values, vectors = np.linalg.eigh(penalty)
+    dimension = int(np.sum(values < RANK_TOL))
 
-    # Repeated squaring: contraction on everything outside the
-    # intersection, identity on the intersection itself.
-    for _ in range(80):
-        singulars = np.linalg.svd(product, compute_uv=False)
-        leaking = singulars[singulars < 1.0 - 1e-6]
-        if leaking.size == 0 or float(leaking.max()) < 1e-10:
-            break
-        product = product @ product
-
-    u, s, _ = np.linalg.svd(product)
-    dimension = int(np.sum(s > RANK_TOL))
-
+    n = int(round(np.log(dim) / np.log(DIM)))
     basis = []
     residual = 0.0
     for k in range(dimension):
-        vec = u[:, k]
+        vec = vectors[:, k]
         for op, expected in constraints:
             residual = max(residual, float(np.linalg.norm(op @ vec - expected * vec)))
-        n = int(round(np.log(dim) / np.log(DIM)))
         basis.append(StateVector(n, vec))
     return SubspaceCertificate(dimension, tuple(basis), residual)

@@ -387,10 +387,10 @@ def config_from_mapping(mapping: dict) -> SessionConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    kind = mapping.get("attack", "none")
-    targets_text = mapping.get("attack_targets", "")
+    kind = _typed(mapping, "attack", "none", str)
+    targets_text = _typed(mapping, "attack_targets", "", str)
     targets = []
-    for name in filter(None, (t.strip() for t in str(targets_text).split(","))):
+    for name in filter(None, (t.strip() for t in targets_text.split(","))):
         if name not in TARGET_POSITIONS:
             raise ConfigError(f"unknown attack target: {name!r}")
         targets.append(TARGET_POSITIONS[name])
@@ -400,23 +400,42 @@ def config_from_mapping(mapping: dict) -> SessionConfig:
         attack = AttackModel(
             kind=kind,
             targets=tuple(sorted(set(targets))) if kind != "none" else (),
-            strength=float(mapping.get("attack_strength", 0.0)),
+            strength=_typed(mapping, "attack_strength", 0.0, float),
         )
-    except AssertionError as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     return SessionConfig(
-        protocol=mapping.get("protocol", PROTOCOL_TWO_PARTY),
-        verification_rounds=int(mapping.get("verification_rounds", 1000)),
-        key_rounds=int(mapping.get("key_rounds", 1000)),
-        sample_fraction=float(mapping.get("sample_fraction", 0.1)),
-        qber_threshold=float(mapping.get("qber_threshold", 0.0)),
+        protocol=_typed(mapping, "protocol", PROTOCOL_TWO_PARTY, str),
+        verification_rounds=_typed(mapping, "verification_rounds", 1000, int),
+        key_rounds=_typed(mapping, "key_rounds", 1000, int),
+        sample_fraction=_typed(mapping, "sample_fraction", 0.1, float),
+        qber_threshold=_typed(mapping, "qber_threshold", 0.0, float),
         attack=attack,
-        alice_permits=bool(mapping.get("alice_permits", True)),
-        seed=int(mapping.get("seed", 0)),
-        corrupt=bool(mapping.get("corrupt", False)),
-        report_path=mapping.get("report"),
+        alice_permits=_typed(mapping, "alice_permits", True, bool),
+        seed=_typed(mapping, "seed", 0, int),
+        corrupt=_typed(mapping, "corrupt", False, bool),
+        report_path=_typed(mapping, "report", None, str),
     )
+
+
+def _typed(mapping: dict, key: str, default, kind: type):
+    """The value of key, or default when absent, with no silent coercion:
+    bools and strings must be exactly that, ints must be integral numbers
+    and floats any number (a bool is neither)."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif kind is float:
+        ok = number
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def with_seed(config: SessionConfig, seed: int) -> SessionConfig:

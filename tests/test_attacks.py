@@ -1,3 +1,9 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +15,7 @@ from ququart_qkd.attacks import (
     predict,
 )
 from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
-from ququart_qkd.linalg import embed, measure_projective
+from ququart_qkd.linalg import DIM, embed, measure_projective
 from ququart_qkd.observables import key_basis
 from ququart_qkd.protocol import (
     MessageBus,
@@ -35,20 +41,139 @@ def density(spec):
     return np.outer(psi, psi.conj())
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: Kraus sums over embedded full-register operators, the
+# explicit probe register, and the key joint distribution term by term.
+# Derived independently of the library's one-ququart tensor contractions.
+
+
+def ketbra(i, j):
+    m = np.zeros((DIM, DIM), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def controlled_shift():
+    """|j>|k> -> |j>|k + j mod 4> on a (target, probe) ququart pair."""
+    m = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+    for j in range(DIM):
+        for k in range(DIM):
+            m[DIM * j + (k + j) % DIM, DIM * j + k] = 1.0
+    return m
+
+
+def digits(index, n):
+    return [(index // DIM ** (n - 1 - p)) % DIM for p in range(n)]
+
+
+def pair_coupling(pair_unitary, first, n):
+    """Embed a two-ququart unitary acting on positions (first, last)."""
+    dim = DIM**n
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        ds = digits(col, n)
+        pair_in = DIM * ds[first] + ds[-1]
+        for pair_out in range(DIM * DIM):
+            amp = pair_unitary[pair_out, pair_in]
+            if amp == 0:
+                continue
+            out_digits = list(ds)
+            out_digits[first], out_digits[-1] = divmod(pair_out, DIM)
+            out[int(np.ravel_multi_index(out_digits, (DIM,) * n)), col] += amp
+    return out
+
+
+def probe_channel(rho, target, parties):
+    """Couple a fresh probe to the target, then trace the probe out."""
+    big = np.kron(rho, ketbra(0, 0))
+    u = pair_coupling(controlled_shift(), target, parties + 1)
+    big = u @ big @ u.conj().T
+    d = DIM**parties
+    return np.einsum("ikjk->ij", big.reshape(d, DIM, d, DIM))
+
+
+def dephase(rho, projs):
+    return sum(p @ rho @ p for p in projs)
+
+
+def reference_channel(model, rho, parties):
+    for t in model.targets:
+        if model.kind == IRC:
+            rho = dephase(rho, [embed(ketbra(k, k), t, parties) for k in range(DIM)])
+        elif model.kind == IRK:
+            rho = dephase(rho, [embed(p, t, parties) for p in key_basis().projectors])
+        elif model.kind == EP:
+            rho = probe_channel(rho, t, parties)
+        else:
+            krauses = [embed(ketbra(j, k), t, parties) / 2.0 for j in range(DIM) for k in range(DIM)]
+            mixed = sum(kraus @ rho @ kraus.conj().T for kraus in krauses)
+            rho = (1.0 - model.strength) * rho + model.strength * mixed
+    return rho
+
+
+def reference_predict(model, spec):
+    """(violation per check, qber) from the reference channel."""
+    parties = spec.party_count
+    rho = reference_channel(model, density(spec), parties)
+    eye = np.eye(rho.shape[0])
+    violation = {}
+    for check in spec.checks:
+        p = float(np.real(np.trace(rho @ (eye - check.expected * check.joint_matrix()) / 2.0)))
+        violation[check.name] = min(max(p, 0.0), 1.0)
+    kb = key_basis()
+    err = 0.0
+    for idx in itertools.product(range(DIM), repeat=parties):
+        proj = np.eye(1, dtype=complex)
+        for outcome in idx:
+            proj = np.kron(proj, kb.projectors[outcome])
+        weight = float(np.real(np.trace(rho @ proj)))
+        parity = [o // 2 for o in idx]
+        phase = [o % 2 for o in idx]
+        if parties == 2:
+            # the receiver flips both bits before comparing
+            wrong = (parity[0] == parity[1]) + (phase[0] == phase[1])
+        else:
+            wrong = (parity[0] ^ parity[1] != parity[2]) + (phase[0] ^ phase[1] != phase[2])
+        err += weight * wrong / 2.0
+    return violation, min(max(err, 0.0), 1.0)
+
+
 def test_model_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel("none", targets=(1,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel(IRC, targets=())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel(IRC, targets=(0,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel(IRC, targets=(2, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel(DEP, targets=(1,), strength=1.5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AttackModel("jam", targets=(1,))
     AttackModel(IRC, targets=(1, 2))  # fine
+
+
+def test_model_validation_survives_optimized_mode():
+    script = (
+        "from ququart_qkd.attacks import AttackModel\n"
+        "for kwargs in ({'kind': 'bogus', 'targets': (1,)},\n"
+        "               {'kind': 'depolarize', 'targets': (1,), 'strength': 2.0}):\n"
+        "    try:\n"
+        "        AttackModel(**kwargs)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {kwargs}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_target_outside_channel_rejected():
@@ -162,10 +287,41 @@ def test_dephasing_channels_are_idempotent():
 
 
 def test_probe_channel_equals_computational_dephasing():
-    rho = density(two_party_channel())
-    probed = attack_channel(AttackModel(EP, targets=(1,)), rho, 2)
-    dephased = attack_channel(AttackModel(IRC, targets=(1,)), rho, 2)
-    np.testing.assert_allclose(probed, dephased, atol=1e-12)
+    # the explicit probe register, traced out, against the library channel
+    for parties, target in ((2, 1), (3, 1), (3, 2)):
+        rho = density(make_channel(parties))
+        probed = probe_channel(rho, target, parties)
+        for kind in (EP, IRC):
+            dephased = attack_channel(AttackModel(kind, targets=(target,)), rho, parties)
+            np.testing.assert_allclose(probed, dephased, atol=1e-12)
+
+
+ORACLE_GRID = [(parties, AttackModel()) for parties in (2, 3)] + [
+    (parties, AttackModel(kind, targets=targets, strength=strength))
+    for parties, target_sets in ((2, [(1,)]), (3, [(1,), (2,), (1, 2)]))
+    for kind in (IRC, IRK, EP, DEP)
+    for targets in target_sets
+    for strength in (0.0, 0.25, 0.5, 0.75, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    ORACLE_GRID,
+    ids=[f"{p}-{m.kind}{m.targets}s{m.strength}" for p, m in ORACLE_GRID],
+)
+def test_predict_matches_reference_oracle(parties, model):
+    # exact zeros matter: reports key z-scores and forbidden checks on 0.0
+    spec = make_channel(parties)
+    pred = predict(model, spec)
+    violation, qber = reference_predict(model, spec)
+    for name, want in violation.items():
+        assert abs(pred.violation[name] - want) <= 1e-12
+        if want == 0.0:
+            assert pred.violation[name] == 0.0
+    assert abs(pred.qber - qber) <= 1e-12
+    if qber == 0.0:
+        assert pred.qber == 0.0
 
 
 def test_predict_without_attack_is_silent():

@@ -29,6 +29,24 @@ def nullspace_dimension(constraints, dim):
     return int(np.sum(svals < 1e-8 * svals[0]))
 
 
+def squaring_dimension(constraints, dim):
+    """Second independent reference: the product of the eigenprojectors
+    (I + expected*O)/2, squared until its singular spectrum splits at {1}
+    versus {0}.  Vectors in the intersection are fixed at every step and
+    everything else contracts, so the limit is the intersection projector
+    even for non-commuting constraints (Halperin's theorem)."""
+    product = np.eye(dim, dtype=complex)
+    for op, expected in constraints:
+        product = product @ (np.eye(dim) + expected * op) / 2
+    for _ in range(80):
+        singulars = np.linalg.svd(product, compute_uv=False)
+        leaking = singulars[singulars < 1.0 - 1e-6]
+        if leaking.size == 0 or float(leaking.max()) < 1e-10:
+            break
+        product = product @ product
+    return int(np.sum(np.linalg.svd(product, compute_uv=False) > 1e-8))
+
+
 def test_two_party_state_amplitudes():
     spec = two_party_channel()
     amps = spec.state.amplitudes
@@ -172,6 +190,16 @@ def test_subspace_agrees_with_stacked_nullspace(parties):
         assert stabilized_subspace(subset, dim).dimension == nullspace_dimension(
             subset, dim
         )
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_subspace_agrees_with_repeated_squaring(parties):
+    spec = make_channel(parties)
+    dim = spec.state.dim
+    constraints = constraint_matrices(spec)
+    subsets = [constraints] + [constraints[:i] + constraints[i + 1 :] for i in range(len(constraints))]
+    for subset in subsets:
+        assert stabilized_subspace(subset, dim).dimension == squaring_dimension(subset, dim)
 
 
 def test_subspace_order_invariance():

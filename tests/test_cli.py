@@ -211,6 +211,23 @@ def test_unknown_config_key_exits_one(capsys, tmp_path):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        'key_rounds = "abc"',  # a string where a count belongs
+        "seed = 1.5",  # not silently truncated to 1
+        'alice_permits = "false"',  # a quoted string is not a bool
+    ],
+)
+def test_mistyped_config_values_exit_one(capsys, tmp_path, line):
+    config = tmp_path / "typed.config"
+    config.write_text(f'protocol = "three-party"\nverification_rounds = 40\n{line}\n')
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 1
+    assert err.startswith("config error:")
+    assert out == ""
+
+
 def test_missing_config_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--config", "/nonexistent/file.config")
     assert code == 1
