@@ -2,58 +2,15 @@
 four-level systems: channel verification, a stabilized-subspace
 uniqueness oracle, a message-driven protocol engine, pluggable
 eavesdropping models with an exact prediction oracle, and a CLI.
+
+The package root carries the names of the README's library example; the
+rest of the library is imported from its modules.
 """
 
-from .linalg import StateVector, MeasurementResult, ket, tensor, apply, inner, embed, measure_projective
-from .observables import (
-    Observable,
-    KeyOutcome,
-    KeyBasis,
-    check_observable,
-    key_basis,
-    outcome_from_index,
-    outcome_from_bits,
-    commutator_norm,
-)
-from .channels import (
-    ChannelCheck,
-    ChannelSpec,
-    SubspaceCertificate,
-    two_party_channel,
-    three_party_channel,
-    make_channel,
-    corrupt_channel,
-    check_residuals,
-    verify_checks,
-    constraint_matrices,
-    stabilized_subspace,
-)
-from .attacks import AttackModel, AttackPrediction, apply_attack, make_attack_hook, attack_channel, predict
-from .protocol import (
-    ClassicalMessage,
-    MessageBus,
-    RoundRecord,
-    SiftedKey,
-    sift_key,
-    compare_keys,
-    deduce_third_outcome,
-    run_verification_phase,
-    run_key_phase_two_party,
-    run_key_phase_controlled,
-)
-from .session import (
-    SessionConfig,
-    SessionReport,
-    ConfigError,
-    run_session,
-    emit_report,
-    format_report,
-    parse_flat,
-    config_from_mapping,
-    bits_to_hex,
-    hex_to_bits,
-)
+from .attacks import AttackModel, predict
+from .channels import two_party_channel
+from .session import SessionConfig, run_session
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["AttackModel", "SessionConfig", "predict", "run_session", "two_party_channel", "__version__"]
 
 __version__ = "0.1.0"

@@ -2,15 +2,17 @@
 
 Two semantics live side by side, on purpose:
 
-* ``apply_attack`` / ``make_attack_hook`` act on pure-state trajectories
-  inside a simulated session; randomness comes from the session's seeded
-  generator, so sessions stay cheap and replayable.
+* ``make_attack_hook`` compiles an attack into a map on pure-state
+  trajectories inside a simulated session; randomness comes from the
+  session's seeded generator, so sessions stay cheap and replayable.
 * ``predict`` evolves the channel's density matrix through the exact
   attack channel and integrates the outcome statistics in closed form.
   It is the ground truth the Monte-Carlo sessions are validated against.
   Each attack acts on one ququart, so the channel only touches that
   ququart's row and column axes of rho viewed as a (4,)*2n tensor; no
-  full-register operator is built.
+  full-register operator is built.  Its qber applies the same sifting
+  rule as the sessions (``observables.sift``) to the key-basis joint
+  distribution.
 
 Targets are in-transit ququart positions: in a round, position 1 travels
 to Bob and position 2 to Charlie.  Position 0 stays with the source
@@ -25,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DIM, StateVector, embed, measure_projective
+from .linalg import DIM, StateVector, draw_index, embed, measure_projective
 from .channels import ChannelSpec
-from .observables import _bits_of, key_basis
+from .observables import key_basis, key_bit_errors
 
 ATTACK_KINDS = (
     "none",
@@ -158,15 +160,7 @@ def make_attack_hook(
                 amps = state.amplitudes
                 weights = np.abs(amps) ** 2
                 probs = [float(weights[digit_at[t] == k].sum()) for k in range(DIM)]
-                # same single-uniform inverse-CDF walk as measure_projective
-                u = rng.random()
-                acc = 0.0
-                outcome = DIM - 1
-                for k, pk in enumerate(probs):
-                    acc += pk
-                    if u < acc:
-                        outcome = k
-                        break
+                outcome = draw_index(probs, rng)
                 branch = np.where(digit_at[t] == outcome, amps, 0.0)
                 nrm = np.linalg.norm(branch)
                 if nrm < 1e-9:
@@ -195,13 +189,6 @@ def make_attack_hook(
         return state
 
     return hook
-
-
-def apply_attack(
-    state: StateVector, model: AttackModel, rng: np.random.Generator
-) -> StateVector:
-    """One-shot trajectory application; sessions use make_attack_hook."""
-    return make_attack_hook(model, state.num_ququarts)(state, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +247,16 @@ def _probability(p: float) -> float:
     return 0.0 if p < PROBABILITY_TOL else min(float(p), 1.0)
 
 
-def _two_party_qber(joint: np.ndarray) -> float:
-    """Per-bit error rate after the receiver's double bit flip."""
-    err = 0.0
-    for a in range(4):
-        for b in range(4):
-            pa, ha = _bits_of(a)
-            pb, hb = _bits_of(b)
-            err += joint[a, b] * ((pa != pb ^ 1) + (ha != hb ^ 1)) / 2.0
-    return err
-
-
-def _three_party_qber(joint: np.ndarray) -> float:
-    """Per-bit error of the XOR-deduced third outcome versus the actual."""
-    err = 0.0
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                pa, ha = _bits_of(a)
-                pb, hb = _bits_of(b)
-                pc, hc = _bits_of(c)
-                err += joint[a, b, c] * ((pa ^ pb != pc) + (ha ^ hb != hc)) / 2.0
-    return err
-
-
 def predict(model: AttackModel, spec: ChannelSpec) -> AttackPrediction:
     """Exact detection and error statistics for an attacked channel.
 
     Per check (O, expected), the violation probability is
     tr(rho' (I - expected*O)/2) = (tr rho' - expected * sum(rho' * O^T))/2:
     the joint product-measurement outcome disagrees with the expected
-    eigenvalue exactly on that projector's support.  The qber comes from
-    the key-basis joint distribution diag(U^dagger rho' U), U the n-fold
-    tensor power of the key rotation.
+    eigenvalue exactly on that projector's support.  The qber is the
+    expected share of key bits in error, sum(joint * key_bit_errors) / 2,
+    over the key-basis joint distribution diag(U^dagger rho' U), U the
+    n-fold tensor power of the key rotation.
     """
     n = spec.party_count
     psi = spec.state.amplitudes
@@ -306,5 +270,5 @@ def predict(model: AttackModel, spec: ChannelSpec) -> AttackPrediction:
 
     u = functools.reduce(np.kron, [_key_rotation()] * n)
     joint = np.sum(u.conj() * (rho @ u), axis=0).real.reshape((DIM,) * n)
-    qber = _two_party_qber(joint) if n == 2 else _three_party_qber(joint)
+    qber = sum(joint[idx] * key_bit_errors(idx) for idx in np.ndindex(joint.shape)) / 2.0
     return AttackPrediction(violation, _probability(qber))

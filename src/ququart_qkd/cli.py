@@ -91,7 +91,10 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
     mapping = {}
     if args.config:
         with open(args.config, encoding="ascii") as fh:
-            mapping.update(parse_flat(fh.read()))
+            try:
+                mapping.update(parse_flat(fh.read()))
+            except ValueError as exc:  # a bad line, value or byte
+                raise ConfigError(f"{args.config}: {exc}") from exc
     overrides = {
         "protocol": args.protocol,
         "verification_rounds": args.verification_rounds,
@@ -117,7 +120,9 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_mapping(_mapping_from_args(args))
     repeat = args.repeat
-    if repeat <= 1:
+    if repeat < 1:
+        raise ConfigError("--repeat must be >= 1")
+    if repeat == 1:
         report = run_session(config)
         if config.report_path:
             emit_report(report, config.report_path)

@@ -128,6 +128,19 @@ def embed(local: np.ndarray, position: int, num_ququarts: int) -> np.ndarray:
     return out
 
 
+def draw_index(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index with the given probabilities from a
+    single uniform; a uniform above the rounded total falls to the last
+    index."""
+    u = rng.random()
+    acc = 0.0
+    for k, pk in enumerate(probs):
+        acc += pk
+        if u < acc:
+            return k
+    return len(probs) - 1
+
+
 def measure_projective(
     psi: StateVector,
     projectors: Sequence[np.ndarray],
@@ -150,15 +163,7 @@ def measure_projective(
         [float(np.real(np.vdot(psi.amplitudes, p @ psi.amplitudes))) for p in projectors]
     )
     probs = np.clip(probs, 0.0, None)
-
-    u = rng.random()
-    acc = 0.0
-    outcome = len(probs) - 1
-    for k, pk in enumerate(probs):
-        acc += pk
-        if u < acc:
-            outcome = k
-            break
+    outcome = draw_index(probs, rng)
 
     branch = projectors[outcome] @ psi.amplitudes
     nrm = np.linalg.norm(branch)

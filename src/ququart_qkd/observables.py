@@ -3,7 +3,8 @@
 Six named Hermitian involutions with spectrum {+1, -1} drive channel
 verification; the four-vector key basis {phi+, phi-, psi+, psi-} drives
 key generation.  A key outcome is coded into two classical bits: the
-parity bit (phi = 0, psi = 1) and the phase bit (+ = 0, - = 1).
+parity bit (phi = 0, psi = 1) and the phase bit (+ = 0, - = 1).  The
+sifting rule of both protocols (``sift``) works on these indices.
 """
 
 from __future__ import annotations
@@ -111,6 +112,29 @@ def outcome_from_index(index: int) -> KeyOutcome:
 
 def outcome_from_bits(parity_bit: int, phase_bit: int) -> KeyOutcome:
     return outcome_from_index(2 * parity_bit + phase_bit)
+
+
+def sift(indices: tuple) -> tuple[int, int]:
+    """The key both ends should hold after one key round, as the pair
+    (reference, estimate) of key-basis indices, whose bits are (parity,
+    phase).
+
+    Two parties (a, b): the channel pairs each outcome with the opposite
+    parity and opposite phase, so the receiver flips both bits, giving
+    (a, b ^ 3).  Three parties (a, b, c): the XOR law, so Bob's estimate
+    of Charlie's outcome is a ^ b, giving (c, a ^ b).
+    """
+    if len(indices) == 2:
+        a, b = indices
+        return a, b ^ 3
+    a, b, c = indices
+    return c, a ^ b
+
+
+def key_bit_errors(indices: tuple) -> int:
+    """Key bits (0, 1 or 2) on which a round's estimate misses its reference."""
+    reference, estimate = sift(indices)
+    return bin(reference ^ estimate).count("1")
 
 
 @dataclass(frozen=True)

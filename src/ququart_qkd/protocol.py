@@ -1,8 +1,8 @@
 """Message-driven protocol engine: verification and key phases.
 
 A session is a single logical thread.  Parties never share state; all
-classical coupling goes through a FIFO message bus whose transcript makes
-runs auditable.  Each round consumes one fresh copy of the channel state,
+classical coupling is posted to a message bus whose transcript makes runs
+auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack hook on the in-transit ququarts.
 
 Verification phase: every party picks a check observable at random from
@@ -10,18 +10,26 @@ its menu and measures it; announcements are compared against the channel's
 expected outcome products, and rounds whose operator choices match no
 listed check are discarded.  Key phase: every party measures in the key
 basis; a random sample of rounds is revealed and consumed to estimate the
-error rate, and the rest become key bits.
+error rate, and the rest become key bits by the sifting rule
+``observables.sift``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import embed, measure_projective
-from .observables import KeyOutcome, check_observable, key_basis, outcome_from_bits, outcome_from_index
+from .observables import (
+    KEY_LABELS,
+    KeyOutcome,
+    check_observable,
+    key_basis,
+    key_bit_errors,
+    outcome_from_index,
+    sift,
+)
 from .channels import ChannelSpec
 from .attacks import AttackModel, make_attack_hook
 
@@ -62,19 +70,12 @@ def _fmt_payload(value) -> str:
 
 @dataclass
 class MessageBus:
-    """FIFO delivery with a full transcript of everything posted."""
+    """The transcript of every message posted, in posting order."""
 
     transcript: list = field(default_factory=list)
-    _queue: deque = field(default_factory=deque)
 
     def post(self, message: ClassicalMessage):
-        self._queue.append(message)
         self.transcript.append(message)
-
-    def drain(self) -> list:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,32 @@ def _menu(spec: ChannelSpec):
 
 
 def _sign_projector_cache(spec: ChannelSpec):
-    """Embedded (+1, -1) eigenprojector pairs per (position, observable)."""
+    """Embedded (+1, -1) eigenprojector pairs per (position, observable);
+    None for the identity, which is never measured."""
     cache = {}
     for pos in range(spec.party_count):
         for name in _menu(spec):
-            if name == "id":
-                continue
             obs = check_observable(name)
-            cache[pos, name] = (
+            cache[pos, name] = None if name == "id" else (
                 embed(obs.plus_projector, pos, spec.party_count),
                 embed(obs.minus_projector, pos, spec.party_count),
             )
     return cache
+
+
+def _measure_round(state, projector_sets, parties, rngs) -> tuple:
+    """Outcome indices of one round: each party in turn measures the state
+    its predecessors left, drawing from its own stream.  A None set is the
+    identity slot: it reads outcome 0 and draws nothing."""
+    outcomes = []
+    for projectors, party in zip(projector_sets, parties):
+        if projectors is None:
+            outcomes.append(0)
+            continue
+        result = measure_projective(state, projectors, rngs[party])
+        outcomes.append(result.outcome_index)
+        state = result.post_state
+    return tuple(outcomes)
 
 
 def run_verification_phase(
@@ -185,7 +200,8 @@ def run_verification_phase(
     state.  pass means zero violations among matched rounds; zero matched
     rounds passes vacuously and is flagged.
     """
-    assert num_rounds >= 0
+    if num_rounds < 0:
+        raise ValueError("num_rounds must be >= 0")
     parties = _party_positions(spec)
     menu = _menu(spec)
     cache = _sign_projector_cache(spec)
@@ -200,15 +216,8 @@ def run_verification_phase(
     for index in range(num_rounds):
         state = hook(spec.state, rngs["attack"])
         choices = tuple(menu[int(rngs[p].integers(len(menu)))] for p in parties)
-        outcomes = []
-        for pos, name in enumerate(choices):
-            if name == "id":
-                outcomes.append(+1)
-                continue
-            result = measure_projective(state, cache[pos, name], rngs[parties[pos]])
-            outcomes.append(+1 if result.outcome_index == 0 else -1)
-            state = result.post_state
-        outcomes = tuple(outcomes)
+        sets = [cache[pos, name] for pos, name in enumerate(choices)]
+        outcomes = tuple(-1 if k else +1 for k in _measure_round(state, sets, parties, rngs))
         for p, name, value in zip(parties, choices, outcomes):
             announcements[p].append((index, name, value))
 
@@ -228,7 +237,6 @@ def run_verification_phase(
     # batch announcement at end of phase; per-round would be equivalent
     for p in parties:
         bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements[p]}))
-    bus.drain()
 
     final = {name: CheckTally(r, v) for name, (r, v) in tallies.items()}
     violations = sum(t.violations for t in final.values())
@@ -242,29 +250,77 @@ def run_verification_phase(
     )
 
 
-def _key_projector_cache(spec: ChannelSpec):
+def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
+    """The key phase both protocols share.
+
+    Every party measures ``num_rounds`` fresh channel copies in the key
+    basis.  ``reveal`` is (requester, revealing positions, control
+    position or None): the control party first reveals every outcome, the
+    requester asks for a public random sample, and the revealing parties
+    reveal their sampled outcomes.  The sample is consumed; its per-bit
+    mismatch between the sifting rule's reference and estimate is the
+    qber, and the other rounds give the reference and estimate keys.
+    With ``reveal`` None nothing is posted or sampled.
+
+    Returns (outcome-index tuples, records, qber, reference key, estimate
+    key, sample size).
+    """
+    if not 0.0 <= sample_fraction < 1.0:
+        raise ValueError("sample_fraction must lie in [0, 1)")
+    if num_rounds < 0:
+        raise ValueError("num_rounds must be >= 0")
+    parties = _party_positions(spec)
     kb = key_basis()
-    return {
-        pos: [embed(p, pos, spec.party_count) for p in kb.projectors]
+    projs = [
+        [embed(p, pos, spec.party_count) for p in kb.projectors]
         for pos in range(spec.party_count)
-    }
+    ]
+    hook = make_attack_hook(attack, spec.party_count)
+    rounds = [
+        _measure_round(hook(spec.state, rngs["attack"]), projs, parties, rngs)
+        for _ in range(num_rounds)
+    ]
+    sample = []
+    if reveal is not None:
+        requester, revealers, control = reveal
+        if control is not None:
+            bus.post(
+                ClassicalMessage(
+                    parties[control],
+                    "control-reveal",
+                    {"outcomes": {i: KEY_LABELS[r[control]] for i, r in enumerate(rounds)}},
+                )
+            )
+        count = int(round(sample_fraction * num_rounds))
+        if count:
+            drawn = rngs["public"].choice(num_rounds, size=count, replace=False)
+            sample = sorted(int(i) for i in drawn)
+        bus.post(ClassicalMessage(requester, "sample-check-request", {"rounds": sample}))
+        for pos in revealers:
+            bus.post(
+                ClassicalMessage(
+                    parties[pos],
+                    "sample-check-reveal",
+                    {"outcomes": {i: KEY_LABELS[rounds[i][pos]] for i in sample}},
+                )
+            )
+    bit_errors = sum(key_bit_errors(rounds[i]) for i in sample)
+    qber = bit_errors / (2 * len(sample)) if sample else 0.0
 
-
-def _select_sample(num_rounds: int, sample_fraction: float, rng) -> list:
-    count = int(round(sample_fraction * num_rounds))
-    count = min(count, num_rounds)
-    if count == 0:
-        return []
-    return sorted(int(i) for i in rng.choice(num_rounds, size=count, replace=False))
-
-
-def _measure_key_round(state, projs_by_pos, parties, rngs):
-    outcomes = []
-    for pos, party in enumerate(parties):
-        result = measure_projective(state, projs_by_pos[pos], rngs[party])
-        outcomes.append(outcome_from_index(result.outcome_index))
-        state = result.post_state
-    return outcomes
+    coded = [outcome_from_index(i) for i in range(len(KEY_LABELS))]
+    choices = ("key",) * len(parties)
+    sample_set = set(sample)
+    records, reference, estimate = [], [], []
+    for index, r in enumerate(rounds):
+        outcomes = tuple(coded[k] for k in r)
+        if index in sample_set:
+            records.append(RoundRecord(index, "key", choices, outcomes, False, DISCARD_SAMPLE))
+            continue
+        records.append(RoundRecord(index, "key", choices, outcomes, True))
+        ref, est = sift(r)
+        reference.append(coded[ref])
+        estimate.append(coded[est])
+    return rounds, tuple(records), qber, sift_key(reference), sift_key(estimate), len(sample)
 
 
 @dataclass(frozen=True)
@@ -295,70 +351,24 @@ def run_key_phase_two_party(
     consumed and its per-bit mismatch fraction is the qber.
     """
     assert spec.party_count == 2
-    assert 0.0 <= sample_fraction < 1.0, "sample_fraction out of range"
-    assert num_rounds >= 0
-    parties = _party_positions(spec)
-    projs = _key_projector_cache(spec)
-    hook = make_attack_hook(attack, spec.party_count)
-
-    alice_raw, bob_raw = [], []
-    for index in range(num_rounds):
-        state = hook(spec.state, rngs["attack"])
-        a, b = _measure_key_round(state, projs, parties, rngs)
-        alice_raw.append(a)
-        bob_raw.append(b)
-
-    sample = _select_sample(num_rounds, sample_fraction, rngs["public"])
-    sample_set = set(sample)
-    bus.post(ClassicalMessage(ALICE, "sample-check-request", {"rounds": sample}))
-    bus.post(
-        ClassicalMessage(
-            ALICE, "sample-check-reveal", {"outcomes": {i: alice_raw[i].label for i in sample}}
-        )
+    _, records, qber, alice_key, bob_key, sampled = _key_phase(
+        spec, num_rounds, sample_fraction, attack, rngs, bus, (ALICE, (0, 1), None)
     )
-    bus.post(
-        ClassicalMessage(
-            BOB, "sample-check-reveal", {"outcomes": {i: bob_raw[i].label for i in sample}}
-        )
-    )
-    bus.drain()
-
-    bit_errors = 0
-    for i in sample:
-        a, b = alice_raw[i], bob_raw[i]
-        bit_errors += (a.parity_bit != b.parity_bit ^ 1) + (a.phase_bit != b.phase_bit ^ 1)
-    qber = bit_errors / (2 * len(sample)) if sample else 0.0
-
-    records = []
-    alice_kept, bob_kept = [], []
-    for index in range(num_rounds):
-        pair = (alice_raw[index], bob_raw[index])
-        if index in sample_set:
-            records.append(
-                RoundRecord(index, "key", ("key", "key"), pair, False, DISCARD_SAMPLE)
-            )
-        else:
-            records.append(RoundRecord(index, "key", ("key", "key"), pair, True))
-            alice_kept.append(alice_raw[index])
-            # receiver-side double flip realigns the anti-correlated pair
-            b = bob_raw[index]
-            bob_kept.append(outcome_from_bits(b.parity_bit ^ 1, b.phase_bit ^ 1))
-
     return KeyPhaseTwoParty(
-        records=tuple(records),
-        alice_key=sift_key(alice_kept),
-        bob_key=sift_key(bob_kept),
+        records=records,
+        alice_key=alice_key,
+        bob_key=bob_key,
         qber=qber,
         passed=qber <= qber_threshold,
-        sampled=len(sample),
-        kept=num_rounds - len(sample),
+        sampled=sampled,
+        kept=num_rounds - sampled,
     )
 
 
 def deduce_third_outcome(a: KeyOutcome, b: KeyOutcome) -> KeyOutcome:
     """XOR law of the three-party channel: the third party's bits are the
     XOR of the other two parties' bits, bitwise."""
-    return outcome_from_bits(a.parity_bit ^ b.parity_bit, a.phase_bit ^ b.phase_bit)
+    return outcome_from_index(a.index ^ b.index)
 
 
 @dataclass(frozen=True)
@@ -394,87 +404,26 @@ def run_key_phase_controlled(
     reported, and no key material is produced.
     """
     assert spec.party_count == 3
-    assert 0.0 <= sample_fraction < 1.0, "sample_fraction out of range"
-    assert num_rounds >= 0
-    parties = _party_positions(spec)
-    projs = _key_projector_cache(spec)
-    hook = make_attack_hook(attack, spec.party_count)
-
-    alice_raw, bob_raw, charlie_raw = [], [], []
-    for index in range(num_rounds):
-        state = hook(spec.state, rngs["attack"])
-        a, b, c = _measure_key_round(state, projs, parties, rngs)
-        alice_raw.append(a)
-        bob_raw.append(b)
-        charlie_raw.append(c)
-
-    if not alice_permits:
-        # the controller stays silent: no reveal message ever enters the bus
-        guesses = [outcome_from_index(int(rngs[BOB].integers(4))) for _ in range(num_rounds)]
-        hits = sum(g.index == c.index for g, c in zip(guesses, charlie_raw))
-        accuracy = hits / num_rounds if num_rounds else 0.0
-        records = tuple(
-            RoundRecord(i, "key", ("key",) * 3, (alice_raw[i], bob_raw[i], charlie_raw[i]), True)
-            for i in range(num_rounds)
-        )
-        return KeyPhaseControlled(
-            records=records,
-            bob_key=SiftedKey(()),
-            charlie_key=SiftedKey(()),
-            qber=0.0,
-            passed=True,
-            sampled=0,
-            kept=num_rounds,
-            deduction_accuracy=accuracy,
-            alice_permitted=False,
-        )
-
-    bus.post(
-        ClassicalMessage(
-            ALICE, "control-reveal", {"outcomes": {i: alice_raw[i].label for i in range(num_rounds)}}
-        )
+    # the controller reveals everything first; without permission she
+    # stays silent and no message ever enters the bus
+    reveal = (BOB, (2,), 0) if alice_permits else None
+    rounds, records, qber, charlie_key, bob_key, sampled = _key_phase(
+        spec, num_rounds, sample_fraction, attack, rngs, bus, reveal
     )
-    deduced = [deduce_third_outcome(a, b) for a, b in zip(alice_raw, bob_raw)]
-    exact = sum(d.index == c.index for d, c in zip(deduced, charlie_raw))
-    accuracy = exact / num_rounds if num_rounds else 1.0
-
-    sample = _select_sample(num_rounds, sample_fraction, rngs["public"])
-    sample_set = set(sample)
-    bus.post(ClassicalMessage(BOB, "sample-check-request", {"rounds": sample}))
-    bus.post(
-        ClassicalMessage(
-            CHARLIE, "sample-check-reveal", {"outcomes": {i: charlie_raw[i].label for i in sample}}
-        )
-    )
-    bus.drain()
-
-    bit_errors = 0
-    for i in sample:
-        d, c = deduced[i], charlie_raw[i]
-        bit_errors += (d.parity_bit != c.parity_bit) + (d.phase_bit != c.phase_bit)
-    qber = bit_errors / (2 * len(sample)) if sample else 0.0
-
-    records = []
-    bob_kept, charlie_kept = [], []
-    for index in range(num_rounds):
-        triple = (alice_raw[index], bob_raw[index], charlie_raw[index])
-        if index in sample_set:
-            records.append(
-                RoundRecord(index, "key", ("key",) * 3, triple, False, DISCARD_SAMPLE)
-            )
-        else:
-            records.append(RoundRecord(index, "key", ("key",) * 3, triple, True))
-            bob_kept.append(deduced[index])
-            charlie_kept.append(charlie_raw[index])
-
+    if alice_permits:
+        hits = sum(ref == est for ref, est in map(sift, rounds))
+    else:
+        # Bob's estimate needs Alice's outcomes, so he can only guess
+        bob_key = charlie_key = SiftedKey(())
+        hits = sum(int(rngs[BOB].integers(4)) == c for _, _, c in rounds)
     return KeyPhaseControlled(
-        records=tuple(records),
-        bob_key=sift_key(bob_kept),
-        charlie_key=sift_key(charlie_kept),
+        records=records,
+        bob_key=bob_key,
+        charlie_key=charlie_key,
         qber=qber,
         passed=qber <= qber_threshold,
-        sampled=len(sample),
-        kept=num_rounds - len(sample),
-        deduction_accuracy=accuracy,
-        alice_permitted=True,
+        sampled=sampled,
+        kept=num_rounds - sampled,
+        deduction_accuracy=hits / num_rounds if num_rounds else float(alice_permits),
+        alice_permitted=alice_permits,
     )

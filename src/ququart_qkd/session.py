@@ -135,8 +135,10 @@ def hex_to_bits(hex_string: str, bit_count: int) -> tuple:
     for ch in hex_string:
         value = int(ch, 16)
         bits.extend((value >> (3 - i)) & 1 for i in range(4))
-    assert len(bits) >= bit_count
-    assert all(b == 0 for b in bits[bit_count:]), "nonzero padding"
+    if len(bits) < bit_count:
+        raise ValueError(f"{len(bits)} bits of hex, {bit_count} wanted")
+    if any(bits[bit_count:]):
+        raise ValueError("nonzero padding")
     return tuple(bits[:bit_count])
 
 
@@ -316,7 +318,8 @@ def format_flat(items) -> str:
 
 
 def parse_flat(text: str) -> dict:
-    """Inverse of format_flat; '#' lines and blank lines are skipped."""
+    """Inverse of format_flat; '#' lines and blank lines are skipped, and
+    a key given twice is an error."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -325,7 +328,10 @@ def parse_flat(text: str) -> dict:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        out[key.strip()] = parse_value(raw)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = parse_value(raw)
     return out
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from ququart_qkd.attacks import (
     AttackModel,
-    apply_attack,
     attack_channel,
     make_attack_hook,
     predict,
@@ -221,9 +220,10 @@ def test_multi_target_trajectories_stay_normalized():
 def test_computational_intercept_collapses_to_basis_state():
     spec = two_party_channel()
     rng = np.random.default_rng(4)
+    hook = make_attack_hook(AttackModel(IRC, targets=(1,)), 2)
     counts = {}
     for _ in range(2000):
-        out = apply_attack(spec.state, AttackModel(IRC, targets=(1,)), rng)
+        out = hook(spec.state, rng)
         support = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
         assert len(support) == 1  # both sides collapse: the state is a product ket
         counts[int(support[0])] = counts.get(int(support[0]), 0) + 1
@@ -238,8 +238,9 @@ def test_entangle_probe_trajectory_reads_out_computational_value():
     # trajectory collapse is identical in kind to a computational intercept
     spec = two_party_channel()
     rng = np.random.default_rng(5)
+    hook = make_attack_hook(AttackModel(EP, targets=(1,)), 2)
     for _ in range(200):
-        out = apply_attack(spec.state, AttackModel(EP, targets=(1,)), rng)
+        out = hook(spec.state, rng)
         assert out.num_ququarts == 2
         support = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
         assert len(support) == 1
@@ -253,8 +254,9 @@ def test_key_intercept_pins_target_key_outcome():
     kb = key_basis()
     bob_projs = [embed(p, 1, 2) for p in kb.projectors]
     rng = np.random.default_rng(6)
+    hook = make_attack_hook(AttackModel(IRK, targets=(1,)), 2)
     for _ in range(200):
-        out = apply_attack(spec.state, AttackModel(IRK, targets=(1,)), rng)
+        out = hook(spec.state, rng)
         result = measure_projective(out, bob_projs, rng)
         assert result.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -264,7 +266,7 @@ def test_depolarize_strength_zero_is_identity():
     rho = density(spec)
     model = AttackModel(DEP, targets=(1,), strength=0.0)
     np.testing.assert_allclose(attack_channel(model, rho, 2), rho, atol=1e-15)
-    out = apply_attack(spec.state, model, np.random.default_rng(0))
+    out = make_attack_hook(model, 2)(spec.state, np.random.default_rng(0))
     np.testing.assert_allclose(out.amplitudes, spec.state.amplitudes, atol=1e-15)
 
 

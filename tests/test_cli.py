@@ -217,12 +217,23 @@ def test_unknown_config_key_exits_one(capsys, tmp_path):
         'key_rounds = "abc"',  # a string where a count belongs
         "seed = 1.5",  # not silently truncated to 1
         'alice_permits = "false"',  # a quoted string is not a bool
+        "key_rounds = abc",  # neither a number nor quoted
+        "key_rounds 5",  # no assignment
+        'attack = "d\u00e9polarize"',  # a byte outside ASCII
+        "seed = 1\nseed = 2",  # one key given twice
     ],
 )
 def test_mistyped_config_values_exit_one(capsys, tmp_path, line):
     config = tmp_path / "typed.config"
-    config.write_text(f'protocol = "three-party"\nverification_rounds = 40\n{line}\n')
+    config.write_text(f'protocol = "three-party"\nverification_rounds = 40\n{line}\n', encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 1
+    assert err.startswith("config error:")
+    assert out == ""
+
+
+def test_repeat_below_one_exits_one(capsys):
+    code, out, err = run_cli(capsys, "run", "--verification-rounds", "10", "--repeat", "0")
     assert code == 1
     assert err.startswith("config error:")
     assert out == ""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from ququart_qkd.observables import (
     check_observable,
     commutator_norm,
     key_basis,
+    key_bit_errors,
     outcome_from_bits,
     outcome_from_index,
+    sift,
 )
 
 SQRT8 = 2.0 * np.sqrt(2.0)
@@ -156,3 +160,28 @@ def test_single_particle_commutators():
     assert commutator_norm(sx, oz) == pytest.approx(SQRT8, abs=1e-12)
     assert commutator_norm(ex, oz) == pytest.approx(SQRT8, abs=1e-12)
     assert commutator_norm(sx, ident) < 1e-15
+
+
+def reference_sift_errors(indices):
+    """Per-bit sifting on (parity, phase) bits: the receiver's double flip
+    for two parties, the XOR law against the third outcome for three."""
+    parity = [i // 2 for i in indices]
+    phase = [i % 2 for i in indices]
+    if len(indices) == 2:
+        reference = (parity[0], phase[0])
+        estimate = (parity[1] ^ 1, phase[1] ^ 1)
+    else:
+        reference = (parity[2], phase[2])
+        estimate = (parity[0] ^ parity[1], phase[0] ^ phase[1])
+    errors = (reference[0] != estimate[0]) + (reference[1] != estimate[1])
+    return reference, estimate, errors
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_sift_matches_bit_formulas_on_every_index_tuple(parties):
+    for indices in itertools.product(range(4), repeat=parties):
+        reference, estimate, errors = reference_sift_errors(indices)
+        got_reference, got_estimate = sift(indices)
+        assert (got_reference // 2, got_reference % 2) == reference
+        assert (got_estimate // 2, got_estimate % 2) == estimate
+        assert key_bit_errors(indices) == errors

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,8 +47,6 @@ def test_bus_is_fifo_and_keeps_transcript():
     second = ClassicalMessage("bob", "k", {})
     bus.post(first)
     bus.post(second)
-    assert bus.drain() == [first, second]
-    assert bus.drain() == []
     assert bus.transcript == [first, second]
 
 
@@ -195,11 +198,54 @@ def test_two_party_key_phase_sampling_accounting():
     assert len(sampled_records) == 250
 
 
-def test_two_party_key_phase_rejects_full_sampling():
-    with pytest.raises(AssertionError):
-        run_key_phase_two_party(
-            two_party_channel(), 10, 1.0, 0.0, NONE, streams(20), MessageBus()
-        )
+@pytest.mark.parametrize(
+    "run_phase,spec,permits",
+    [
+        (run_key_phase_two_party, two_party_channel(), ()),
+        (run_key_phase_controlled, three_party_channel(), (True,)),
+    ],
+    ids=["two-party", "controlled"],
+)
+def test_key_phases_reject_full_sampling(run_phase, spec, permits):
+    with pytest.raises(ValueError):
+        run_phase(spec, 10, 1.0, 0.0, *permits, NONE, streams(20), MessageBus())
+
+
+def test_round_and_sample_checks_survive_optimized_mode():
+    # python -O strips asserts; these checks must raise ValueError anyway
+    script = (
+        "from ququart_qkd.attacks import AttackModel\n"
+        "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
+        "from ququart_qkd.protocol import (MessageBus, run_key_phase_controlled,\n"
+        "    run_key_phase_two_party, run_verification_phase)\n"
+        "from ququart_qkd.session import _named_streams, hex_to_bits\n"
+        "two, three, none = two_party_channel(), three_party_channel(), AttackModel()\n"
+        "calls = {\n"
+        "    'key two-party sample 1.0': lambda: run_key_phase_two_party(\n"
+        "        two, 10, 1.0, 0.0, none, _named_streams(0), MessageBus()),\n"
+        "    'key controlled rounds -1': lambda: run_key_phase_controlled(\n"
+        "        three, -1, 0.1, 0.0, True, none, _named_streams(0), MessageBus()),\n"
+        "    'verification rounds -1': lambda: run_verification_phase(\n"
+        "        two, -1, none, _named_streams(0), MessageBus()),\n"
+        "    'short hex': lambda: hex_to_bits('c', 6),\n"
+        "    'nonzero padding': lambda: hex_to_bits('c1', 2),\n"
+        "}\n"
+        "for name, call in calls.items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {name}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_two_party_key_phase_flags_disturbed_channel():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ququart_qkd.attacks import AttackModel
 from ququart_qkd.session import (
@@ -239,8 +243,38 @@ def test_hex_packing():
     for length in (2, 6, 8, 10, 34):
         bits = tuple(int(b) for b in rng.integers(0, 2, size=length))
         assert hex_to_bits(bits_to_hex(bits), length) == bits
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         hex_to_bits("c1", 2)  # nonzero padding must be rejected
+
+
+FLAT_VALUES = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)),  # printable ASCII
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(FLAT_VALUES, max_size=8))
+def test_flat_format_round_trips(values):
+    items = [(f"k{i}", v) for i, v in enumerate(values)]
+    parsed = parse_flat(format_flat(items))
+    assert list(parsed) == [k for k, _ in items]
+    for (_, want), got in zip(items, parsed.values()):
+        assert type(got) is type(want)
+        assert got == want
+        if isinstance(want, float):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=80))
+def test_hex_packing_matches_packbits_and_round_trips(bits):
+    bits = tuple(bits)
+    hex_string = bits_to_hex(bits)
+    assert hex_string == np.packbits(np.array(bits, dtype=np.uint8)).tobytes().hex()
+    assert hex_to_bits(hex_string, len(bits)) == bits
 
 
 def test_summary_line_mentions_the_essentials():
