@@ -5,6 +5,9 @@ Two semantics live side by side, on purpose:
 * ``make_attack_hook`` compiles an attack into a map on pure-state
   trajectories inside a simulated session; randomness comes from the
   session's seeded generator, so sessions stay cheap and replayable.
+  The entangle-probe's trajectory hook is the computational readout:
+  its probe copies the target's computational digit, so reading the
+  probe makes the same draw and the same collapse.
 * ``predict`` evolves the channel's density matrix through the exact
   attack channel and integrates the outcome statistics in closed form.
   It is the ground truth the Monte-Carlo sessions are validated against.
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DIM, StateVector, draw_index, embed, measure_projective
+from .linalg import DIM, ProjectorSet, StateVector, embed, measure_projective
 from .channels import ChannelSpec
 from .observables import key_basis, key_bit_errors
 
@@ -112,65 +115,24 @@ def make_attack_hook(
     if model.kind == "none":
         return lambda state, rng: state
 
-    comp_projs = {}
-    key_projs = {}
-    shifts = {}
-    kb = key_basis()
-    for t in model.targets:
-        comp_projs[t] = [
-            embed(np.outer(e, e.conj()), t, num_parties)
-            for e in np.eye(DIM, dtype=complex)
-        ]
-        key_projs[t] = [embed(p, t, num_parties) for p in kb.projectors]
-        shifts[t] = [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)]
-
-    if model.kind == "intercept-computational":
-
-        def hook(state, rng):
-            for t in model.targets:
-                state = measure_projective(state, comp_projs[t], rng).post_state
-            return state
-
-        return hook
-
     if model.kind == "intercept-key":
+        local = key_basis().projectors
+    else:
+        local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    sets = {t: ProjectorSet([embed(p, t, num_parties) for p in local]) for t in model.targets}
 
+    if model.kind != "depolarize":
+        # the entangle-probe is its computational readout (module docstring)
         def hook(state, rng):
             for t in model.targets:
-                state = measure_projective(state, key_projs[t], rng).post_state
+                state = measure_projective(state, sets[t], rng).post_state
             return state
 
         return hook
 
-    if model.kind == "entangle-probe":
-        # The probe (appended as the least significant ququart, coupled by
-        # the controlled shift) ends up carrying an exact copy of the
-        # target's computational digit, so its readout distribution is the
-        # digit-slice weight of the state and its collapse keeps exactly
-        # the matching slice.  Working on slices avoids ever materializing
-        # the (num_parties + 1)-ququart register.
-        dim = DIM**num_parties
-        digit_at = {
-            t: (np.arange(dim) // DIM ** (num_parties - 1 - t)) % DIM
-            for t in model.targets
-        }
-
-        def hook(state, rng):
-            for t in model.targets:
-                amps = state.amplitudes
-                weights = np.abs(amps) ** 2
-                probs = [float(weights[digit_at[t] == k].sum()) for k in range(DIM)]
-                outcome = draw_index(probs, rng)
-                branch = np.where(digit_at[t] == outcome, amps, 0.0)
-                nrm = np.linalg.norm(branch)
-                if nrm < 1e-9:
-                    raise RuntimeError("sampled a zero-probability measurement branch")
-                state = StateVector(state.num_ququarts, branch / nrm)
-            return state
-
-        return hook
-
-    assert model.kind == "depolarize"
+    shifts = {
+        t: [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets
+    }
 
     def hook(state, rng):
         for t in model.targets:
@@ -180,7 +142,7 @@ def make_attack_hook(
             # re-prepare a uniformly random basis state in its place;
             # averaged over trajectories this replaces the target's
             # marginal with the maximally mixed state
-            measured = measure_projective(state, comp_projs[t], rng)
+            measured = measure_projective(state, sets[t], rng)
             fresh = int(rng.integers(DIM))
             amount = (fresh - measured.outcome_index) % DIM
             state = StateVector(

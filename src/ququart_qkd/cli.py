@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -129,7 +128,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(report.summary_line())
         return EXIT_BY_OUTCOME[report.outcome]
 
-    # fan out independent seeds; results are merged back in seed order
+    # fan out independent seeds; results are merged back in seed order.
+    # The pool is imported here so that single runs do not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     configs = [with_seed(config, config.seed + i) for i in range(repeat)]
     with ProcessPoolExecutor() as pool:
         reports = list(pool.map(run_session, configs))

@@ -3,7 +3,9 @@
 Everything here is small and exact-friendly: states live on 4**n amplitudes
 (n <= 4 in practice), operators are plain numpy matrices, and projective
 measurement draws from an explicit seeded generator so runs replay
-bit-for-bit.
+bit-for-bit.  A measurement is a ``ProjectorSet``: its projectors are
+stacked once and their completeness is checked once, when the set is
+built, so a draw is one stacked product and no identity sum.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -11,7 +13,8 @@ ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -141,34 +144,50 @@ def draw_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
+@dataclass(frozen=True, eq=False)
+class ProjectorSet:
+    """A complete projective measurement: a read-only (k, d, d) complex
+    stack of projectors.  Its shape and completeness (a sum within
+    COMPLETENESS_TOL of the identity) are checked once, here, by raising
+    ValueError, so they hold under ``python -O``."""
+
+    stack: np.ndarray
+
+    def __post_init__(self):
+        stack = np.array(self.stack, dtype=complex)
+        if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"projectors must stack to (k, d, d), got {stack.shape}")
+        # written so that a NaN entry fails the check too
+        if not np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) < COMPLETENESS_TOL:
+            raise ValueError("projectors do not sum to identity")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+
+
 def measure_projective(
     psi: StateVector,
-    projectors: Sequence[np.ndarray],
+    projectors: ProjectorSet | Sequence[np.ndarray],
     rng: np.random.Generator,
 ) -> MeasurementResult:
     """Sample one outcome of a complete projective measurement.
 
-    Outcome k is drawn with probability <psi|P_k|psi> by inverse-CDF on a
-    single uniform draw, so the sequence of results is a pure function of
-    the generator state.  The projector set must resolve the identity.
+    Every branch P_k|psi> comes from one stacked product; outcome k is
+    drawn with probability |P_k psi|^2 by inverse-CDF on a single uniform
+    draw, so the sequence of results is a pure function of the generator
+    state, and the drawn branch, normalized, is the post-measurement
+    state.  Completeness is checked once per ``ProjectorSet``; a plain
+    sequence of projectors is wrapped, and so checked, on every call.
     """
-    total = np.zeros((psi.dim, psi.dim), dtype=complex)
-    for p in projectors:
-        total = total + p
-    assert np.max(np.abs(total - np.eye(psi.dim))) < COMPLETENESS_TOL, (
-        "projectors do not sum to identity"
-    )
-
-    probs = np.array(
-        [float(np.real(np.vdot(psi.amplitudes, p @ psi.amplitudes))) for p in projectors]
-    )
-    probs = np.clip(probs, 0.0, None)
+    if not isinstance(projectors, ProjectorSet):
+        projectors = ProjectorSet(projectors)
+    branches = projectors.stack @ psi.amplitudes
+    # |P_k psi|^2: the squared real and imaginary parts of each branch, summed
+    probs = np.square(branches.view(float)).sum(axis=1).tolist()
     outcome = draw_index(probs, rng)
 
-    branch = projectors[outcome] @ psi.amplitudes
-    nrm = np.linalg.norm(branch)
+    nrm = math.sqrt(probs[outcome])
     if nrm < 1e-9:
         # zero-probability branch cannot be drawn from a complete set
         raise RuntimeError("sampled a zero-probability measurement branch")
-    post = StateVector(psi.num_ququarts, branch / nrm)
-    return MeasurementResult(outcome, float(probs[outcome]), post)
+    post = StateVector(psi.num_ququarts, branches[outcome] / nrm)
+    return MeasurementResult(outcome, probs[outcome], post)

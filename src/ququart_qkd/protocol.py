@@ -16,11 +16,13 @@ error rate, and the rest become key bits by the sifting rule
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import embed, measure_projective
+from .linalg import ProjectorSet, embed, measure_projective
 from .observables import (
     KEY_LABELS,
     KeyOutcome,
@@ -152,22 +154,36 @@ def _party_positions(spec: ChannelSpec):
     return PARTY_ORDER[: spec.party_count]
 
 
-def _menu(spec: ChannelSpec):
-    return TWO_PARTY_MENU if spec.party_count == 2 else THREE_PARTY_MENU
+def _menu(party_count: int):
+    return TWO_PARTY_MENU if party_count == 2 else THREE_PARTY_MENU
 
 
-def _sign_projector_cache(spec: ChannelSpec):
+@functools.cache
+def _sign_projector_sets(party_count: int) -> MappingProxyType:
     """Embedded (+1, -1) eigenprojector pairs per (position, observable);
-    None for the identity, which is never measured."""
-    cache = {}
-    for pos in range(spec.party_count):
-        for name in _menu(spec):
+    None for the identity, which is never measured.  Built once per party
+    count and shared read-only."""
+    sets = {}
+    for pos in range(party_count):
+        for name in _menu(party_count):
+            if name == "id":
+                sets[pos, name] = None
+                continue
             obs = check_observable(name)
-            cache[pos, name] = None if name == "id" else (
-                embed(obs.plus_projector, pos, spec.party_count),
-                embed(obs.minus_projector, pos, spec.party_count),
-            )
-    return cache
+            pair = (obs.plus_projector, obs.minus_projector)
+            sets[pos, name] = ProjectorSet([embed(p, pos, party_count) for p in pair])
+    return MappingProxyType(sets)
+
+
+@functools.cache
+def _key_projector_sets(party_count: int) -> tuple:
+    """Embedded key-basis projectors per position, built once per party
+    count."""
+    kb = key_basis()
+    return tuple(
+        ProjectorSet([embed(p, pos, party_count) for p in kb.projectors])
+        for pos in range(party_count)
+    )
 
 
 def _measure_round(state, projector_sets, parties, rngs) -> tuple:
@@ -203,8 +219,8 @@ def run_verification_phase(
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _party_positions(spec)
-    menu = _menu(spec)
-    cache = _sign_projector_cache(spec)
+    menu = _menu(spec.party_count)
+    sign_sets = _sign_projector_sets(spec.party_count)
     hook = make_attack_hook(attack, spec.party_count)
     expected = {c.operators: c.expected for c in spec.checks}
 
@@ -216,7 +232,7 @@ def run_verification_phase(
     for index in range(num_rounds):
         state = hook(spec.state, rngs["attack"])
         choices = tuple(menu[int(rngs[p].integers(len(menu)))] for p in parties)
-        sets = [cache[pos, name] for pos, name in enumerate(choices)]
+        sets = [sign_sets[pos, name] for pos, name in enumerate(choices)]
         outcomes = tuple(-1 if k else +1 for k in _measure_round(state, sets, parties, rngs))
         for p, name, value in zip(parties, choices, outcomes):
             announcements[p].append((index, name, value))
@@ -270,11 +286,7 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _party_positions(spec)
-    kb = key_basis()
-    projs = [
-        [embed(p, pos, spec.party_count) for p in kb.projectors]
-        for pos in range(spec.party_count)
-    ]
+    projs = _key_projector_sets(spec.party_count)
     hook = make_attack_hook(attack, spec.party_count)
     rounds = [
         _measure_round(hook(spec.state, rngs["attack"]), projs, parties, rngs)

@@ -30,7 +30,7 @@ from .protocol import (
     run_verification_phase,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 PROTOCOL_TWO_PARTY = "two-party"
 PROTOCOL_THREE_PARTY = "three-party"
@@ -235,6 +235,7 @@ def _two_party_key_block(phase, oracle, outcome) -> dict:
     block = {
         "rounds": len(phase.records),
         "sampled": phase.sampled,
+        "sample_vacuous": phase.sampled == 0,
         "kept": phase.kept,
         "qber": phase.qber,
         "qber_oracle": oracle.qber,
@@ -257,6 +258,7 @@ def _controlled_key_block(phase, oracle, outcome, key_rounds: int) -> dict:
     block = {
         "rounds": len(phase.records),
         "sampled": phase.sampled,
+        "sample_vacuous": phase.sampled == 0,
         "kept": phase.kept,
         "qber": phase.qber,
         "qber_oracle": oracle.qber,
@@ -331,7 +333,10 @@ def parse_flat(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = parse_value(raw)
+        try:
+            out[key] = parse_value(raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from exc
     return out
 
 

@@ -230,6 +230,8 @@ def test_mistyped_config_values_exit_one(capsys, tmp_path, line):
     assert code == 1
     assert err.startswith("config error:")
     assert out == ""
+    if line == "key_rounds = abc":  # the parse error names its line and key
+        assert "line 3" in err and "key_rounds" in err
 
 
 def test_repeat_below_one_exits_one(capsys):

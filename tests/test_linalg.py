@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from ququart_qkd.linalg import (
+    COMPLETENESS_TOL,
     DIM,
+    MeasurementResult,
+    ProjectorSet,
     StateVector,
     apply,
+    draw_index,
     embed,
     inner,
     ket,
@@ -12,7 +16,8 @@ from ququart_qkd.linalg import (
     tensor,
 )
 from ququart_qkd.observables import check_observable, key_basis
-from ququart_qkd.channels import two_party_channel
+from ququart_qkd.channels import three_party_channel, two_party_channel
+from ququart_qkd.protocol import THREE_PARTY_MENU, TWO_PARTY_MENU
 
 SX = check_observable("sx").matrix
 SZ = check_observable("sz").matrix
@@ -122,7 +127,7 @@ def test_measure_definite_state():
 
 def test_measure_rejects_incomplete_projector_set():
     projs = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)[:3]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         measure_projective(ket(0, 1), projs, np.random.default_rng(0))
 
 
@@ -190,3 +195,96 @@ def test_key_marginal_frequencies_match_binomial_model():
     sigma = np.sqrt(0.25 * 0.75 / n)
     for c in counts:
         assert abs(c / n - 0.25) <= 4 * sigma
+
+
+# ---------------------------------------------------------------------------
+# ProjectorSet against the per-call dense measurement it replaced
+
+
+def reference_measure_projective(psi, projectors, rng):
+    """The dense measurement as it was before ProjectorSet: an identity sum
+    per call, one mat-vec per projector, vdot probabilities, and one more
+    mat-vec for the drawn branch."""
+    total = np.zeros((psi.dim, psi.dim), dtype=complex)
+    for p in projectors:
+        total = total + p
+    assert np.max(np.abs(total - np.eye(psi.dim))) < COMPLETENESS_TOL
+    probs = np.array(
+        [float(np.real(np.vdot(psi.amplitudes, p @ psi.amplitudes))) for p in projectors]
+    )
+    probs = np.clip(probs, 0.0, None)
+    outcome = draw_index(probs, rng)
+    branch = projectors[outcome] @ psi.amplitudes
+    post = StateVector(psi.num_ququarts, branch / np.linalg.norm(branch))
+    return MeasurementResult(outcome, float(probs[outcome]), post)
+
+
+def session_projector_sets(n):
+    """Every projector set a session measures on n parties: the sign pair
+    of each menu observable and the key set at each position, and the
+    computational set at each attack target."""
+    menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
+    comp = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    sets = {}
+    for pos in range(n):
+        for name in menu:
+            if name != "id":
+                obs = check_observable(name)
+                pair = (obs.plus_projector, obs.minus_projector)
+                sets[f"{name}@{pos}"] = [embed(p, pos, n) for p in pair]
+        sets[f"key@{pos}"] = [embed(p, pos, n) for p in key_basis().projectors]
+        if pos >= 1:
+            sets[f"computational@{pos}"] = [embed(p, pos, n) for p in comp]
+    return sets
+
+
+@pytest.mark.parametrize("channel", [two_party_channel, three_party_channel])
+def test_projector_set_measurement_matches_dense_reference(channel):
+    spec = channel()
+    n = spec.party_count
+    sets = session_projector_sets(n)
+    # a post-measurement state: the channel collapsed by a key readout at 0
+    collapsed = reference_measure_projective(spec.state, sets["key@0"], np.random.default_rng(3))
+    for seed, (label, projs) in enumerate(sets.items()):
+        stacked = ProjectorSet(projs)
+        for state in (spec.state, collapsed.post_state):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = [measure_projective(state, stacked, fast) for _ in range(1000)]
+            b = [reference_measure_projective(state, projs, slow) for _ in range(1000)]
+            assert [r.outcome_index for r in a] == [r.outcome_index for r in b], label
+            np.testing.assert_allclose(
+                [r.probability for r in a], [r.probability for r in b], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                [r.post_state.amplitudes for r in a],
+                [r.post_state.amplitudes for r in b],
+                rtol=0,
+                atol=1e-12,
+            )
+            assert fast.random() == slow.random()  # one uniform per draw on both paths
+
+
+def test_projector_set_rejects_incomplete_or_misshaped_sets():
+    comp = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    with pytest.raises(ValueError):
+        ProjectorSet(comp[:3])  # sums to less than the identity
+    with pytest.raises(ValueError):
+        ProjectorSet(comp + comp[:1])  # over-complete
+    with pytest.raises(ValueError):
+        ProjectorSet([np.eye(DIM, dtype=complex)[:, :3]])  # not square
+    with pytest.raises(ValueError):
+        ProjectorSet(np.eye(DIM, dtype=complex))  # a matrix, not a stack
+    with pytest.raises(ValueError):
+        ProjectorSet([])
+    with pytest.raises(ValueError):
+        ProjectorSet([np.full((DIM, DIM), np.nan)] + comp)
+
+
+def test_projector_set_holds_a_read_only_copy():
+    comp = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    stacked = ProjectorSet(comp)
+    assert stacked.stack.shape == (DIM, DIM, DIM)
+    with pytest.raises(ValueError):
+        stacked.stack[0, 0, 0] = 0.0
+    comp[0][0, 0] = 0.0  # the caller's matrices are not aliased
+    assert stacked.stack[0, 0, 0] == 1.0

@@ -214,8 +214,10 @@ def test_key_phases_reject_full_sampling(run_phase, spec, permits):
 def test_round_and_sample_checks_survive_optimized_mode():
     # python -O strips asserts; these checks must raise ValueError anyway
     script = (
+        "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
+        "from ququart_qkd.linalg import ket, measure_projective\n"
         "from ququart_qkd.protocol import (MessageBus, run_key_phase_controlled,\n"
         "    run_key_phase_two_party, run_verification_phase)\n"
         "from ququart_qkd.session import _named_streams, hex_to_bits\n"
@@ -229,6 +231,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "        two, -1, none, _named_streams(0), MessageBus()),\n"
         "    'short hex': lambda: hex_to_bits('c', 6),\n"
         "    'nonzero padding': lambda: hex_to_bits('c1', 2),\n"
+        "    'incomplete projector set': lambda: measure_projective(\n"
+        "        ket(0), [np.diag(np.eye(4)[k]) for k in range(3)], _named_streams(0)['alice']),\n"
         "}\n"
         "for name, call in calls.items():\n"
         "    try:\n"

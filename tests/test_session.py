@@ -150,6 +150,20 @@ def test_intercept_aborts_at_verification():
     assert "hex" not in text  # aborts leak no key material
 
 
+@pytest.mark.parametrize("make_config", [two_party_config, three_party_config])
+def test_empty_key_sample_is_flagged_vacuous(make_config):
+    # round(0.5 * 1) samples no key round: the qber of 0 checked nothing
+    vacuous = run_session(make_config(verification_rounds=40, key_rounds=1, sample_fraction=0.5))
+    k = vacuous.key
+    assert k["sampled"] == 0 and k["qber"] == 0.0
+    assert k["sample_vacuous"] is True
+    items = [key for key, _ in report_items(vacuous)]
+    assert items.index("key.sample_vacuous") == items.index("key.sampled") + 1
+    checked = run_session(make_config(verification_rounds=40, key_rounds=40))
+    assert checked.key["sampled"] > 0
+    assert checked.key["sample_vacuous"] is False
+
+
 def test_depolarize_aborts_at_qber_gate():
     # zero verification rounds passes vacuously, so the qber gate catches it
     config = two_party_config(
@@ -197,7 +211,7 @@ def test_report_round_trips_through_the_flat_format():
     parsed = parse_flat(format_report(report))
     assert list(parsed) == [k for k, _ in items]
     assert parsed == dict(items)
-    assert parsed["schema_version"] == "1"
+    assert parsed["schema_version"] == "2"
     assert parsed["outcome"] == OUTCOME_ESTABLISHED
     assert parsed["config.seed"] == 7
 
