@@ -3,11 +3,13 @@
 Two semantics live side by side, on purpose:
 
 * ``make_attack_hook`` compiles an attack into a map on pure-state
-  trajectories inside a simulated session; randomness comes from the
-  session's seeded generator, so sessions stay cheap and replayable.
-  The entangle-probe's trajectory hook is the computational readout:
-  its probe copies the target's computational digit, so reading the
-  probe makes the same draw and the same collapse.
+  trajectories inside a simulated session: it takes the phase's branch
+  tree node of the channel state (``linalg.Node``) to the node of the
+  attacked state.  Randomness comes from the session's seeded generator,
+  and every readout and shift is memoised on the tree, so sessions stay
+  cheap and replayable.  The entangle-probe's trajectory hook is the
+  computational readout: its probe copies the target's computational
+  digit, so reading the probe makes the same draw and the same collapse.
 * ``predict`` evolves the channel's density matrix through the exact
   attack channel and integrates the outcome statistics in closed form.
   It is the ground truth the Monte-Carlo sessions are validated against.
@@ -30,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DIM, ProjectorSet, StateVector, embed, measure_projective
+# hooks measure on tree nodes; measure_projective stays bound for benchmark tracing
+from .linalg import DIM, Node, ProjectorSet, embed, measure_projective  # noqa: F401
 from .channels import ChannelSpec
 from .observables import key_basis, key_bit_errors
 
@@ -104,16 +107,18 @@ def _shift_matrix(amount: int) -> np.ndarray:
 
 def make_attack_hook(
     model: AttackModel, num_parties: int
-) -> Callable[[StateVector, np.random.Generator], StateVector]:
-    """Compile an attack into a fast per-round trajectory map.
+) -> Callable[[Node, np.random.Generator], Node]:
+    """Compile an attack into a fast per-round map on branch tree nodes.
 
     Projectors and unitaries are embedded once up front; the returned
-    hook only does matrix-vector work per round.
+    hook draws on the node it is given and descends to the node of the
+    attacked state, so matrix work happens only the first time a round
+    reaches a node.
     """
     _validate_targets(model, num_parties)
 
     if model.kind == "none":
-        return lambda state, rng: state
+        return lambda node, rng: node
 
     if model.kind == "intercept-key":
         local = key_basis().projectors
@@ -123,10 +128,10 @@ def make_attack_hook(
 
     if model.kind != "depolarize":
         # the entangle-probe is its computational readout (module docstring)
-        def hook(state, rng):
+        def hook(node, rng):
             for t in model.targets:
-                state = measure_projective(state, sets[t], rng).post_state
-            return state
+                node = node.child(sets[t], node.draw(sets[t], rng))
+            return node
 
         return hook
 
@@ -134,7 +139,7 @@ def make_attack_hook(
         t: [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets
     }
 
-    def hook(state, rng):
+    def hook(node, rng):
         for t in model.targets:
             if rng.random() >= model.strength:
                 continue
@@ -142,13 +147,11 @@ def make_attack_hook(
             # re-prepare a uniformly random basis state in its place;
             # averaged over trajectories this replaces the target's
             # marginal with the maximally mixed state
-            measured = measure_projective(state, sets[t], rng)
+            outcome = node.draw(sets[t], rng)
             fresh = int(rng.integers(DIM))
-            amount = (fresh - measured.outcome_index) % DIM
-            state = StateVector(
-                state.num_ququarts, shifts[t][amount] @ measured.post_state.amplitudes
-            )
-        return state
+            amount = (fresh - outcome) % DIM
+            node = node.child(sets[t], outcome).evolved((t, amount), shifts[t][amount])
+        return node
 
     return hook
 

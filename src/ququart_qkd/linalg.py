@@ -7,6 +7,13 @@ bit-for-bit.  A measurement is a ``ProjectorSet``: its projectors are
 stacked once and their completeness is checked once, when the set is
 built, so a draw is one stacked product and no identity sum.
 
+A protocol phase measures the same few states with the same few sets
+thousands of times, so it walks a branch tree of ``Node`` objects, where a
+draw on a visited node is one uniform and no matrix work;
+``measure_projective`` is a one-shot walk on a fresh node.  Input a user
+can reach (state shapes and norms, basis indices, positions) is checked
+by raising ``ValueError``, so the checks hold under ``python -O``.
+
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
 """
@@ -40,12 +47,18 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self):
-        assert self.num_ququarts >= 1
+        # user-reachable through ket and state_from_amplitudes: checked by
+        # raising, since python -O strips asserts
+        if self.num_ququarts < 1:
+            raise ValueError("a state needs at least one ququart")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        assert amps.shape == (DIM**self.num_ququarts,), "amplitude length must be 4**n"
+        if amps.shape != (DIM**self.num_ququarts,):
+            raise ValueError(f"amplitude shape must be (4**n,), got {amps.shape}")
         if self.normalized:
             nrm2 = float(np.vdot(amps, amps).real)
-            assert abs(nrm2 - 1.0) < NORM_TOL, f"state not normalized: |psi|^2 = {nrm2}"
+            # written so that a NaN amplitude fails the check too
+            if not abs(nrm2 - 1.0) < NORM_TOL:
+                raise ValueError(f"state not normalized: |psi|^2 = {nrm2}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -69,7 +82,8 @@ class MeasurementResult:
 
 def ket(index: int, num_ququarts: int = 1) -> StateVector:
     """Computational basis state |index> on the given register size."""
-    assert 0 <= index < DIM**num_ququarts
+    if not 0 <= index < DIM**num_ququarts:
+        raise ValueError(f"basis index {index} out of range for {num_ququarts} ququarts")
     amps = np.zeros(DIM**num_ququarts, dtype=complex)
     amps[index] = 1.0
     return StateVector(num_ququarts, amps)
@@ -124,7 +138,8 @@ def embed(local: np.ndarray, position: int, num_ququarts: int) -> np.ndarray:
     at ``position`` (0 = most significant).
     """
     assert local.shape == (DIM, DIM)
-    assert 0 <= position < num_ququarts, "position out of range"
+    if not 0 <= position < num_ququarts:
+        raise ValueError(f"position {position} out of range for {num_ququarts} ququarts")
     out = np.eye(1, dtype=complex)
     for slot in range(num_ququarts):
         out = np.kron(out, local if slot == position else np.eye(DIM, dtype=complex))
@@ -164,6 +179,61 @@ class ProjectorSet:
         object.__setattr__(self, "stack", stack)
 
 
+class Node:
+    """One state of a phase's branch tree.
+
+    A node computes its branch probabilities once per ``ProjectorSet`` and
+    builds a drawn branch's node on first use, so a phase measures each
+    (state, projector set) pair once, however often its rounds revisit it.
+    Only probabilities are kept, never branch stacks, and a tree lives for
+    one phase.
+    """
+
+    __slots__ = ("state", "_probs", "_next")
+
+    def __init__(self, state: StateVector):
+        self.state = state
+        self._probs = {}  # ProjectorSet -> branch probabilities
+        self._next = {}  # (ProjectorSet, outcome) or a caller's key -> Node
+
+    def probabilities(self, projectors: ProjectorSet) -> list:
+        """|P_k psi|^2 for every branch, from one stacked product."""
+        probs = self._probs.get(projectors)
+        if probs is None:
+            branches = projectors.stack @ self.state.amplitudes
+            # the squared real and imaginary parts of each branch, summed
+            probs = self._probs[projectors] = np.square(branches.view(float)).sum(axis=1).tolist()
+        return probs
+
+    def draw(self, projectors: ProjectorSet, rng: np.random.Generator) -> int:
+        """Outcome index of one measurement, drawn from a single uniform."""
+        probs = self.probabilities(projectors)
+        outcome = draw_index(probs, rng)
+        if math.sqrt(probs[outcome]) < 1e-9:
+            # zero-probability branch cannot be drawn from a complete set
+            raise RuntimeError("sampled a zero-probability measurement branch")
+        return outcome
+
+    def child(self, projectors: ProjectorSet, outcome: int) -> Node:
+        """The node of outcome's normalized post-measurement state."""
+        node = self._next.get((projectors, outcome))
+        if node is None:
+            branch = (projectors.stack @ self.state.amplitudes)[outcome]
+            nrm = math.sqrt(self.probabilities(projectors)[outcome])
+            node = Node(StateVector(self.state.num_ququarts, branch / nrm))
+            self._next[projectors, outcome] = node
+        return node
+
+    def evolved(self, key, unitary: np.ndarray) -> Node:
+        """The node of ``unitary @ state``, kept under ``key``, which must
+        not be a (ProjectorSet, outcome) pair."""
+        node = self._next.get(key)
+        if node is None:
+            amps = unitary @ self.state.amplitudes
+            node = self._next[key] = Node(StateVector(self.state.num_ququarts, amps))
+        return node
+
+
 def measure_projective(
     psi: StateVector,
     projectors: ProjectorSet | Sequence[np.ndarray],
@@ -171,23 +241,17 @@ def measure_projective(
 ) -> MeasurementResult:
     """Sample one outcome of a complete projective measurement.
 
-    Every branch P_k|psi> comes from one stacked product; outcome k is
-    drawn with probability |P_k psi|^2 by inverse-CDF on a single uniform
-    draw, so the sequence of results is a pure function of the generator
-    state, and the drawn branch, normalized, is the post-measurement
-    state.  Completeness is checked once per ``ProjectorSet``; a plain
-    sequence of projectors is wrapped, and so checked, on every call.
+    A one-shot walk on a fresh ``Node``: outcome k is drawn with
+    probability |P_k psi|^2 by inverse-CDF on a single uniform draw, so the
+    sequence of results is a pure function of the generator state, and
+    the drawn branch, normalized, is the post-measurement state.
+    Completeness is checked once per ``ProjectorSet``; a plain sequence of
+    projectors is wrapped, and so checked, on every call.
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors)
-    branches = projectors.stack @ psi.amplitudes
-    # |P_k psi|^2: the squared real and imaginary parts of each branch, summed
-    probs = np.square(branches.view(float)).sum(axis=1).tolist()
-    outcome = draw_index(probs, rng)
-
-    nrm = math.sqrt(probs[outcome])
-    if nrm < 1e-9:
-        # zero-probability branch cannot be drawn from a complete set
-        raise RuntimeError("sampled a zero-probability measurement branch")
-    post = StateVector(psi.num_ququarts, branches[outcome] / nrm)
-    return MeasurementResult(outcome, probs[outcome], post)
+    node = Node(psi)
+    outcome = node.draw(projectors, rng)
+    return MeasurementResult(
+        outcome, node.probabilities(projectors)[outcome], node.child(projectors, outcome).state
+    )

@@ -105,7 +105,8 @@ def _bits_of(index: int) -> tuple[int, int]:
 
 def outcome_from_index(index: int) -> KeyOutcome:
     """Map a key-basis outcome index (0..3) to its labeled bit pair."""
-    assert 0 <= index < 4, "outcome index out of range"
+    if not 0 <= index < 4:
+        raise ValueError(f"outcome index {index} out of range")
     parity, phase = _bits_of(index)
     return KeyOutcome(KEY_LABELS[index], parity, phase)
 

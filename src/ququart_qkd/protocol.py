@@ -4,6 +4,11 @@ A session is a single logical thread.  Parties never share state; all
 classical coupling is posted to a message bus whose transcript makes runs
 auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack hook on the in-transit ququarts.
+Each phase walks one branch tree (``linalg.Node``) rooted at the channel
+state: a round descends from the root through the hook and the parties'
+measurements, so each (state, projector set) pair is measured once per
+phase, while every party still draws from its own stream, round by
+round, in the same order.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -22,7 +27,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import ProjectorSet, embed, measure_projective
+# rounds measure on tree nodes; measure_projective stays bound for benchmark tracing
+from .linalg import Node, ProjectorSet, embed, measure_projective  # noqa: F401
 from .observables import (
     KEY_LABELS,
     KeyOutcome,
@@ -186,18 +192,22 @@ def _key_projector_sets(party_count: int) -> tuple:
     )
 
 
-def _measure_round(state, projector_sets, parties, rngs) -> tuple:
-    """Outcome indices of one round: each party in turn measures the state
+def _measure_round(node, projector_sets, parties, rngs) -> tuple:
+    """Outcome indices of one round: each party in turn measures the node
     its predecessors left, drawing from its own stream.  A None set is the
-    identity slot: it reads outcome 0 and draws nothing."""
+    identity slot: it reads outcome 0 and draws nothing.  A drawn branch's
+    node is built only when a later party measures it."""
     outcomes = []
+    last = None  # (projector set, outcome) of the previous measurement
     for projectors, party in zip(projector_sets, parties):
         if projectors is None:
             outcomes.append(0)
             continue
-        result = measure_projective(state, projectors, rngs[party])
-        outcomes.append(result.outcome_index)
-        state = result.post_state
+        if last is not None:
+            node = node.child(*last)
+        outcome = node.draw(projectors, rngs[party])
+        outcomes.append(outcome)
+        last = projectors, outcome
     return tuple(outcomes)
 
 
@@ -222,6 +232,7 @@ def run_verification_phase(
     menu = _menu(spec.party_count)
     sign_sets = _sign_projector_sets(spec.party_count)
     hook = make_attack_hook(attack, spec.party_count)
+    root = Node(spec.state)
     expected = {c.operators: c.expected for c in spec.checks}
 
     tallies = {c.name: [0, 0] for c in spec.checks}
@@ -230,10 +241,10 @@ def run_verification_phase(
     announcements = {p: [] for p in parties}
 
     for index in range(num_rounds):
-        state = hook(spec.state, rngs["attack"])
+        node = hook(root, rngs["attack"])
         choices = tuple(menu[int(rngs[p].integers(len(menu)))] for p in parties)
         sets = [sign_sets[pos, name] for pos, name in enumerate(choices)]
-        outcomes = tuple(-1 if k else +1 for k in _measure_round(state, sets, parties, rngs))
+        outcomes = tuple(-1 if k else +1 for k in _measure_round(node, sets, parties, rngs))
         for p, name, value in zip(parties, choices, outcomes):
             announcements[p].append((index, name, value))
 
@@ -288,8 +299,9 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
     parties = _party_positions(spec)
     projs = _key_projector_sets(spec.party_count)
     hook = make_attack_hook(attack, spec.party_count)
+    root = Node(spec.state)
     rounds = [
-        _measure_round(hook(spec.state, rngs["attack"]), projs, parties, rngs)
+        _measure_round(hook(root, rngs["attack"]), projs, parties, rngs)
         for _ in range(num_rounds)
     ]
     sample = []

@@ -30,14 +30,14 @@ def test_ket_places_unit_amplitude():
 
 
 def test_state_vector_rejects_wrong_length():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StateVector(2, np.zeros(4, dtype=complex))
 
 
 def test_state_vector_rejects_unnormalized_unless_flagged():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 2.0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         StateVector(1, amps)
     unflagged = StateVector(1, amps, normalized=False)
     assert unflagged.amplitudes[0] == 2.0
@@ -113,7 +113,7 @@ def test_embed_positions():
     np.testing.assert_array_equal(embed(SZ, 0, 1), SZ)
     np.testing.assert_array_equal(embed(SX, 1, 2), np.kron(np.eye(DIM), SX))
     np.testing.assert_array_equal(embed(SX, 0, 2), np.kron(SX, np.eye(DIM)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         embed(SX, 2, 2)
 
 

@@ -117,7 +117,7 @@ def test_outcome_round_trip_and_bit_coding():
 def test_outcome_label_bit_consistency_enforced():
     with pytest.raises(AssertionError):
         KeyOutcome("phi+", 1, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         outcome_from_index(4)
 
 

@@ -217,7 +217,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
-        "from ququart_qkd.linalg import ket, measure_projective\n"
+        "from ququart_qkd.linalg import embed, ket, measure_projective, state_from_amplitudes\n"
+        "from ququart_qkd.observables import outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, run_key_phase_controlled,\n"
         "    run_key_phase_two_party, run_verification_phase)\n"
         "from ququart_qkd.session import _named_streams, hex_to_bits\n"
@@ -233,6 +234,11 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "    'nonzero padding': lambda: hex_to_bits('c1', 2),\n"
         "    'incomplete projector set': lambda: measure_projective(\n"
         "        ket(0), [np.diag(np.eye(4)[k]) for k in range(3)], _named_streams(0)['alice']),\n"
+        "    'ket index 4 of one ququart': lambda: ket(4),\n"
+        "    'three amplitudes for one ququart': lambda: state_from_amplitudes([1, 0, 0], 1),\n"
+        "    'all-zero amplitudes': lambda: state_from_amplitudes([0, 0, 0, 0], 1),\n"
+        "    'embed position 2 of 2': lambda: embed(np.eye(4), 2, 2),\n"
+        "    'outcome index 4': lambda: outcome_from_index(4),\n"
         "}\n"
         "for name, call in calls.items():\n"
         "    try:\n"

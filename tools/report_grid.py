@@ -1,0 +1,78 @@
+"""Print one ``sha256  config`` line per session report of a fixed grid.
+
+The grid covers both protocols; every attack kind on every valid target
+set, depolarize at strengths 0.3 and 1; attack-free runs with and
+without permission and the corrupt channel; 0 and 60 verification rounds
+(qber threshold 0.6, so attacked keys are emitted); 0, 1, 200 and 300 key
+rounds at sample fractions 0.1 and 0.5; seeds 11-13.  Two checkouts that
+print the same lines produce byte-identical reports, config for config:
+
+    diff <(python3 tools/report_grid.py --src old/src) \\
+         <(python3 tools/report_grid.py --src src)
+"""
+
+import argparse
+import hashlib
+import sys
+
+TARGET_SETS = {2: [(1,)], 3: [(1,), (2,), (1, 2)]}
+KINDS = [
+    ("intercept-computational", 0.0),
+    ("intercept-key", 0.0),
+    ("entangle-probe", 0.0),
+    ("depolarize", 0.3),
+    ("depolarize", 1.0),
+]
+SEEDS = (11, 12, 13)
+# (verification rounds, key rounds, sample fraction)
+PHASES = ((60, 300, 0.1), (0, 200, 0.5))
+EDGE_PHASES = [(60, k, f) for k in (0, 1) for f in (0.1, 0.5)]
+
+
+def grid():
+    """(protocol, attack kind, targets, strength, permits, corrupt,
+    verification rounds, key rounds, sample fraction, seed) tuples."""
+    for parties, protocol in ((2, "two-party"), (3, "three-party")):
+        variants = [("none", (), 0.0, True, False), ("none", (), 0.0, True, True)]
+        if parties == 3:
+            variants.append(("none", (), 0.0, False, False))
+        variants += [
+            (kind, targets, strength, True, False)
+            for targets in TARGET_SETS[parties]
+            for kind, strength in KINDS
+        ]
+        for variant in variants:
+            for phases in PHASES:
+                for seed in SEEDS:
+                    yield (protocol, *variant, *phases, seed)
+        for phases in EDGE_PHASES:
+            yield (protocol, "none", (), 0.0, True, False, *phases, SEEDS[0])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src", help="source directory holding ququart_qkd")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from ququart_qkd.attacks import AttackModel
+    from ququart_qkd.session import SessionConfig, format_report, run_session
+
+    for protocol, kind, targets, strength, permits, corrupt, ver, key, frac, seed in grid():
+        config = SessionConfig(
+            protocol=protocol,
+            verification_rounds=ver,
+            key_rounds=key,
+            sample_fraction=frac,
+            qber_threshold=0.6,
+            attack=AttackModel(kind, targets, strength),
+            alice_permits=permits,
+            seed=seed,
+            corrupt=corrupt,
+        )
+        digest = hashlib.sha256(format_report(run_session(config)).encode()).hexdigest()
+        label = f"{protocol} {kind}{list(targets)} s={strength} permits={permits} corrupt={corrupt}"
+        print(f"{digest}  {label} ver={ver} key={key} frac={frac} seed={seed}")
+
+
+if __name__ == "__main__":
+    main()
