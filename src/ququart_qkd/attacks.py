@@ -32,8 +32,10 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import DIM, Node, ProjectorSet, RawWords, Tree, embed, uniforms
+
 # hooks measure on tree nodes; measure_projective stays bound for benchmark tracing
-from .linalg import DIM, Node, ProjectorSet, embed, measure_projective  # noqa: F401
+from .linalg import measure_projective  # noqa: F401
 from .channels import ChannelSpec
 from .observables import key_basis, key_bit_errors
 
@@ -105,26 +107,39 @@ def _shift_matrix(amount: int) -> np.ndarray:
     return m
 
 
+def _attack_operators(model: AttackModel, num_parties: int) -> tuple:
+    """The embedded readout set per target (the key basis for a key
+    intercept, else the computational basis) and, for depolarize, the
+    embedded cyclic shifts of each target by 0..3.  Built per phase, not
+    kept: every attack shape's operators at once would hold megabytes."""
+    if model.kind == "intercept-key":
+        local = key_basis().projectors
+    else:
+        local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    sets = {t: ProjectorSet([embed(p, t, num_parties) for p in local]) for t in model.targets}
+    shifts = {}
+    if model.kind == "depolarize":
+        shifts = {
+            t: [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets
+        }
+    return sets, shifts
+
+
 def make_attack_hook(
     model: AttackModel, num_parties: int
 ) -> Callable[[Node, np.random.Generator], Node]:
     """Compile an attack into a fast per-round map on branch tree nodes.
 
-    Projectors and unitaries are embedded once up front; the returned
-    hook draws on the node it is given and descends to the node of the
-    attacked state, so matrix work happens only the first time a round
-    reaches a node.
+    The returned hook draws on the node it is given and descends to the
+    node of the attacked state, so matrix work happens only the first
+    time a round reaches a node.
     """
     _validate_targets(model, num_parties)
 
     if model.kind == "none":
         return lambda node, rng: node
 
-    if model.kind == "intercept-key":
-        local = key_basis().projectors
-    else:
-        local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
-    sets = {t: ProjectorSet([embed(p, t, num_parties) for p in local]) for t in model.targets}
+    sets, shifts = _attack_operators(model, num_parties)
 
     if model.kind != "depolarize":
         # the entangle-probe is its computational readout (module docstring)
@@ -134,10 +149,6 @@ def make_attack_hook(
             return node
 
         return hook
-
-    shifts = {
-        t: [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets
-    }
 
     def hook(node, rng):
         for t in model.targets:
@@ -154,6 +165,72 @@ def make_attack_hook(
         return node
 
     return hook
+
+
+def attack_levels(
+    model: AttackModel, num_parties: int, tree: Tree, rng: np.random.Generator, num_rounds: int
+) -> np.ndarray:
+    """Node ids of ``num_rounds`` attacked copies of the tree's root state.
+
+    The rounds are sampled one target at a time (``Tree``), with the same
+    draws from ``rng`` and the same nodes as ``num_rounds`` calls of
+    ``make_attack_hook``'s hook: a measuring attack draws one uniform per
+    target per round, which ``rng.random`` gives in bulk; depolarize's
+    data-dependent draws are replayed by a scan over the raw words.
+    """
+    _validate_targets(model, num_parties)
+    ids = np.zeros(num_rounds, dtype=np.intp)
+    if model.kind == "none":
+        return ids
+    sets, shifts = _attack_operators(model, num_parties)
+    if model.kind != "depolarize":
+        u = rng.random(num_rounds * len(model.targets)).reshape(num_rounds, len(model.targets))
+        for j, t in enumerate(model.targets):
+            level = [sets[t]]
+            ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
+        return ids
+    hit, u, fresh = _depolarize_draws(rng, num_rounds, len(model.targets), model.strength)
+    for j, t in enumerate(model.targets):
+        rows = np.flatnonzero(hit[:, j])
+        level = [sets[t]]
+        outcomes = tree.draw(ids[rows], level, u[rows, j])
+        measured = tree.children(ids[rows], level, outcomes)
+        amounts = (fresh[rows, j] - outcomes) % DIM
+        keys = [(t, a) for a in range(DIM)]
+        ids[rows] = tree.evolved(measured, amounts, keys, shifts[t])
+    return ids
+
+
+def _depolarize_draws(rng, num_rounds: int, num_targets: int, strength: float):
+    """Depolarize's draws per (round, target), replayed by a scan over raw
+    words: whether the gate uniform fell below ``strength``, and if so the
+    readout uniform and the fresh digit, ``integers(4)``."""
+    words = RawWords(rng, 3 * num_rounds * num_targets)
+    raw, half, buffered = words.words.tolist(), words.half, words.buffered
+    hits, u, fresh = [], [], []  # per (round, target) that passed the gate
+    at = 0
+    for i in range(num_rounds * num_targets):
+        gate = uniforms(raw[at])
+        at += 1
+        if gate >= strength:
+            continue
+        hits.append(i)
+        u.append(uniforms(raw[at]))
+        at += 1
+        if not buffered:
+            fresh.append((raw[at] & 0xFFFFFFFF) >> 30)
+            half = raw[at] >> 32
+            at += 1
+        else:
+            fresh.append(half >> 30)
+        buffered = not buffered
+    words.release(at, half, buffered)
+    columns = []
+    for values, dtype in ((True, bool), (u, float), (fresh, np.intp)):
+        column = np.zeros(num_rounds * num_targets, dtype=dtype)
+        column[hits] = values
+        columns.append(column.reshape(num_rounds, num_targets))
+    return tuple(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,11 @@ class ChannelCheck:
     expected: int
 
     def __post_init__(self):
-        assert self.expected in (+1, -1)
-        assert all(isinstance(n, str) for n in self.operators)
+        # user-reachable input: checked by raising, since python -O strips asserts
+        if self.expected not in (+1, -1):
+            raise ValueError(f"expected outcome product must be +1 or -1, got {self.expected!r}")
+        if not all(isinstance(n, str) for n in self.operators):
+            raise ValueError(f"check operators must be observable names, got {self.operators!r}")
 
     @property
     def name(self) -> str:
@@ -64,9 +67,16 @@ class ChannelSpec:
     checks: tuple
 
     def __post_init__(self):
-        assert self.party_count in (2, 3)
-        assert self.state.num_ququarts == self.party_count
-        assert all(len(c.operators) == self.party_count for c in self.checks)
+        if self.party_count not in (2, 3):
+            raise ValueError(f"a channel has 2 or 3 parties, got {self.party_count!r}")
+        if self.state.num_ququarts != self.party_count:
+            raise ValueError(
+                f"{self.party_count} parties need {self.party_count} ququarts, "
+                f"got {self.state.num_ququarts}"
+            )
+        for check in self.checks:
+            if len(check.operators) != self.party_count:
+                raise ValueError(f"check {check.name} needs one operator per party")
 
 
 def two_party_channel() -> ChannelSpec:
@@ -105,7 +115,8 @@ def three_party_channel() -> ChannelSpec:
 
 
 def make_channel(party_count: int) -> ChannelSpec:
-    assert party_count in (2, 3)
+    if party_count not in (2, 3):
+        raise ValueError(f"a channel has 2 or 3 parties, got {party_count!r}")
     return two_party_channel() if party_count == 2 else three_party_channel()
 
 

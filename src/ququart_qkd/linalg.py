@@ -10,9 +10,12 @@ built, so a draw is one stacked product and no identity sum.
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it walks a branch tree of ``Node`` objects, where a
 draw on a visited node is one uniform and no matrix work;
-``measure_projective`` is a one-shot walk on a fresh node.  Input a user
-can reach (state shapes and norms, basis indices, positions) is checked
-by raising ``ValueError``, so the checks hold under ``python -O``.
+``measure_projective`` is a one-shot walk on a fresh node.  A ``Tree``
+samples such a tree one level at a time for all rounds at once, with
+uniforms that ``RawWords`` replays from a PCG64 generator's raw words, so
+its draws equal the per-round calls.  Input a user can reach (state
+shapes and norms, basis indices, positions) is checked by raising
+``ValueError``, so the checks hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -159,6 +162,48 @@ def draw_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The ``random()`` value of each raw word: its top 53 bits times
+    2**-53, exactly numpy's conversion."""
+    return (words >> 11) * 2.0**-53
+
+
+class RawWords:
+    """The next ``count`` raw 64-bit words of a PCG64 generator, for
+    replaying its scalar draws in bulk.
+
+    numpy (2.4.6, pinned by the tests) makes ``random()`` from one full
+    word (``uniforms``) and ``integers(4)`` from the top two bits of a
+    32-bit half-word: the buffered half if ``buffered``, else the low half
+    of a fresh word, whose high half becomes the buffered ``half``.  A read
+    clears ``buffered`` and leaves ``half`` as it was.  ``release`` gives
+    back the words a replay did not use and writes the half-word buffer,
+    so the generator goes on exactly as if the replayed calls had been
+    made.
+    """
+
+    def __init__(self, rng: np.random.Generator, count: int):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(
+                f"replayed draws need a PCG64 generator, got {type(bit_generator).__name__}"
+            )
+        state = bit_generator.state
+        self.buffered = bool(state["has_uint32"])
+        self.half = state["uinteger"]
+        self.words = bit_generator.random_raw(count)
+        self._bit_generator = bit_generator
+
+    def release(self, used: int, half: int, buffered: bool):
+        """Rewind past the first ``used`` words and set the buffer."""
+        bit_generator = self._bit_generator
+        # advancing clears the half-word buffer, which is then written back
+        bit_generator.advance(int(used) - len(self.words))
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(buffered), int(half)
+        bit_generator.state = state
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """A complete projective measurement: a read-only (k, d, d) complex
@@ -218,7 +263,9 @@ class Node:
         """The node of outcome's normalized post-measurement state."""
         node = self._next.get((projectors, outcome))
         if node is None:
-            branch = (projectors.stack @ self.state.amplitudes)[outcome]
+            # the same matrix-vector product as that branch's row of the
+            # stacked product in ``probabilities``, so the same bits
+            branch = projectors.stack[outcome] @ self.state.amplitudes
             nrm = math.sqrt(self.probabilities(projectors)[outcome])
             node = Node(StateVector(self.state.num_ququarts, branch / nrm))
             self._next[projectors, outcome] = node
@@ -255,3 +302,88 @@ def measure_projective(
     return MeasurementResult(
         outcome, node.probabilities(projectors)[outcome], node.child(projectors, outcome).state
     )
+
+
+class Tree:
+    """A phase's branch tree, sampled one level at a time for all rounds.
+
+    Rows are rounds, each at a node, named by its id (``nodes[id]``).  A
+    level measures each row's node with a projector set, picked per row by
+    a code into ``sets`` (``sets[0]`` without codes), and moves rows to the
+    nodes they reach.  A None set is the identity slot: it reads outcome 0
+    and keeps the node.  Only the (node, set) pairs and the children that
+    some row reaches are computed, so the tree grows exactly as a walk of
+    the same rounds grows it.  The sets of one level have equal branch
+    counts.
+    """
+
+    def __init__(self, root: Node):
+        self.nodes = [root]
+        self._ids = {root: 0}
+
+    def _id(self, node: Node) -> int:
+        index = self._ids.get(node)
+        if index is None:
+            index = self._ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return index
+
+    def draw(self, ids, sets, u, codes=None) -> np.ndarray:
+        """Outcome index per row from its uniform ``u``: the count of the
+        cumulative probabilities below the last that are at or below it.
+        That is ``draw_index``'s rule, fall-through to the last index
+        included, and ``cumsum`` adds in the same order.  A row that drew
+        a zero-probability branch raises RuntimeError."""
+        if not len(ids):
+            return np.zeros(0, dtype=np.intp)
+        width = len(sets)
+        keys = ids if codes is None else ids * width + codes
+        present = np.flatnonzero(np.bincount(keys))
+        certain = [1.0] + [0.0] * (_branch_count(sets) - 1)  # the identity slot
+        laws = np.array(
+            [
+                certain if sets[key % width] is None
+                else self.nodes[key // width].probabilities(sets[key % width])
+                for key in present.tolist()
+            ]
+        )
+        group = np.searchsorted(present, keys)
+        outcomes = (u[:, None] >= np.cumsum(laws[:, :-1], axis=1)[group]).sum(axis=1)
+        if (np.sqrt(laws[group, outcomes]) < 1e-9).any():
+            # zero-probability branch cannot be drawn from a complete set
+            raise RuntimeError("sampled a zero-probability measurement branch")
+        return outcomes
+
+    def children(self, ids, sets, outcomes, codes=None, needed=None) -> np.ndarray:
+        """Node id per row of its drawn outcome's post-measurement state.
+        Rows outside the boolean mask ``needed`` keep their node, and
+        their children are not built."""
+        if not len(ids):
+            return ids
+        width, branches = len(sets), _branch_count(sets)
+        keys = (ids if codes is None else ids * width + codes) * branches + outcomes
+        counts = np.bincount(keys, weights=needed)
+        table = np.arange(len(counts)) // (width * branches)  # the row's own node
+        for key in np.flatnonzero(counts).tolist():
+            pair, outcome = divmod(key, branches)
+            projectors = sets[pair % width]
+            if projectors is not None:
+                table[key] = self._id(self.nodes[pair // width].child(projectors, outcome))
+        return table[keys]
+
+    def evolved(self, ids, picks, keys, unitaries) -> np.ndarray:
+        """Node id per row of ``unitaries[pick] @ state``, kept on the node
+        under ``keys[pick]`` (``Node.evolved``)."""
+        if not len(ids):
+            return ids
+        width = len(keys)
+        rows = ids * width + picks
+        table = np.zeros(rows.max() + 1, dtype=np.intp)
+        for key in np.flatnonzero(np.bincount(rows)).tolist():
+            node, pick = divmod(key, width)
+            table[key] = self._id(self.nodes[node].evolved(keys[pick], unitaries[pick]))
+        return table[rows]
+
+
+def _branch_count(sets) -> int:
+    return next(s for s in sets if s is not None).stack.shape[0]

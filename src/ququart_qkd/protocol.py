@@ -3,12 +3,14 @@
 A session is a single logical thread.  Parties never share state; all
 classical coupling is posted to a message bus whose transcript makes runs
 auditable.  Each round consumes one fresh copy of the channel state,
-optionally filtered through an attack hook on the in-transit ququarts.
-Each phase walks one branch tree (``linalg.Node``) rooted at the channel
-state: a round descends from the root through the hook and the parties'
-measurements, so each (state, projector set) pair is measured once per
-phase, while every party still draws from its own stream, round by
-round, in the same order.
+optionally filtered through an attack on the in-transit ququarts.  Each
+phase measures on one branch tree (``linalg.Node``) rooted at the channel
+state, so each (state, projector set) pair is measured once per phase,
+while every party draws from its own stream exactly the values a
+round-by-round run would draw.  The key phase walks the tree round by
+round; the verification phase samples it one level at a time for all
+rounds (``linalg.Tree``), from draws replayed in bulk, and tallies its
+rounds from columns.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -27,8 +29,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .linalg import Node, ProjectorSet, RawWords, Tree, embed, uniforms
+
 # rounds measure on tree nodes; measure_projective stays bound for benchmark tracing
-from .linalg import Node, ProjectorSet, embed, measure_projective  # noqa: F401
+from .linalg import measure_projective  # noqa: F401
 from .observables import (
     KEY_LABELS,
     KeyOutcome,
@@ -39,7 +43,7 @@ from .observables import (
     sift,
 )
 from .channels import ChannelSpec
-from .attacks import AttackModel, make_attack_hook
+from .attacks import AttackModel, attack_levels, make_attack_hook
 
 ALICE = "alice"
 BOB = "bob"
@@ -142,9 +146,17 @@ class CheckTally:
         return self.violations / self.rounds if self.rounds else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationSummary:
-    records: tuple
+    """A verification phase's outcome, held as columns: per party, the
+    menu code of its choice and its announced sign in every round, and
+    per round whether it matched a check.  ``records`` are built from them
+    on first read."""
+
+    menu: tuple
+    choices: tuple  # per party, (rounds,) menu codes
+    outcomes: tuple  # per party, (rounds,) announced signs, +1 or -1
+    kept: np.ndarray  # (rounds,) matched a check
     passed: bool
     tallies: dict  # check name -> CheckTally, in channel check order
     matched: int
@@ -152,8 +164,30 @@ class VerificationSummary:
     vacuous: bool
 
     @property
+    def rounds(self) -> int:
+        return len(self.kept)
+
+    @property
     def total_violations(self) -> int:
         return sum(t.violations for t in self.tallies.values())
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        choices = zip(*(codes.tolist() for codes in self.choices))
+        outcomes = zip(*(signs.tolist() for signs in self.outcomes))
+        return tuple(
+            RoundRecord(
+                index,
+                "verify",
+                tuple(self.menu[c] for c in codes),
+                signs,
+                kept,
+                None if kept else DISCARD_MISMATCH,
+            )
+            for index, (codes, signs, kept) in enumerate(
+                zip(choices, outcomes, self.kept.tolist())
+            )
+        )
 
 
 def _party_positions(spec: ChannelSpec):
@@ -211,6 +245,58 @@ def _measure_round(node, projector_sets, parties, rngs) -> tuple:
     return tuple(outcomes)
 
 
+def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
+    """One party's verification draws, replayed from raw words (``RawWords``).
+
+    Per round the party draws its menu code by ``integers(4)`` and then,
+    unless the code is ``idle`` (the identity, which measures nothing),
+    one uniform by ``random()``.  So two rounds form a block: one word
+    whose low and high halves give the two codes, then 0-2 words of
+    uniforms, as many as the codes ask for; a chase from block to block
+    finds every word.  A half-word buffered at the start is round 0's
+    code, and an odd last block leaves its high half buffered.
+
+    Returns the codes and the uniforms per round; an idle round's uniform
+    is any word's and is never read.
+    """
+    words = RawWords(rng, num_rounds + (num_rounds + 1) // 2)
+    raw, half, buffered = words.words, words.half, words.buffered
+    first = 0  # rounds before the first block: one if it reads the buffer
+    codes = np.zeros(num_rounds, dtype=np.intp)
+    at = np.zeros(num_rounds, dtype=np.intp)  # word of each round's uniform
+    if buffered and num_rounds:
+        codes[0] = half >> 30
+        first, buffered = 1, False
+    start = int(first and codes[0] != idle)  # words round 0 used
+    blocks = (num_rounds - first + 1) // 2
+    code = raw >> 30
+    low, high = code & 3, code >> 32
+    if idle < 0:
+        # no code is idle, so every block is three words
+        starts = np.arange(start, start + 3 * blocks, 3)
+    else:
+        steps = ((low != idle).astype(np.intp) + (high != idle)).tolist()
+        chase = [start]
+        for _ in range(blocks - 1):
+            chase.append(chase[-1] + 1 + steps[chase[-1]])
+        starts = np.array(chase[:blocks], dtype=np.intp)
+    pairs = num_rounds - first - blocks  # blocks with a second round
+    firsts = low[starts]
+    codes[first::2] = firsts
+    codes[first + 1 :: 2] = high[starts[:pairs]]
+    at[first::2] = starts + 1
+    # the second round's uniform follows the first's, if that one measured
+    at[first + 1 :: 2] = at[first::2][:pairs] + (firsts[:pairs] != idle)
+    end = start
+    if blocks:
+        last = int(starts[-1])
+        half = int(raw[last] >> 32)
+        buffered = pairs < blocks  # an odd last block keeps its high half
+        end = last + 1 + sum(c != idle for c in codes[first + 2 * blocks - 2 :].tolist())
+    words.release(end, half, buffered)
+    return codes, uniforms(raw[at])
+
+
 def run_verification_phase(
     spec: ChannelSpec,
     num_rounds: int,
@@ -225,52 +311,78 @@ def run_verification_phase(
     the identity contributes a fixed +1 announcement without touching the
     state.  pass means zero violations among matched rounds; zero matched
     rounds passes vacuously and is flagged.
+
+    All rounds are sampled together, one level of the phase's branch tree
+    at a time: the attack's targets, then each party (``linalg.Tree``).
+    Each stream's draws are exactly those of a per-round walk that calls
+    ``integers`` and ``random`` round by round; the party and attack
+    streams must be distinct PCG64 generators.
     """
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _party_positions(spec)
+    streams = [rngs[p] for p in parties] + [rngs["attack"]]
+    if len({id(s) for s in streams}) != len(streams):
+        raise ValueError("the party and attack streams must be distinct generators")
     menu = _menu(spec.party_count)
-    sign_sets = _sign_projector_sets(spec.party_count)
-    hook = make_attack_hook(attack, spec.party_count)
-    root = Node(spec.state)
-    expected = {c.operators: c.expected for c in spec.checks}
+    idle = menu.index("id") if "id" in menu else -1
+    tree = Tree(Node(spec.state))
+    ids = attack_levels(attack, spec.party_count, tree, rngs["attack"], num_rounds)
 
-    tallies = {c.name: [0, 0] for c in spec.checks}
-    records = []
-    matched = 0
-    announcements = {p: [] for p in parties}
+    draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
+    choices = [codes for codes, _ in draws]
+    # per party, the rounds in which a later party measures: only there is
+    # the drawn branch's node built
+    later = [np.zeros(num_rounds, dtype=bool)]
+    for codes in choices[:0:-1]:
+        later.insert(0, later[0] | (codes != idle))
+    outcomes = []
+    for j, (codes, u) in enumerate(draws):
+        sets = [_sign_projector_sets(spec.party_count)[j, name] for name in menu]
+        outcomes.append(tree.draw(ids, sets, u, codes))
+        if j + 1 < len(parties):
+            ids = tree.children(ids, sets, outcomes[j], codes, later[j])
 
-    for index in range(num_rounds):
-        node = hook(root, rngs["attack"])
-        choices = tuple(menu[int(rngs[p].integers(len(menu)))] for p in parties)
-        sets = [sign_sets[pos, name] for pos, name in enumerate(choices)]
-        outcomes = tuple(-1 if k else +1 for k in _measure_round(node, sets, parties, rngs))
-        for p, name, value in zip(parties, choices, outcomes):
-            announcements[p].append((index, name, value))
+    # rounds are tallied per joint choice, a base-4 number; the outcome
+    # product is -1 exactly when an odd number of outcomes is 1 (the
+    # identity reads 0)
+    def joint(codes):
+        return functools.reduce(lambda acc, code: acc * len(menu) + code, codes)
 
-        if choices in expected:
-            matched += 1
-            check_name = "_".join(choices)
-            product = int(np.prod(outcomes))
-            tallies[check_name][0] += 1
-            if product != expected[choices]:
-                tallies[check_name][1] += 1
-            records.append(RoundRecord(index, "verify", choices, outcomes, True))
-        else:
-            records.append(
-                RoundRecord(index, "verify", choices, outcomes, False, DISCARD_MISMATCH)
-            )
+    choice = joint(choices)
+    odd = functools.reduce(np.bitwise_xor, outcomes)
+    size = len(menu) ** len(parties)
+    counts = np.bincount(choice, minlength=size).tolist()
+    odd_counts = np.bincount(choice, weights=odd, minlength=size).tolist()
+    listed = np.zeros(size, dtype=bool)
+    tallies = {}
+    for check in spec.checks:
+        if not set(check.operators) <= set(menu):
+            tallies[check.name] = CheckTally(0, 0)  # a choice no party can make
+            continue
+        code = joint([menu.index(name) for name in check.operators])
+        rounds, odd_rounds = counts[code], int(odd_counts[code])
+        violations = odd_rounds if check.expected == 1 else rounds - odd_rounds
+        tallies[check.name] = CheckTally(rounds, violations)
+        listed[code] = True
+    kept = listed[choice]
+    matched = sum(n for n, hit in zip(counts, listed.tolist()) if hit)
 
     # batch announcement at end of phase; per-round would be equivalent
-    for p in parties:
-        bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements[p]}))
+    signs = [1 - 2 * column for column in outcomes]  # the identity announces +1
+    for p, codes, column in zip(parties, choices, signs):
+        names = map(menu.__getitem__, codes.tolist())
+        announcements = list(zip(range(num_rounds), names, column.tolist()))
+        bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements}))
 
-    final = {name: CheckTally(r, v) for name, (r, v) in tallies.items()}
-    violations = sum(t.violations for t in final.values())
+    violations = sum(t.violations for t in tallies.values())
     return VerificationSummary(
-        records=tuple(records),
+        menu=menu,
+        choices=tuple(choices),
+        outcomes=tuple(signs),
+        kept=kept,
         passed=violations == 0,
-        tallies=final,
+        tallies=tallies,
         matched=matched,
         discarded=num_rounds - matched,
         vacuous=matched == 0,

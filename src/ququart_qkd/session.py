@@ -207,7 +207,7 @@ def run_session(config: SessionConfig) -> SessionReport:
 
 def _verify_block(spec: ChannelSpec, summary, oracle) -> dict:
     block = {
-        "rounds": len(summary.records),
+        "rounds": summary.rounds,
         "matched": summary.matched,
         "discarded": summary.discarded,
         "violations": summary.total_violations,

@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ququart_qkd.channels import (
+    ChannelCheck,
+    ChannelSpec,
     check_residuals,
     constraint_matrices,
     corrupt_channel,
@@ -69,8 +75,57 @@ def test_three_party_state_amplitudes():
 def test_make_channel_dispatch():
     assert make_channel(2).party_count == 2
     assert make_channel(3).party_count == 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         make_channel(4)
+
+
+def test_channel_input_is_rejected_with_value_error():
+    two = two_party_channel()
+    bad = {
+        "expected 0": lambda: ChannelCheck(("sx", "sx"), 0),
+        "operator not a name": lambda: ChannelCheck(("sx", 3), 1),
+        "four parties": lambda: ChannelSpec(4, two.state, ()),
+        "state of the wrong size": lambda: ChannelSpec(3, two.state, ()),
+        "check of the wrong arity": lambda: ChannelSpec(2, two.state, (ChannelCheck(("sx",), 1),)),
+        "make_channel(1)": lambda: make_channel(1),
+    }
+    for name, call in bad.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(f"accepted {name}")
+
+
+def test_channel_input_checks_survive_optimized_mode():
+    # python -O strips asserts; these checks must raise ValueError anyway
+    script = (
+        "from ququart_qkd.channels import ChannelCheck, ChannelSpec, make_channel,"
+        " two_party_channel\n"
+        "two = two_party_channel()\n"
+        "calls = {\n"
+        "    'expected 0': lambda: ChannelCheck(('sx', 'sx'), 0),\n"
+        "    'operator not a name': lambda: ChannelCheck(('sx', 3), 1),\n"
+        "    'four parties': lambda: ChannelSpec(4, two.state, ()),\n"
+        "    'state of the wrong size': lambda: ChannelSpec(3, two.state, ()),\n"
+        "    'check of the wrong arity': lambda: ChannelSpec(\n"
+        "        2, two.state, (ChannelCheck(('sx',), 1),)),\n"
+        "    'make_channel(4)': lambda: make_channel(4),\n"
+        "}\n"
+        "for name, call in calls.items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {name}')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_check_names_and_expected_signs():
