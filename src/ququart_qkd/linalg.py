@@ -338,7 +338,7 @@ class Tree:
             return np.zeros(0, dtype=np.intp)
         width = len(sets)
         keys = ids if codes is None else ids * width + codes
-        present = np.flatnonzero(np.bincount(keys))
+        present = np.bincount(keys).nonzero()[0]
         certain = [1.0] + [0.0] * (_branch_count(sets) - 1)  # the identity slot
         laws = np.array(
             [
@@ -348,8 +348,12 @@ class Tree:
             ]
         )
         group = np.searchsorted(present, keys)
-        outcomes = (u[:, None] >= np.cumsum(laws[:, :-1], axis=1)[group]).sum(axis=1)
-        if (np.sqrt(laws[group, outcomes]) < 1e-9).any():
+        cums = np.cumsum(laws[:, :-1], axis=1)[group]
+        outcomes = np.zeros(len(keys), dtype=np.intp)
+        for column in cums.T:
+            outcomes += u >= column
+        # sqrt is monotone, so the least drawn probability decides
+        if math.sqrt(laws[group, outcomes].min()) < 1e-9:
             # zero-probability branch cannot be drawn from a complete set
             raise RuntimeError("sampled a zero-probability measurement branch")
         return outcomes
@@ -364,7 +368,7 @@ class Tree:
         keys = (ids if codes is None else ids * width + codes) * branches + outcomes
         counts = np.bincount(keys, weights=needed)
         table = np.arange(len(counts)) // (width * branches)  # the row's own node
-        for key in np.flatnonzero(counts).tolist():
+        for key in counts.nonzero()[0].tolist():
             pair, outcome = divmod(key, branches)
             projectors = sets[pair % width]
             if projectors is not None:
@@ -379,7 +383,7 @@ class Tree:
         width = len(keys)
         rows = ids * width + picks
         table = np.zeros(rows.max() + 1, dtype=np.intp)
-        for key in np.flatnonzero(np.bincount(rows)).tolist():
+        for key in np.bincount(rows).nonzero()[0].tolist():
             node, pick = divmod(key, width)
             table[key] = self._id(self.nodes[node].evolved(keys[pick], unitaries[pick]))
         return table[rows]

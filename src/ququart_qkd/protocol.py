@@ -53,6 +53,9 @@ PARTY_ORDER = (ALICE, BOB, CHARLIE)
 TWO_PARTY_MENU = ("sx", "ux", "sz", "uz")
 THREE_PARTY_MENU = ("sx", "ex", "oz", "id")
 
+# the announced sign of a check's outcome index; the identity reads 0
+SIGNS = (+1, -1)
+
 DISCARD_MISMATCH = "operator-mismatch"
 DISCARD_SAMPLE = "sample-consumed"
 
@@ -149,13 +152,13 @@ class CheckTally:
 @dataclass(frozen=True, eq=False)
 class VerificationSummary:
     """A verification phase's outcome, held as columns: per party, the
-    menu code of its choice and its announced sign in every round, and
-    per round whether it matched a check.  ``records`` are built from them
+    menu code of its choice and its outcome index in every round, and per
+    round whether it matched a check.  ``records`` are built from them
     on first read."""
 
     menu: tuple
     choices: tuple  # per party, (rounds,) menu codes
-    outcomes: tuple  # per party, (rounds,) announced signs, +1 or -1
+    outcomes: tuple  # per party, (rounds,) outcome indices: SIGNS[k] is announced
     kept: np.ndarray  # (rounds,) matched a check
     passed: bool
     tallies: dict  # check name -> CheckTally, in channel check order
@@ -174,13 +177,13 @@ class VerificationSummary:
     @functools.cached_property
     def records(self) -> tuple:
         choices = zip(*(codes.tolist() for codes in self.choices))
-        outcomes = zip(*(signs.tolist() for signs in self.outcomes))
+        outcomes = zip(*(column.tolist() for column in self.outcomes))
         return tuple(
             RoundRecord(
                 index,
                 "verify",
                 tuple(self.menu[c] for c in codes),
-                signs,
+                tuple(SIGNS[k] for k in signs),
                 kept,
                 None if kept else DISCARD_MISMATCH,
             )
@@ -275,10 +278,11 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
         # no code is idle, so every block is three words
         starts = np.arange(start, start + 3 * blocks, 3)
     else:
-        steps = ((low != idle).astype(np.intp) + (high != idle)).tolist()
+        words_after = np.array([c != idle for c in range(4)]) + 0  # per code
+        steps = (1 + words_after[low] + words_after[high]).tolist()
         chase = [start]
         for _ in range(blocks - 1):
-            chase.append(chase[-1] + 1 + steps[chase[-1]])
+            chase.append(chase[-1] + steps[chase[-1]])
         starts = np.array(chase[:blocks], dtype=np.intp)
     pairs = num_rounds - first - blocks  # blocks with a second round
     firsts = low[starts]
@@ -336,9 +340,10 @@ def run_verification_phase(
     later = [np.zeros(num_rounds, dtype=bool)]
     for codes in choices[:0:-1]:
         later.insert(0, later[0] | (codes != idle))
+    sign_sets = _sign_projector_sets(spec.party_count)
     outcomes = []
     for j, (codes, u) in enumerate(draws):
-        sets = [_sign_projector_sets(spec.party_count)[j, name] for name in menu]
+        sets = [sign_sets[j, name] for name in menu]
         outcomes.append(tree.draw(ids, sets, u, codes))
         if j + 1 < len(parties):
             ids = tree.children(ids, sets, outcomes[j], codes, later[j])
@@ -369,17 +374,17 @@ def run_verification_phase(
     matched = sum(n for n, hit in zip(counts, listed.tolist()) if hit)
 
     # batch announcement at end of phase; per-round would be equivalent
-    signs = [1 - 2 * column for column in outcomes]  # the identity announces +1
-    for p, codes, column in zip(parties, choices, signs):
+    for p, codes, column in zip(parties, choices, outcomes):
         names = map(menu.__getitem__, codes.tolist())
-        announcements = list(zip(range(num_rounds), names, column.tolist()))
+        signs = map(SIGNS.__getitem__, column.tolist())
+        announcements = list(zip(range(num_rounds), names, signs))
         bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements}))
 
     violations = sum(t.violations for t in tallies.values())
     return VerificationSummary(
         menu=menu,
         choices=tuple(choices),
-        outcomes=tuple(signs),
+        outcomes=tuple(outcomes),
         kept=kept,
         passed=violations == 0,
         tallies=tallies,
