@@ -278,8 +278,8 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
         # no code is idle, so every block is three words
         starts = np.arange(start, start + 3 * blocks, 3)
     else:
-        words_after = np.array([c != idle for c in range(4)]) + 0  # per code
-        steps = (1 + words_after[low] + words_after[high]).tolist()
+        uniforms_of = np.array([int(c != idle) for c in range(4)])  # per code
+        steps = (1 + uniforms_of[low] + uniforms_of[high]).tolist()
         chase = [start]
         for _ in range(blocks - 1):
             chase.append(chase[-1] + steps[chase[-1]])
