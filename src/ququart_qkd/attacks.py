@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DIM, Node, ProjectorSet, RawWords, Tree, embed, uniforms
+from .linalg import DIM, Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
 
 # hooks measure on tree nodes; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -218,11 +218,11 @@ def _depolarize_draws(rng, num_rounds: int, num_targets: int, strength: float):
         u.append(uniforms(raw[at]))
         at += 1
         if not buffered:
-            fresh.append((raw[at] & 0xFFFFFFFF) >> 30)
-            half = raw[at] >> 32
+            low, half = halves(raw[at])
+            fresh.append(quarter(low))
             at += 1
         else:
-            fresh.append(half >> 30)
+            fresh.append(quarter(half))
         buffered = not buffered
     words.release(at, half, buffered)
     columns = []

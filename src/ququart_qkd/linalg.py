@@ -162,10 +162,20 @@ def draw_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
-def uniforms(words: np.ndarray) -> np.ndarray:
+def uniforms(words):
     """The ``random()`` value of each raw word: its top 53 bits times
     2**-53, exactly numpy's conversion."""
     return (words >> 11) * 2.0**-53
+
+
+def halves(words) -> tuple:
+    """The low and high 32-bit halves of each raw word."""
+    return words & 0xFFFFFFFF, words >> 32
+
+
+def quarter(half):
+    """The ``integers(4)`` value of each 32-bit half-word: its top two bits."""
+    return half >> 30
 
 
 class RawWords:
@@ -173,9 +183,9 @@ class RawWords:
     replaying its scalar draws in bulk.
 
     numpy (2.4.6, pinned by the tests) makes ``random()`` from one full
-    word (``uniforms``) and ``integers(4)`` from the top two bits of a
-    32-bit half-word: the buffered half if ``buffered``, else the low half
-    of a fresh word, whose high half becomes the buffered ``half``.  A read
+    word (``uniforms``) and ``integers(4)`` from one 32-bit half-word
+    (``halves``, ``quarter``): the buffered half if ``buffered``, else the
+    low half of a fresh word, whose high half becomes the buffered ``half``.  A read
     clears ``buffered`` and leaves ``half`` as it was.  ``release`` gives
     back the words a replay did not use and writes the half-word buffer,
     so the generator goes on exactly as if the replayed calls had been

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import Node, ProjectorSet, RawWords, Tree, embed, uniforms
+from .linalg import Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
 
 # rounds measure on tree nodes; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -268,12 +268,11 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
     codes = np.zeros(num_rounds, dtype=np.intp)
     at = np.zeros(num_rounds, dtype=np.intp)  # word of each round's uniform
     if buffered and num_rounds:
-        codes[0] = half >> 30
+        codes[0] = quarter(half)
         first, buffered = 1, False
     start = int(first and codes[0] != idle)  # words round 0 used
     blocks = (num_rounds - first + 1) // 2
-    code = raw >> 30
-    low, high = code & 3, code >> 32
+    low, high = (quarter(h) for h in halves(raw))
     if idle < 0:
         # no code is idle, so every block is three words
         starts = np.arange(start, start + 3 * blocks, 3)
@@ -294,7 +293,7 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
     end = start
     if blocks:
         last = int(starts[-1])
-        half = int(raw[last] >> 32)
+        half = int(halves(raw[last])[1])
         buffered = pairs < blocks  # an odd last block keeps its high half
         end = last + 1 + sum(c != idle for c in codes[first + 2 * blocks - 2 :].tolist())
     words.release(end, half, buffered)

@@ -13,7 +13,7 @@ import pytest
 
 from ququart_qkd.attacks import AttackModel, _depolarize_draws
 from ququart_qkd.channels import make_channel
-from ququart_qkd.linalg import DIM, Node, ProjectorSet, RawWords, Tree, ket
+from ququart_qkd.linalg import DIM, Node, ProjectorSet, Tree, ket
 from ququart_qkd.protocol import MessageBus, _menu_draws, run_verification_phase
 from ququart_qkd.session import _named_streams
 
@@ -70,15 +70,6 @@ def test_depolarize_draws_equal_per_call_draws(strength, buffered):
                         assert u[i, j] == called.random()
                         assert fresh[i, j] == called.integers(DIM)
                 assert_same_future(replayed, called)
-
-
-def test_release_rewinds_unused_words_and_sets_the_buffer():
-    replayed, called = twin_generators(9, False)
-    words = RawWords(replayed, 10)
-    assert words.words[:4].tolist() == called.bit_generator.random_raw(4).tolist()
-    called.integers(4)  # the fifth word: low half read, high half buffered
-    words.release(5, int(words.words[4] >> 32), True)
-    assert_same_future(replayed, called)
 
 
 def test_non_pcg64_generators_are_rejected():
