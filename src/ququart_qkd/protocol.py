@@ -273,16 +273,12 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
     start = int(first and codes[0] != idle)  # words round 0 used
     blocks = (num_rounds - first + 1) // 2
     low, high = (quarter(h) for h in halves(raw))
-    if idle < 0:
-        # no code is idle, so every block is three words
-        starts = np.arange(start, start + 3 * blocks, 3)
-    else:
-        uniforms_of = np.array([int(c != idle) for c in range(4)])  # per code
-        steps = (1 + uniforms_of[low] + uniforms_of[high]).tolist()
-        chase = [start]
-        for _ in range(blocks - 1):
-            chase.append(chase[-1] + steps[chase[-1]])
-        starts = np.array(chase[:blocks], dtype=np.intp)
+    uniforms_of = np.array([int(c != idle) for c in range(4)])  # per code
+    steps = (1 + uniforms_of[low] + uniforms_of[high]).tolist()
+    chase = [start]
+    for _ in range(blocks - 1):
+        chase.append(chase[-1] + steps[chase[-1]])
+    starts = np.array(chase[:blocks], dtype=np.intp)
     pairs = num_rounds - first - blocks  # blocks with a second round
     firsts = low[starts]
     codes[first::2] = firsts
