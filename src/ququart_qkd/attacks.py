@@ -17,7 +17,9 @@ Two semantics live side by side, on purpose:
   ququart's row and column axes of rho viewed as a (4,)*2n tensor; no
   full-register operator is built.  Its qber applies the same sifting
   rule as the sessions (``observables.sift``) to the key-basis joint
-  distribution.
+  distribution.  The n-fold key rotation and the table of key-bit errors
+  per outcome tuple are constants, built once per party count; the
+  density matrix and its statistics are computed afresh on every call.
 
 Targets are in-transit ququart positions: in a round, position 1 travels
 to Bob and position 2 to Charlie.  Position 0 stays with the source
@@ -27,6 +29,7 @@ party (Alice) and is never attackable.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,9 +253,25 @@ def _delta(t: int, n: int) -> np.ndarray:
     return np.eye(DIM).reshape(shape)
 
 
-def _key_rotation() -> np.ndarray:
-    """Columns are the key vectors: U^dagger maps to key-basis coordinates."""
-    return np.column_stack(key_basis().vectors)
+@functools.cache
+def _key_rotations(num_parties: int) -> np.ndarray:
+    """The n-fold tensor power of the key rotation U, whose columns are the
+    key vectors (U^dagger maps to key-basis coordinates); built once per
+    party count and shared read-only."""
+    u = functools.reduce(np.kron, [np.column_stack(key_basis().vectors)] * num_parties)
+    u.setflags(write=False)
+    return u
+
+
+@functools.cache
+def _bit_error_weights(num_parties: int) -> np.ndarray:
+    """key_bit_errors of every key-outcome tuple, as a (4,)*n table in
+    np.ndindex order; built once per party count and shared read-only."""
+    shape = (DIM,) * num_parties
+    weights = np.array([key_bit_errors(idx) for idx in np.ndindex(shape)], dtype=float)
+    weights = weights.reshape(shape)
+    weights.setflags(write=False)
+    return weights
 
 
 def attack_channel(model: AttackModel, rho: np.ndarray, num_parties: int) -> np.ndarray:
@@ -276,7 +295,7 @@ def attack_channel(model: AttackModel, rho: np.ndarray, num_parties: int) -> np.
             reduced = np.expand_dims(np.trace(out, axis1=t, axis2=n + t), (t, n + t))
             out = (1.0 - model.strength) * out + model.strength * reduced * delta / DIM
         elif model.kind == "intercept-key":
-            key = _key_rotation()
+            key = _key_rotations(1)
             out = _conjugate(_conjugate(out, key.conj().T, t, n) * delta, key, t, n)
         else:
             out = out * delta
@@ -310,7 +329,11 @@ def predict(model: AttackModel, spec: ChannelSpec) -> AttackPrediction:
         overlap = np.sum(rho * check.joint_matrix().T).real
         violation[check.name] = _probability((total - check.expected * overlap) / 2.0)
 
-    u = functools.reduce(np.kron, [_key_rotation()] * n)
+    u = _key_rotations(n)
     joint = np.sum(u.conj() * (rho @ u), axis=0).real.reshape((DIM,) * n)
-    qber = sum(joint[idx] * key_bit_errors(idx) for idx in np.ndindex(joint.shape)) / 2.0
+    # one left-to-right float sum in np.ndindex order, the order the
+    # per-index sum(joint[idx] * key_bit_errors(idx)) adds in, so the
+    # qber keeps its bits
+    terms = (joint * _bit_error_weights(n)).ravel().tolist()
+    qber = functools.reduce(operator.add, terms, 0.0) / 2.0
     return AttackPrediction(violation, _probability(qber))

@@ -8,6 +8,11 @@ check as an exact eigen-equation.  The uniqueness certificate shows the
 check list pins the state completely: the joint eigenspace intersection
 is one-dimensional, so any global state passing every check factorizes
 as channel x environment and carries no eavesdropper correlations.
+
+Each party count has one channel spec, built once by ``make_channel`` and
+shared frozen: its amplitudes and its joint check matrices are read-only.
+The check observables are real, so the joint check matrices are real and
+the certificate is one real symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ class ChannelCheck:
 @functools.lru_cache(maxsize=None)
 def _joint_matrix(operators: tuple) -> np.ndarray:
     """The tensor product of the named observables, built once per tuple;
-    read-only because every caller shares it."""
+    real, since every check observable is, and read-only because every
+    caller shares it."""
     out = functools.reduce(np.kron, (check_observable(name).matrix for name in operators))
     out.setflags(write=False)
     return out
@@ -115,8 +121,15 @@ def three_party_channel() -> ChannelSpec:
 
 
 def make_channel(party_count: int) -> ChannelSpec:
+    """The channel of 2 or 3 parties: one frozen spec per party count,
+    shared by every caller."""
     if party_count not in (2, 3):
         raise ValueError(f"a channel has 2 or 3 parties, got {party_count!r}")
+    return _channel(party_count)
+
+
+@functools.cache
+def _channel(party_count: int) -> ChannelSpec:
     return two_party_channel() if party_count == 2 else three_party_channel()
 
 
@@ -129,10 +142,15 @@ def corrupt_channel(spec: ChannelSpec, basis_index: int | None = None) -> Channe
     three).
     """
     amps = np.array(spec.state.amplitudes, dtype=complex)
-    nonzero = np.flatnonzero(np.abs(amps) > 0)
+    nonzero = np.flatnonzero(np.abs(amps) > 0).tolist()
     if basis_index is None:
-        basis_index = int(nonzero[-1])
-    assert abs(amps[basis_index]) > 0, "chosen amplitude is zero"
+        basis_index = nonzero[-1]
+    # user-reachable input: checked by raising, since python -O strips asserts
+    is_index = isinstance(basis_index, (int, np.integer)) and not isinstance(basis_index, bool)
+    if not (is_index and basis_index in nonzero):
+        raise ValueError(
+            f"basis index must be one of the nonzero amplitudes {nonzero}, got {basis_index!r}"
+        )
     amps[basis_index] = -amps[basis_index]
     return ChannelSpec(spec.party_count, state_from_amplitudes(amps, spec.party_count), spec.checks)
 
@@ -178,6 +196,8 @@ class SubspaceCertificate:
 
 
 def constraint_matrices(spec: ChannelSpec) -> list[tuple[np.ndarray, int]]:
+    """The (joint check matrix, expected value) pairs of the channel's
+    checks, in a new list on every call so a caller may edit it."""
     return [(c.joint_matrix(), c.expected) for c in spec.checks]
 
 
@@ -195,20 +215,25 @@ def stabilized_subspace(
     every expected eigenspace.  This needs no commutation, so it holds for
     the three-party check set, whose checks do not commute pairwise.  One
     Hermitian eigendecomposition splits the spectrum at the 1e-8 rank
-    threshold.
+    threshold.  The penalty takes its dtype from the constraints, so real
+    constraints (the built-in checks) get LAPACK's real symmetric solver
+    and complex ones the complex Hermitian solver.
+
+    Every constraint is checked on every call, by raising ValueError so
+    the checks hold under ``python -O``: its shape, its expected value,
+    and that it is a Hermitian involution.
 
     Returns a certificate whose basis residual is re-verified against the
     raw constraints, independent of the algebra above.
     """
+    eye = np.eye(dim)
     for op, expected in constraints:
-        assert op.shape == (dim, dim), "constraint dimension mismatch"
-        assert expected in (+1, -1)
-        assert np.max(np.abs(op - op.conj().T)) < CHECK_TOL, "constraint not Hermitian"
-        assert np.max(np.abs(op @ op - np.eye(dim))) < CHECK_TOL, "constraint not an involution"
+        _check_constraint(op, expected, eye)
 
-    penalty = np.zeros((dim, dim), dtype=complex)
+    # float first, so an empty constraint list gives a real penalty too
+    penalty = np.zeros((dim, dim), dtype=np.result_type(float, *(op for op, _ in constraints)))
     for op, expected in constraints:
-        penalty += (np.eye(dim) - expected * op) / 2
+        penalty += (eye - expected * op) / 2
     values, vectors = np.linalg.eigh(penalty)
     dimension = int(np.sum(values < RANK_TOL))
 
@@ -221,3 +246,17 @@ def stabilized_subspace(
             residual = max(residual, float(np.linalg.norm(op @ vec - expected * vec)))
         basis.append(StateVector(n, vec))
     return SubspaceCertificate(dimension, tuple(basis), residual)
+
+
+def _check_constraint(op: np.ndarray, expected, eye: np.ndarray):
+    """Raise ValueError unless ``op`` is a Hermitian involution of
+    ``eye``'s shape and ``expected`` is +1 or -1."""
+    if expected not in (+1, -1):
+        raise ValueError(f"expected eigenvalue must be +1 or -1, got {expected!r}")
+    if op.shape != eye.shape:
+        raise ValueError(f"constraint must be {eye.shape}, got {op.shape}")
+    # written so that a NaN entry fails the checks too
+    if not np.max(np.abs(op - op.conj().T)) < CHECK_TOL:
+        raise ValueError("constraint not Hermitian")
+    if not np.max(np.abs(op @ op - eye)) < CHECK_TOL:
+        raise ValueError("constraint not an involution")

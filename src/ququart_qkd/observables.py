@@ -1,14 +1,19 @@
 """Check observables and the key-measurement basis on a single ququart.
 
 Six named Hermitian involutions with spectrum {+1, -1} drive channel
-verification; the four-vector key basis {phi+, phi-, psi+, psi-} drives
-key generation.  A key outcome is coded into two classical bits: the
-parity bit (phi = 0, psi = 1) and the phase bit (+ = 0, - = 1).  The
-sifting rule of both protocols (``sift``) works on these indices.
+verification.  Each is a signed permutation matrix, so it is stored as a
+real ``float64`` matrix; the joint check matrices built from them are real
+too, which lets the uniqueness certificate use a real symmetric solver.
+The four-vector key basis {phi+, phi-, psi+, psi-} drives key generation;
+it is built once and shared, with every array read-only.  A key outcome
+is coded into two classical bits: the parity bit (phi = 0, psi = 1) and
+the phase bit (+ = 0, - = 1).  The sifting rule of both protocols
+(``sift``) works on these indices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +35,14 @@ class Observable:
     The matrix is a Hermitian involution, so its spectral projectors are
     available in closed form as (I +/- M)/2; no eigensolver is involved.
     The identity is the degenerate member: fixed outcome +1, empty minus
-    projector.
+    projector.  A real matrix stays real; the stored copy is read-only.
     """
 
     name: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=np.result_type(float, self.matrix))
         assert m.shape == (DIM, DIM)
         assert np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL, "not Hermitian"
         assert np.max(np.abs(m @ m - np.eye(DIM))) < HERMITIAN_TOL, "not an involution"
@@ -54,7 +59,7 @@ class Observable:
 
 
 def _ketbra(i: int, j: int) -> np.ndarray:
-    m = np.zeros((DIM, DIM), dtype=complex)
+    m = np.zeros((DIM, DIM))
     m[i, j] = 1.0
     return m
 
@@ -73,7 +78,7 @@ def _build_matrix(name: str) -> np.ndarray:
     if name == "oz":
         return _ketbra(3, 3) - _ketbra(1, 1) + _ketbra(0, 0) + _ketbra(2, 2)
     if name == "id":
-        return np.eye(DIM, dtype=complex)
+        return np.eye(DIM)
     raise ValueError(f"unknown observable name: {name!r}")
 
 
@@ -153,8 +158,11 @@ class KeyBasis:
         assert np.max(np.abs(gram - np.eye(4))) < HERMITIAN_TOL, "basis not orthonormal"
 
 
+@functools.cache
 def key_basis() -> KeyBasis:
-    """The four key-measurement vectors in their fixed order."""
+    """The four key-measurement vectors in their fixed order, built once;
+    every vector and projector is read-only because all callers share
+    them."""
     s = 1.0 / np.sqrt(2.0)
     e = np.eye(DIM, dtype=complex)
     vectors = (
@@ -164,8 +172,8 @@ def key_basis() -> KeyBasis:
         s * (e[1] - e[2]),  # psi-
     )
     projectors = tuple(np.outer(v, v.conj()) for v in vectors)
-    for v in vectors:
-        v.setflags(write=False)
+    for array in vectors + projectors:
+        array.setflags(write=False)
     return KeyBasis(vectors, projectors)
 
 

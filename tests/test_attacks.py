@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ququart_qkd import attacks
 from ququart_qkd.attacks import (
     AttackModel,
     attack_channel,
@@ -15,7 +17,7 @@ from ququart_qkd.attacks import (
 )
 from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
 from ququart_qkd.linalg import DIM, Node, embed, measure_projective
-from ququart_qkd.observables import key_basis
+from ququart_qkd.observables import key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     MessageBus,
     run_key_phase_controlled,
@@ -324,6 +326,45 @@ def test_predict_matches_reference_oracle(parties, model):
     assert abs(pred.qber - qber) <= 1e-12
     if qber == 0.0:
         assert pred.qber == 0.0
+
+
+def per_index_qber(model, spec):
+    """predict's qber as the per-index loop over np.ndindex, term by term."""
+    n = spec.party_count
+    psi = spec.state.amplitudes
+    rho = attack_channel(model, np.outer(psi, psi.conj()), n)
+    u = functools.reduce(np.kron, [np.column_stack(key_basis().vectors)] * n)
+    joint = np.sum(u.conj() * (rho @ u), axis=0).real.reshape((DIM,) * n)
+    qber = sum(joint[idx] * key_bit_errors(idx) for idx in np.ndindex(joint.shape)) / 2.0
+    return 0.0 if qber < 1e-12 else min(float(qber), 1.0)
+
+
+DEPOLARIZE_GRID = [
+    (parties, AttackModel(DEP, targets=targets, strength=i / 100))
+    for parties, target_sets in ((2, [(1,)]), (3, [(1,), (2,), (1, 2)]))
+    for targets in target_sets
+    for i in range(101)
+]
+
+
+def test_qber_keeps_the_bits_of_the_per_index_loop():
+    for parties, model in ORACLE_GRID + DEPOLARIZE_GRID:
+        spec = make_channel(parties)
+        assert predict(model, spec).qber == per_index_qber(model, spec), (parties, model)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_oracle_constants_are_built_once_and_read_only(parties):
+    rotation = attacks._key_rotations(parties)
+    weights = attacks._bit_error_weights(parties)
+    assert attacks._key_rotations(parties) is rotation
+    assert rotation.shape == (DIM**parties, DIM**parties)
+    assert weights.shape == (DIM,) * parties
+    for idx in np.ndindex(weights.shape):
+        assert weights[idx] == key_bit_errors(idx)
+    for array in (rotation, weights):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 2.0
 
 
 def test_predict_without_attack_is_silent():

@@ -53,6 +53,24 @@ def squaring_dimension(constraints, dim):
     return int(np.sum(np.linalg.svd(product, compute_uv=False) > 1e-8))
 
 
+def check_sets(spec):
+    """The full check set and every drop-one set of a channel."""
+    full = constraint_matrices(spec)
+    return [full] + [full[:i] + full[i + 1 :] for i in range(len(full))]
+
+
+def run_optimized(script):
+    """Run ``script`` under python -O (asserts stripped) against src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_two_party_state_amplitudes():
     spec = two_party_channel()
     amps = spec.state.amplitudes
@@ -117,14 +135,7 @@ def test_channel_input_checks_survive_optimized_mode():
         "        continue\n"
         "    raise SystemExit(f'accepted {name}')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = run_optimized(script)
     assert done.returncode == 0, done.stdout + done.stderr
 
 
@@ -202,8 +213,31 @@ def test_corrupt_three_party_residual_pattern():
 
 
 def test_corrupt_channel_rejects_zero_amplitude_target():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         corrupt_channel(two_party_channel(), basis_index=0)
+
+
+@pytest.mark.parametrize("index", [0, 2, 15, 16, -1, 1.0, True, "1"])
+def test_corrupt_channel_rejects_bad_basis_indices(index):
+    # zero amplitudes, out-of-range and non-integer indices
+    with pytest.raises(ValueError):
+        corrupt_channel(two_party_channel(), basis_index=index)
+
+
+def test_corrupt_channel_check_survives_optimized_mode():
+    # without the check, corrupt_channel(spec, 0) returns the clean channel
+    # and the negative control silently stops being one
+    script = (
+        "from ququart_qkd.channels import corrupt_channel, two_party_channel\n"
+        "for index in (0, 16):\n"
+        "    try:\n"
+        "        corrupt_channel(two_party_channel(), index)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted basis index {index}')\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 @pytest.mark.parametrize("parties", [2, 3])
@@ -251,9 +285,7 @@ def test_subspace_agrees_with_stacked_nullspace(parties):
 def test_subspace_agrees_with_repeated_squaring(parties):
     spec = make_channel(parties)
     dim = spec.state.dim
-    constraints = constraint_matrices(spec)
-    subsets = [constraints] + [constraints[:i] + constraints[i + 1 :] for i in range(len(constraints))]
-    for subset in subsets:
+    for subset in check_sets(spec):
         assert stabilized_subspace(subset, dim).dimension == squaring_dimension(subset, dim)
 
 
@@ -292,5 +324,85 @@ def test_subspace_of_contradictory_constraints_is_empty():
 
 def test_subspace_rejects_non_involutions():
     bad = np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         stabilized_subspace([(bad, 1)], 4)
+
+
+def bad_constraint_sets():
+    """(name, constraints) pairs that stabilized_subspace must reject on a
+    16-dimensional space; each holds one good check and one bad one."""
+    good = constraint_matrices(two_party_channel())[0]
+    sx = good[0]
+    skew = np.array(sx, dtype=complex)
+    skew[0, 15] = 1j
+    return {
+        "wrong shape": [good, (np.eye(4), 1)],
+        "expected 0": [good, (sx, 0)],
+        "expected 2": [good, (sx, 2)],
+        "not Hermitian": [good, (skew, 1)],
+        "not an involution": [good, (2 * sx, 1)],
+        "NaN entry": [good, (np.full((16, 16), np.nan), 1)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(bad_constraint_sets()))
+def test_subspace_rejects_bad_constraints_with_value_error(name):
+    with pytest.raises(ValueError):
+        stabilized_subspace(bad_constraint_sets()[name], 16)
+
+
+def test_subspace_checks_survive_optimized_mode():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_channels import bad_constraint_sets\n"
+        "from ququart_qkd.channels import stabilized_subspace\n"
+        "for name, constraints in bad_constraint_sets().items():\n"
+        "    try:\n"
+        "        stabilized_subspace(constraints, 16)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {name}')\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_real_and_complex_constraints_give_the_same_certificate(parties):
+    # the built-in checks are real and take the real symmetric solver; the
+    # same checks cast to complex take the complex Hermitian solver
+    spec = make_channel(parties)
+    dim = spec.state.dim
+    for constraints in check_sets(spec):
+        assert all(op.dtype == np.float64 for op, _ in constraints)
+        as_complex = [(op.astype(complex), expected) for op, expected in constraints]
+        real = stabilized_subspace(constraints, dim)
+        cplx = stabilized_subspace(as_complex, dim)
+        assert real.dimension == cplx.dimension
+        b = np.column_stack([v.amplitudes for v in real.basis])
+        c = np.column_stack([v.amplitudes for v in cplx.basis])
+        assert np.linalg.norm(b @ b.conj().T - c @ c.conj().T) < 1e-12
+
+
+def test_constraint_matrices_returns_a_new_list_per_call():
+    spec = make_channel(3)
+    first = constraint_matrices(spec)
+    second = constraint_matrices(spec)
+    assert first is not second
+    del first[0]
+    assert len(constraint_matrices(spec)) == len(second) == 4
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_shared_channel_arrays_are_read_only(parties):
+    spec = make_channel(parties)
+    assert make_channel(parties) is spec
+    with pytest.raises(ValueError):
+        spec.state.amplitudes[0] = 1.0
+    for op, _ in constraint_matrices(spec):
+        with pytest.raises(ValueError):
+            op[0, 0] = 2.0
+    for check in spec.checks:
+        with pytest.raises(ValueError):
+            check.joint_matrix()[0, 0] = 2.0

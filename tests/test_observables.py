@@ -97,6 +97,25 @@ def test_key_basis_vectors():
     np.testing.assert_allclose(kb.vectors[3], [0, r, -r, 0], atol=1e-15)
 
 
+@pytest.mark.parametrize("name", OBSERVABLE_NAMES)
+def test_check_observables_are_real_signed_permutations(name):
+    m = check_observable(name).matrix
+    assert m.dtype == np.float64
+    assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
+    np.testing.assert_array_equal(np.count_nonzero(m, axis=0), np.ones(DIM))
+    np.testing.assert_array_equal(np.count_nonzero(m, axis=1), np.ones(DIM))
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+
+
+def test_key_basis_is_built_once_and_read_only():
+    kb = key_basis()
+    assert key_basis() is kb
+    for array in kb.vectors + kb.projectors:
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+
+
 def test_key_projectors_match_vectors():
     kb = key_basis()
     for v, p in zip(kb.vectors, kb.projectors):

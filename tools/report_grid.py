@@ -11,6 +11,13 @@ print the same lines produce byte-identical reports, config for config:
 
     diff <(python3 tools/report_grid.py --src old/src) \\
          <(python3 tools/report_grid.py --src src)
+
+``--oracle`` prints the same kind of lines for the exact oracle instead:
+``predict`` on both channels, clean and corrupted (``corrupt_channel``'s
+default), for no attack, every measuring attack on every valid target set
+and depolarize at strengths i/101; and ``check_residuals`` on both clean
+channels and on every single-amplitude corruption.  Each digest covers the
+``repr`` of every value, so equal lines mean bit-identical results.
 """
 
 import argparse
@@ -51,11 +58,44 @@ def grid():
             yield (protocol, "none", (), 0.0, True, False, *phases, SEEDS[0])
 
 
+def oracle_grid():
+    """(label, result text) pairs."""
+    from ququart_qkd.attacks import AttackModel, predict
+    from ququart_qkd.channels import check_residuals, corrupt_channel, make_channel
+
+    def predicted(model, spec):
+        prediction = predict(model, spec)
+        lines = [f"{k} = {v!r}\n" for k, v in prediction.violation.items()]
+        return "".join(lines) + f"qber = {prediction.qber!r}\n"
+
+    def residuals(spec):
+        return "".join(f"{k} = {v!r}\n" for k, v in check_residuals(spec).items())
+
+    for parties in (2, 3):
+        clean = make_channel(parties)
+        models = [AttackModel()]
+        for targets in TARGET_SETS[parties]:
+            models += [AttackModel(kind, targets) for kind, _ in KINDS if kind != "depolarize"]
+            models += [AttackModel("depolarize", targets, i / 101) for i in range(102)]
+        for corrupt, spec in ((False, clean), (True, corrupt_channel(clean))):
+            for m in models:
+                label = f"predict parties={parties} corrupt={corrupt} {m.kind}{list(m.targets)} s={m.strength!r}"
+                yield label, predicted(m, spec)
+        yield f"residuals parties={parties} clean", residuals(clean)
+        for index in map(int, clean.state.amplitudes.nonzero()[0]):
+            yield f"residuals parties={parties} flip={index}", residuals(corrupt_channel(clean, index))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="source directory holding ququart_qkd")
+    parser.add_argument("--oracle", action="store_true", help="digest the exact oracle, not sessions")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    if args.oracle:
+        for label, text in oracle_grid():
+            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {label}")
+        return
     from ququart_qkd.attacks import AttackModel
     from ququart_qkd.session import SessionConfig, format_report, run_session
 
