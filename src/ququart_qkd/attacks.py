@@ -2,12 +2,13 @@
 
 Two semantics live side by side, on purpose:
 
-* ``make_attack_hook`` compiles an attack into a map on pure-state
-  trajectories inside a simulated session: it takes the phase's branch
-  tree node of the channel state (``linalg.Node``) to the node of the
-  attacked state.  Randomness comes from the session's seeded generator,
-  and every readout and shift is memoised on the tree, so sessions stay
-  cheap and replayable.  The entangle-probe's trajectory hook is the
+* ``attack_levels`` samples an attack on pure-state trajectories inside
+  a simulated session: it takes every round of a phase from the root of
+  its branch tree (``linalg.Tree``) to the node of that round's attacked
+  state, one target at a time.  Randomness comes from the session's
+  seeded attack stream, and every readout and shift is memoised on the
+  tree, so sessions stay cheap and replayable.  ``make_attack_hook`` is
+  the same code for one round.  The entangle-probe's trajectory is the
   computational readout: its probe copies the target's computational
   digit, so reading the probe makes the same draw and the same collapse.
 * ``predict`` evolves the channel's density matrix through the exact
@@ -37,7 +38,7 @@ import numpy as np
 
 from .linalg import DIM, Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
 
-# hooks measure on tree nodes; measure_projective stays bound for benchmark tracing
+# attacks measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
 from .channels import ChannelSpec
 from .observables import key_basis, key_bit_errors
@@ -113,8 +114,9 @@ def _shift_matrix(amount: int) -> np.ndarray:
 def _attack_operators(model: AttackModel, num_parties: int) -> tuple:
     """The embedded readout set per target (the key basis for a key
     intercept, else the computational basis) and, for depolarize, the
-    embedded cyclic shifts of each target by 0..3.  Built per phase, not
-    kept: every attack shape's operators at once would hold megabytes."""
+    embedded cyclic shifts of each target by 0..3.  Built per phase or
+    per hook, not kept: every attack shape's operators at once would hold
+    megabytes."""
     if model.kind == "intercept-key":
         local = key_basis().projectors
     else:
@@ -128,80 +130,67 @@ def _attack_operators(model: AttackModel, num_parties: int) -> tuple:
     return sets, shifts
 
 
+def attack_levels(
+    model: AttackModel, num_parties: int
+) -> Callable[[Tree, np.random.Generator, int], np.ndarray]:
+    """The attack as a map (tree, rng, num_rounds) -> node ids of that many
+    attacked copies of the tree's root state, with its operators built
+    once, here, so that every call measures on the same ``ProjectorSet``
+    objects and hits the nodes' caches.
+
+    The rounds are sampled one target at a time (``Tree``), with the same
+    draws from ``rng`` as a round-by-round run: a measuring attack draws
+    one uniform per target per round, which ``rng.random`` gives in bulk;
+    depolarize's data-dependent draws are replayed by a scan over the raw
+    words.  The entangle-probe is its computational readout (module
+    docstring).
+    """
+    _validate_targets(model, num_parties)
+    if model.kind == "none":
+        return lambda tree, rng, num_rounds: np.zeros(num_rounds, dtype=np.intp)
+    sets, shifts = _attack_operators(model, num_parties)
+    targets = model.targets
+
+    def levels(tree, rng, num_rounds):
+        ids = np.zeros(num_rounds, dtype=np.intp)
+        if model.kind != "depolarize":
+            u = rng.random(num_rounds * len(targets)).reshape(num_rounds, len(targets))
+            for j, t in enumerate(targets):
+                level = [sets[t]]
+                ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
+            return ids
+        # decouple a gated target by a computational readout, then
+        # re-prepare a uniformly random basis state in its place; averaged
+        # over rounds this replaces the target's marginal with the
+        # maximally mixed state
+        hit, u, fresh = _depolarize_draws(rng, num_rounds, len(targets), model.strength)
+        for j, t in enumerate(targets):
+            rows = np.flatnonzero(hit[:, j])
+            level = [sets[t]]
+            outcomes = tree.draw(ids[rows], level, u[rows, j])
+            measured = tree.children(ids[rows], level, outcomes)
+            amounts = (fresh[rows, j] - outcomes) % DIM
+            keys = [(t, a) for a in range(DIM)]
+            ids[rows] = tree.evolved(measured, amounts, keys, shifts[t])
+        return ids
+
+    return levels
+
+
 def make_attack_hook(
     model: AttackModel, num_parties: int
 ) -> Callable[[Node, np.random.Generator], Node]:
-    """Compile an attack into a fast per-round map on branch tree nodes.
-
-    The returned hook draws on the node it is given and descends to the
-    node of the attacked state, so matrix work happens only the first
-    time a round reaches a node.
-    """
-    _validate_targets(model, num_parties)
-
-    if model.kind == "none":
-        return lambda node, rng: node
-
-    sets, shifts = _attack_operators(model, num_parties)
-
-    if model.kind != "depolarize":
-        # the entangle-probe is its computational readout (module docstring)
-        def hook(node, rng):
-            for t in model.targets:
-                node = node.child(sets[t], node.draw(sets[t], rng))
-            return node
-
-        return hook
+    """The attack as a one-round map on branch tree nodes: the hook samples
+    one row of ``attack_levels`` on a tree rooted at the node it is given
+    and returns the node of the attacked state, so matrix work happens
+    only the first time a round reaches a node."""
+    levels = attack_levels(model, num_parties)
 
     def hook(node, rng):
-        for t in model.targets:
-            if rng.random() >= model.strength:
-                continue
-            # decouple the target by a computational readout, then
-            # re-prepare a uniformly random basis state in its place;
-            # averaged over trajectories this replaces the target's
-            # marginal with the maximally mixed state
-            outcome = node.draw(sets[t], rng)
-            fresh = int(rng.integers(DIM))
-            amount = (fresh - outcome) % DIM
-            node = node.child(sets[t], outcome).evolved((t, amount), shifts[t][amount])
-        return node
+        tree = Tree(node)
+        return tree.nodes[levels(tree, rng, 1)[0]]
 
     return hook
-
-
-def attack_levels(
-    model: AttackModel, num_parties: int, tree: Tree, rng: np.random.Generator, num_rounds: int
-) -> np.ndarray:
-    """Node ids of ``num_rounds`` attacked copies of the tree's root state.
-
-    The rounds are sampled one target at a time (``Tree``), with the same
-    draws from ``rng`` and the same nodes as ``num_rounds`` calls of
-    ``make_attack_hook``'s hook: a measuring attack draws one uniform per
-    target per round, which ``rng.random`` gives in bulk; depolarize's
-    data-dependent draws are replayed by a scan over the raw words.
-    """
-    _validate_targets(model, num_parties)
-    ids = np.zeros(num_rounds, dtype=np.intp)
-    if model.kind == "none":
-        return ids
-    sets, shifts = _attack_operators(model, num_parties)
-    if model.kind != "depolarize":
-        u = rng.random(num_rounds * len(model.targets)).reshape(num_rounds, len(model.targets))
-        for j, t in enumerate(model.targets):
-            level = [sets[t]]
-            ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
-        return ids
-    hit, u, fresh = _depolarize_draws(rng, num_rounds, len(model.targets), model.strength)
-    for j, t in enumerate(model.targets):
-        rows = np.flatnonzero(hit[:, j])
-        level = [sets[t]]
-        outcomes = tree.draw(ids[rows], level, u[rows, j])
-        measured = tree.children(ids[rows], level, outcomes)
-        amounts = (fresh[rows, j] - outcomes) % DIM
-        keys = [(t, a) for a in range(DIM)]
-        ids[rows] = tree.evolved(measured, amounts, keys, shifts[t])
-    return ids
 
 
 def _depolarize_draws(rng, num_rounds: int, num_targets: int, strength: float):

@@ -8,14 +8,15 @@ stacked once and their completeness is checked once, when the set is
 built, so a draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
-thousands of times, so it walks a branch tree of ``Node`` objects, where a
-draw on a visited node is one uniform and no matrix work;
-``measure_projective`` is a one-shot walk on a fresh node.  A ``Tree``
-samples such a tree one level at a time for all rounds at once, with
-uniforms that ``RawWords`` replays from a PCG64 generator's raw words, so
-its draws equal the per-round calls.  Input a user can reach (state
-shapes and norms, basis indices, positions) is checked by raising
-``ValueError``, so the checks hold under ``python -O``.
+thousands of times, so it samples a branch tree of ``Node`` objects, which
+measure each (state, projector set) pair once.  A ``Tree`` samples such a
+tree one level at a time for all rounds at once, by one inverse-CDF rule;
+``measure_projective`` is a one-row level on a fresh tree.  The uniforms
+are a stream's bulk draws, or ``RawWords`` replays them from a PCG64
+generator's raw words, so the draws equal per-round calls.  Input a user
+can reach (state shapes and norms, operator and local shapes, basis
+indices, positions) is checked by raising ``ValueError``, so the checks
+hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -122,7 +123,8 @@ def apply(op: np.ndarray, psi: StateVector) -> StateVector:
     so eigen-equation residuals can be formed without tripping the
     normalization invariant.
     """
-    assert op.shape == (psi.dim, psi.dim), "operator/state dimension mismatch"
+    if op.shape != (psi.dim, psi.dim):
+        raise ValueError(f"operator shape {op.shape} does not act on dimension {psi.dim}")
     out = op @ psi.amplitudes
     nrm2 = float(np.vdot(out, out).real)
     return StateVector(psi.num_ququarts, out, normalized=abs(nrm2 - 1.0) < NORM_TOL)
@@ -130,7 +132,8 @@ def apply(op: np.ndarray, psi: StateVector) -> StateVector:
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument."""
-    assert a.dim == b.dim, "dimension mismatch"
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} and {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -140,26 +143,14 @@ def embed(local: np.ndarray, position: int, num_ququarts: int) -> np.ndarray:
     Returns I x ... x local x ... x I with ``local`` acting on the ququart
     at ``position`` (0 = most significant).
     """
-    assert local.shape == (DIM, DIM)
+    if local.shape != (DIM, DIM):
+        raise ValueError(f"a local operator must be (4, 4), got {local.shape}")
     if not 0 <= position < num_ququarts:
         raise ValueError(f"position {position} out of range for {num_ququarts} ququarts")
     out = np.eye(1, dtype=complex)
     for slot in range(num_ququarts):
         out = np.kron(out, local if slot == position else np.eye(DIM, dtype=complex))
     return out
-
-
-def draw_index(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of an index with the given probabilities from a
-    single uniform; a uniform above the rounded total falls to the last
-    index."""
-    u = rng.random()
-    acc = 0.0
-    for k, pk in enumerate(probs):
-        acc += pk
-        if u < acc:
-            return k
-    return len(probs) - 1
 
 
 def uniforms(words):
@@ -260,15 +251,6 @@ class Node:
             probs = self._probs[projectors] = np.square(branches.view(float)).sum(axis=1).tolist()
         return probs
 
-    def draw(self, projectors: ProjectorSet, rng: np.random.Generator) -> int:
-        """Outcome index of one measurement, drawn from a single uniform."""
-        probs = self.probabilities(projectors)
-        outcome = draw_index(probs, rng)
-        if math.sqrt(probs[outcome]) < 1e-9:
-            # zero-probability branch cannot be drawn from a complete set
-            raise RuntimeError("sampled a zero-probability measurement branch")
-        return outcome
-
     def child(self, projectors: ProjectorSet, outcome: int) -> Node:
         """The node of outcome's normalized post-measurement state."""
         node = self._next.get((projectors, outcome))
@@ -298,7 +280,7 @@ def measure_projective(
 ) -> MeasurementResult:
     """Sample one outcome of a complete projective measurement.
 
-    A one-shot walk on a fresh ``Node``: outcome k is drawn with
+    A one-row level of a fresh ``Tree``: outcome k is drawn with
     probability |P_k psi|^2 by inverse-CDF on a single uniform draw, so the
     sequence of results is a pure function of the generator state, and
     the drawn branch, normalized, is the post-measurement state.
@@ -308,7 +290,7 @@ def measure_projective(
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors)
     node = Node(psi)
-    outcome = node.draw(projectors, rng)
+    outcome = int(Tree(node).draw(np.zeros(1, dtype=np.intp), [projectors], rng.random(1))[0])
     return MeasurementResult(
         outcome, node.probabilities(projectors)[outcome], node.child(projectors, outcome).state
     )
@@ -341,9 +323,10 @@ class Tree:
     def draw(self, ids, sets, u, codes=None) -> np.ndarray:
         """Outcome index per row from its uniform ``u``: the count of the
         cumulative probabilities below the last that are at or below it.
-        That is ``draw_index``'s rule, fall-through to the last index
-        included, and ``cumsum`` adds in the same order.  A row that drew
-        a zero-probability branch raises RuntimeError."""
+        That is the first branch whose running sum exceeds ``u``, with a
+        uniform above the rounded total falling through to the last
+        branch.  A row that drew a zero-probability branch raises
+        RuntimeError, however often its node was measured before."""
         if not len(ids):
             return np.zeros(0, dtype=np.intp)
         width = len(sets)

@@ -36,6 +36,8 @@ class Observable:
     available in closed form as (I +/- M)/2; no eigensolver is involved.
     The identity is the degenerate member: fixed outcome +1, empty minus
     projector.  A real matrix stays real; the stored copy is read-only.
+    Its shape, Hermiticity and involution are checked by raising
+    ValueError, so they hold under ``python -O``.
     """
 
     name: str
@@ -43,9 +45,13 @@ class Observable:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.result_type(float, self.matrix))
-        assert m.shape == (DIM, DIM)
-        assert np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL, "not Hermitian"
-        assert np.max(np.abs(m @ m - np.eye(DIM))) < HERMITIAN_TOL, "not an involution"
+        if m.shape != (DIM, DIM):
+            raise ValueError(f"an observable must be (4, 4), got {m.shape}")
+        # written so that a NaN entry fails the checks too
+        if not np.max(np.abs(m - m.conj().T)) < HERMITIAN_TOL:
+            raise ValueError(f"observable {self.name!r} is not Hermitian")
+        if not np.max(np.abs(m @ m - np.eye(DIM))) < HERMITIAN_TOL:
+            raise ValueError(f"observable {self.name!r} is not an involution")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -4,13 +4,13 @@ A session is a single logical thread.  Parties never share state; all
 classical coupling is posted to a message bus whose transcript makes runs
 auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack on the in-transit ququarts.  Each
-phase measures on one branch tree (``linalg.Node``) rooted at the channel
-state, so each (state, projector set) pair is measured once per phase,
-while every party draws from its own stream exactly the values a
-round-by-round run would draw.  The key phase walks the tree round by
-round; the verification phase samples it one level at a time for all
-rounds (``linalg.Tree``), from draws replayed in bulk, and tallies its
-rounds from columns.
+phase samples one branch tree (``linalg.Tree``) rooted at the channel
+state one level at a time for all rounds: the attack's targets
+(``attacks.attack_levels``), then each party.  So each (state, projector
+set) pair is measured once per phase, while every party draws from its
+own stream exactly the values a round-by-round run would draw: the key
+phase's are one bulk ``random`` per stream, the verification phase's
+are replayed from raw words, and it tallies its rounds from columns.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
 
-# rounds measure on tree nodes; measure_projective stays bound for benchmark tracing
+# phases measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
 from .observables import (
     KEY_LABELS,
@@ -43,7 +43,10 @@ from .observables import (
     sift,
 )
 from .channels import ChannelSpec
-from .attacks import AttackModel, attack_levels, make_attack_hook
+from .attacks import AttackModel, attack_levels
+
+# phases sample attack levels; make_attack_hook stays bound for benchmark tracing
+from .attacks import make_attack_hook  # noqa: F401
 
 ALICE = "alice"
 BOB = "bob"
@@ -197,6 +200,17 @@ def _party_positions(spec: ChannelSpec):
     return PARTY_ORDER[: spec.party_count]
 
 
+def _distinct_streams(spec: ChannelSpec, rngs: dict):
+    """The parties, after checking that no two of them or the attack share
+    a generator: a phase draws each stream's values in bulk, which equals
+    the per-round draws only when the streams are distinct."""
+    parties = _party_positions(spec)
+    streams = [rngs[p] for p in parties] + [rngs["attack"]]
+    if len({id(s) for s in streams}) != len(streams):
+        raise ValueError("the party and attack streams must be distinct generators")
+    return parties
+
+
 def _menu(party_count: int):
     return TWO_PARTY_MENU if party_count == 2 else THREE_PARTY_MENU
 
@@ -227,25 +241,6 @@ def _key_projector_sets(party_count: int) -> tuple:
         ProjectorSet([embed(p, pos, party_count) for p in kb.projectors])
         for pos in range(party_count)
     )
-
-
-def _measure_round(node, projector_sets, parties, rngs) -> tuple:
-    """Outcome indices of one round: each party in turn measures the node
-    its predecessors left, drawing from its own stream.  A None set is the
-    identity slot: it reads outcome 0 and draws nothing.  A drawn branch's
-    node is built only when a later party measures it."""
-    outcomes = []
-    last = None  # (projector set, outcome) of the previous measurement
-    for projectors, party in zip(projector_sets, parties):
-        if projectors is None:
-            outcomes.append(0)
-            continue
-        if last is not None:
-            node = node.child(*last)
-        outcome = node.draw(projectors, rngs[party])
-        outcomes.append(outcome)
-        last = projectors, outcome
-    return tuple(outcomes)
 
 
 def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
@@ -313,20 +308,17 @@ def run_verification_phase(
 
     All rounds are sampled together, one level of the phase's branch tree
     at a time: the attack's targets, then each party (``linalg.Tree``).
-    Each stream's draws are exactly those of a per-round walk that calls
-    ``integers`` and ``random`` round by round; the party and attack
+    Each stream's draws are exactly those of a round-by-round run that
+    calls ``integers`` and ``random`` per round; the party and attack
     streams must be distinct PCG64 generators.
     """
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
-    parties = _party_positions(spec)
-    streams = [rngs[p] for p in parties] + [rngs["attack"]]
-    if len({id(s) for s in streams}) != len(streams):
-        raise ValueError("the party and attack streams must be distinct generators")
+    parties = _distinct_streams(spec, rngs)
     menu = _menu(spec.party_count)
     idle = menu.index("id") if "id" in menu else -1
     tree = Tree(Node(spec.state))
-    ids = attack_levels(attack, spec.party_count, tree, rngs["attack"], num_rounds)
+    ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
 
     draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
     choices = [codes for codes, _ in draws]
@@ -401,6 +393,12 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
     qber, and the other rounds give the reference and estimate keys.
     With ``reveal`` None nothing is posted or sampled.
 
+    All rounds are sampled together, one level of the phase's branch tree
+    at a time: the attack's targets, then each party in the key basis
+    (``linalg.Tree``).  Each party draws one uniform per round, so its
+    stream's ``random(num_rounds)`` gives exactly the per-round draws;
+    the party and attack streams must be distinct generators.
+
     Returns (outcome-index tuples, records, qber, reference key, estimate
     key, sample size).
     """
@@ -408,14 +406,16 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
         raise ValueError("sample_fraction must lie in [0, 1)")
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
-    parties = _party_positions(spec)
-    projs = _key_projector_sets(spec.party_count)
-    hook = make_attack_hook(attack, spec.party_count)
-    root = Node(spec.state)
-    rounds = [
-        _measure_round(hook(root, rngs["attack"]), projs, parties, rngs)
-        for _ in range(num_rounds)
-    ]
+    parties = _distinct_streams(spec, rngs)
+    tree = Tree(Node(spec.state))
+    ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
+    columns = []
+    for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
+        level = [projectors]
+        columns.append(tree.draw(ids, level, rngs[parties[j]].random(num_rounds)))
+        if j + 1 < len(parties):
+            ids = tree.children(ids, level, columns[j])
+    rounds = list(zip(*(column.tolist() for column in columns)))
     sample = []
     if reveal is not None:
         requester, revealers, control = reveal

@@ -4,18 +4,22 @@ The reference below is the session path as it was before the tree: every
 round drew its choices and uniforms by per-call ``integers`` and
 ``random``, measured fresh ``StateVector`` objects with a per-call
 stacked product, and the attack hooks mapped states to states.  From
-equal seeds the level-by-level verification phase and the key phase's
-walk must give identical records, tallies, transcripts and outcomes, and
-leave every named stream in an identical state.
+equal seeds the level-by-level verification and key phases must give
+identical records, tallies, transcripts and outcomes, and leave every
+named stream in an identical state.  A per-round walk down the tree
+(``walk_round``) shows that the level sampler builds only the nodes a
+walk builds, and the key tree's exact leaf weights give ``predict``'s
+qber.
 """
 
 import math
 
 import numpy as np
 import pytest
+from inverse_cdf import draw_index
 
-from ququart_qkd import protocol
-from ququart_qkd.attacks import AttackModel, make_attack_hook
+from ququart_qkd import attacks, protocol
+from ququart_qkd.attacks import AttackModel, make_attack_hook, predict
 from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import (
     DIM,
@@ -24,12 +28,11 @@ from ququart_qkd.linalg import (
     ProjectorSet,
     StateVector,
     Tree,
-    draw_index,
     embed,
     ket,
     measure_projective,
 )
-from ququart_qkd.observables import key_basis
+from ququart_qkd.observables import key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     DISCARD_MISMATCH,
     PARTY_ORDER,
@@ -40,7 +43,6 @@ from ququart_qkd.protocol import (
     MessageBus,
     RoundRecord,
     _key_projector_sets,
-    _measure_round,
     _sign_projector_sets,
     run_key_phase_controlled,
     run_key_phase_two_party,
@@ -248,6 +250,31 @@ def test_measure_projective_matches_per_call_reference():
 # the tree itself
 
 
+def draw(node, projectors, rng):
+    """One measurement of ``node``: a one-row level of a tree rooted at it."""
+    return int(Tree(node).draw(np.zeros(1, dtype=np.intp), [projectors], rng.random(1))[0])
+
+
+def walk_round(node, projector_sets, parties, rngs) -> tuple:
+    """Outcome indices of one round as a walk down the tree from ``node``:
+    each party in turn measures the node its predecessors left, drawing
+    from its own stream.  A None set is the identity slot: it reads
+    outcome 0 and draws nothing.  A drawn branch's node is built only when
+    a later party measures it."""
+    outcomes = []
+    last = None  # (projector set, outcome) of the previous measurement
+    for projectors, party in zip(projector_sets, parties):
+        if projectors is None:
+            outcomes.append(0)
+            continue
+        if last is not None:
+            node = node.child(*last)
+        outcome = draw(node, projectors, rngs[party])
+        outcomes.append(outcome)
+        last = projectors, outcome
+    return tuple(outcomes)
+
+
 def count_nodes(node):
     return 1 + sum(count_nodes(child) for child in node._next.values())
 
@@ -258,11 +285,11 @@ def test_children_are_memoised_and_built_only_when_measured_again():
     root = Node(spec.state)
     rngs = _named_streams(1)
     for _ in range(200):
-        _measure_round(root, key_sets, PARTY_ORDER[:2], rngs)
+        walk_round(root, key_sets, PARTY_ORDER[:2], rngs)
     # Alice's four outcomes each lead to one node; Bob's last measurement
     # of each round builds none
     assert count_nodes(root) == 1 + 4
-    k = root.draw(key_sets[0], rngs["alice"])
+    k = draw(root, key_sets[0], rngs["alice"])
     assert root.child(key_sets[0], k) is root.child(key_sets[0], k)
 
 
@@ -277,20 +304,44 @@ def walk_verification(root, spec, rounds, model, rngs):
         node = hook(root, rngs["attack"])
         choices = [menu[int(rngs[p].integers(len(menu)))] for p in parties]
         sets = [_sign_projector_sets(n)[pos, name] for pos, name in enumerate(choices)]
-        _measure_round(node, sets, parties, rngs)
+        walk_round(node, sets, parties, rngs)
+
+
+def walk_key(root, spec, rounds, model, rngs):
+    """The key phase's rounds as a walk down ``root``'s tree, one round at
+    a time."""
+    n = spec.party_count
+    hook = make_attack_hook(model, n)
+    for _ in range(rounds):
+        walk_round(hook(root, rngs["attack"]), _key_projector_sets(n), PARTY_ORDER[:n], rngs)
+
+
+def run_key_phase(spec, rounds, model, rngs):
+    """The key phase of the channel's protocol, sampling nothing."""
+    if spec.party_count == 2:
+        return run_key_phase_two_party(spec, rounds, 0.0, 1.0, model, rngs, MessageBus())
+    return run_key_phase_controlled(spec, rounds, 0.0, 1.0, True, model, rngs, MessageBus())
+
+
+def verification_phase(spec, rounds, model, rngs):
+    return run_verification_phase(spec, rounds, model, rngs, MessageBus())
+
+
+LEVEL_MODELS = [
+    ("2-none", 2, AttackModel()),
+    ("3-none", 3, AttackModel()),
+    ("3-intercept-key", 3, AttackModel("intercept-key", (1, 2))),
+    ("3-depolarize", 3, AttackModel("depolarize", (2,), 0.5)),
+]
 
 
 @pytest.mark.parametrize(
-    "parties,model",
-    [
-        (2, AttackModel()),
-        (3, AttackModel()),
-        (3, AttackModel("intercept-key", (1, 2))),
-        (3, AttackModel("depolarize", (2,), 0.5)),
-    ],
-    ids=["2-none", "3-none", "3-intercept-key", "3-depolarize"],
+    "phase,walk,parties,model",
+    [(verification_phase, walk_verification, p, m) for _, p, m in LEVEL_MODELS]
+    + [(run_key_phase, walk_key, p, m) for _, p, m in LEVEL_MODELS],
+    ids=[name for name, _, _ in LEVEL_MODELS] + [f"key-{name}" for name, _, _ in LEVEL_MODELS],
 )
-def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, monkeypatch):
+def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, phase, walk, monkeypatch):
     spec = make_channel(parties)
     trees = []
 
@@ -299,17 +350,17 @@ def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, monkeypatc
         return trees[-1]
 
     monkeypatch.setattr(protocol, "Tree", recording_tree)
-    run_verification_phase(spec, 300, model, _named_streams(3), MessageBus())
+    phase(spec, 300, model, _named_streams(3))
     root = Node(spec.state)
-    walk_verification(root, spec, 300, model, _named_streams(3))
+    walk(root, spec, 300, model, _named_streams(3))
     assert count_nodes(trees[0].nodes[0]) == len(trees[0].nodes) == count_nodes(root)
 
 
 class AboveTotal:
-    """Generator stub whose uniform, 1.0, lies above any rounded total."""
+    """Generator stub whose uniforms, 1.0, lie above any rounded total."""
 
-    def random(self):
-        return 1.0
+    def random(self, size=None):
+        return 1.0 if size is None else np.ones(size)
 
 
 def test_zero_probability_branch_raises_on_every_draw():
@@ -323,7 +374,83 @@ def test_zero_probability_branch_raises_on_every_draw():
     for _ in range(3):
         # memoisation must not turn the first failure into a silent hit
         with pytest.raises(RuntimeError):
-            node.draw(comp, AboveTotal())
+            draw(node, comp, AboveTotal())
         with pytest.raises(RuntimeError):
-            _measure_round(node, [comp], ("alice",), {"alice": AboveTotal()})
-    assert node.draw(comp, np.random.default_rng(0)) == 0
+            walk_round(node, [comp], ("alice",), {"alice": AboveTotal()})
+    assert draw(node, comp, np.random.default_rng(0)) == 0
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_key_phase_level_draw_raises_on_a_zero_weight_last_branch(parties):
+    # a uniform of 1.0 reads the last key outcome, psi-; after Alice's
+    # (and Bob's) psi- the last party's outcome is pinned to phi+, so its
+    # uniform of 1.0 falls through to a zero-weight last branch
+    spec = make_channel(parties)
+    rngs = _named_streams(0)
+    for party in PARTY_ORDER[:parties]:
+        rngs[party] = AboveTotal()
+    with pytest.raises(RuntimeError):
+        run_key_phase(spec, 3, AttackModel(), rngs)
+
+
+# ---------------------------------------------------------------------------
+# the key tree's exact law
+
+
+def branches(node, projectors):
+    """(outcome, probability) of every branch the sampler can draw: one
+    whose amplitude is below 1e-9 raises there, and weighs under 1e-18."""
+    probs = node.probabilities(projectors)
+    return [(k, p) for k, p in enumerate(probs) if math.sqrt(p) >= 1e-9]
+
+
+def key_leaf_weights(spec, model):
+    """(weight, key outcome indices) of every leaf of the key phase's
+    branch tree: a measuring attack's readout branches and the parties'
+    key branches carry their probabilities, and a depolarized target
+    keeps its state with weight 1 - s or, with weight s, is read out and
+    re-prepared as each fresh digit with weight 1/4."""
+    n = spec.party_count
+    sets, shifts = attacks._attack_operators(model, n) if model.kind != "none" else ({}, {})
+    attacked = [(1.0, Node(spec.state))]
+    for t in model.targets:
+        spread = []
+        for weight, node in attacked:
+            if model.kind == "depolarize":
+                spread.append(((1.0 - model.strength) * weight, node))
+            for k, p in branches(node, sets[t]):
+                measured = node.child(sets[t], k)
+                if model.kind != "depolarize":
+                    spread.append((weight * p, measured))
+                    continue
+                for fresh in range(DIM):
+                    amount = (fresh - k) % DIM
+                    shifted = measured.evolved((t, amount), shifts[t][amount])
+                    spread.append((weight * p * model.strength / DIM, shifted))
+        attacked = spread
+    leaves = [(weight, node, ()) for weight, node in attacked]
+    *earlier, last = _key_projector_sets(n)
+    for projectors in earlier:
+        leaves = [
+            (weight * p, node.child(projectors, k), outcomes + (k,))
+            for weight, node, outcomes in leaves
+            for k, p in branches(node, projectors)
+        ]
+    return [
+        (weight * p, outcomes + (k,))
+        for weight, node, outcomes in leaves
+        for k, p in branches(node, last)
+    ]
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    CASES,
+    ids=[f"{p}-{m.kind}{list(m.targets)}s{m.strength}" for p, m in CASES],
+)
+def test_key_tree_leaf_weights_give_the_predicted_qber(parties, model):
+    spec = make_channel(parties)
+    leaves = key_leaf_weights(spec, model)
+    assert sum(weight for weight, _ in leaves) == pytest.approx(1.0, abs=1e-12)
+    qber = sum(weight * key_bit_errors(outcomes) for weight, outcomes in leaves) / 2
+    assert abs(qber - predict(model, spec).qber) < 1e-12

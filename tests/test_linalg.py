@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from inverse_cdf import draw_index
 
 from ququart_qkd.linalg import (
     COMPLETENESS_TOL,
@@ -8,7 +9,6 @@ from ququart_qkd.linalg import (
     ProjectorSet,
     StateVector,
     apply,
-    draw_index,
     embed,
     inner,
     ket,
@@ -90,7 +90,7 @@ def test_apply_identity_and_dimension_check():
     psi = ket(2, 1)
     out = apply(np.eye(DIM, dtype=complex), psi)
     np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         apply(np.eye(16, dtype=complex), psi)
 
 
@@ -107,6 +107,8 @@ def test_inner_conjugate_linear_first_argument():
     assert inner(a, b) == pytest.approx(-1j)
     assert inner(b, a) == pytest.approx(1j)
     assert inner(ket(0, 1), ket(1, 1)) == 0
+    with pytest.raises(ValueError):
+        inner(ket(0, 1), ket(0, 2))
 
 
 def test_embed_positions():
@@ -115,6 +117,8 @@ def test_embed_positions():
     np.testing.assert_array_equal(embed(SX, 0, 2), np.kron(SX, np.eye(DIM)))
     with pytest.raises(ValueError):
         embed(SX, 2, 2)
+    with pytest.raises(ValueError):
+        embed(np.eye(2), 0, 2)
 
 
 def test_measure_definite_state():

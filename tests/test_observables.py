@@ -8,6 +8,7 @@ from ququart_qkd.observables import (
     KEY_LABELS,
     OBSERVABLE_NAMES,
     KeyOutcome,
+    Observable,
     check_observable,
     commutator_norm,
     key_basis,
@@ -80,6 +81,13 @@ def test_projectors_resolve_identity():
 def test_unknown_observable_rejected():
     with pytest.raises(ValueError):
         check_observable("sy")
+
+
+def test_observable_rejects_bad_matrices():
+    shift = np.roll(np.eye(DIM), 1, axis=0)  # a permutation, but not symmetric
+    for matrix in (np.eye(2), shift, 2 * np.eye(DIM), np.full((DIM, DIM), np.nan)):
+        with pytest.raises(ValueError):
+            Observable("bad", matrix)
 
 
 def test_key_basis_is_orthonormal():

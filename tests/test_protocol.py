@@ -217,8 +217,9 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
-        "from ququart_qkd.linalg import embed, ket, measure_projective, state_from_amplitudes\n"
-        "from ququart_qkd.observables import outcome_from_index\n"
+        "from ququart_qkd.linalg import (apply, embed, inner, ket, measure_projective,\n"
+        "    state_from_amplitudes)\n"
+        "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, run_key_phase_controlled,\n"
         "    run_key_phase_two_party, run_verification_phase)\n"
         "from ququart_qkd.session import _named_streams, hex_to_bits\n"
@@ -238,6 +239,13 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "    'three amplitudes for one ququart': lambda: state_from_amplitudes([1, 0, 0], 1),\n"
         "    'all-zero amplitudes': lambda: state_from_amplitudes([0, 0, 0, 0], 1),\n"
         "    'embed position 2 of 2': lambda: embed(np.eye(4), 2, 2),\n"
+        "    'embed a 2x2 local operator': lambda: embed(np.eye(2), 0, 2),\n"
+        "    'apply a 16x16 operator to one ququart': lambda: apply(np.eye(16), ket(0)),\n"
+        "    'inner of one and two ququarts': lambda: inner(ket(0), ket(0, 2)),\n"
+        "    'observable of shape 2x2': lambda: Observable('bad', np.eye(2)),\n"
+        "    'non-Hermitian observable': lambda: Observable(\n"
+        "        'bad', np.roll(np.eye(4), 1, axis=0)),\n"
+        "    'observable squaring to 4': lambda: Observable('bad', 2 * np.eye(4)),\n"
         "    'outcome index 4': lambda: outcome_from_index(4),\n"
         "}\n"
         "for name, call in calls.items():\n"

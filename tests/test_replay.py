@@ -14,7 +14,13 @@ import pytest
 from ququart_qkd.attacks import AttackModel, _depolarize_draws
 from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import DIM, Node, ProjectorSet, Tree, ket
-from ququart_qkd.protocol import MessageBus, _menu_draws, run_verification_phase
+from ququart_qkd.protocol import (
+    MessageBus,
+    _menu_draws,
+    run_key_phase_controlled,
+    run_key_phase_two_party,
+    run_verification_phase,
+)
 from ququart_qkd.session import _named_streams
 
 ROUNDS = (0, 1, 2, 3, 7, 60, 61)
@@ -85,10 +91,26 @@ def test_non_pcg64_generators_are_rejected():
 
 
 def test_shared_streams_are_rejected():
+    # bulk draws per stream equal per-round draws only for distinct streams
+    phases = (
+        lambda rngs: run_verification_phase(make_channel(2), 10, AttackModel(), rngs, MessageBus()),
+        lambda rngs: run_key_phase_two_party(
+            make_channel(2), 10, 0.1, 0.0, AttackModel(), rngs, MessageBus()
+        ),
+        lambda rngs: run_key_phase_controlled(
+            make_channel(3), 10, 0.1, 0.0, True, AttackModel(), rngs, MessageBus()
+        ),
+    )
+    for phase in phases:
+        for a, b in (("alice", "bob"), ("bob", "attack")):
+            rngs = _named_streams(0)
+            rngs[b] = rngs[a]
+            with pytest.raises(ValueError):
+                phase(rngs)
     rngs = _named_streams(0)
-    rngs["bob"] = rngs["alice"]
+    rngs["charlie"] = rngs["attack"]
     with pytest.raises(ValueError):
-        run_verification_phase(make_channel(2), 10, AttackModel(), rngs, MessageBus())
+        phases[2](rngs)
 
 
 def test_level_draw_raises_on_a_zero_weight_last_branch():

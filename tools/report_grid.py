@@ -4,10 +4,13 @@ The grid covers both protocols; every attack kind on every valid target
 set, depolarize at strengths 0.3 and 1; attack-free runs with and
 without permission and the corrupt channel; 0, 60 and 61 verification
 rounds (qber threshold 0.6, so attacked keys are emitted); 0, 1, 101, 200
-and 300 key rounds at sample fractions 0.1 and 0.5; seeds 11-13.  An odd
-verification round count leaves each party's generator holding a
-buffered half-word, which only the three-party blind guess reads.  Two checkouts that
-print the same lines produce byte-identical reports, config for config:
+and 300 key rounds at sample fractions 0.1 and 0.5; seeds 11-13.  The 0-
+and 1-key-round edge rows run attack-free after 60 verification rounds
+and under every attack after none, so attacked key phases meet their
+empty and single-round cases.  An odd verification round count leaves
+each party's generator holding a buffered half-word, which only the
+three-party blind guess reads.  Two checkouts that print the same lines
+produce byte-identical reports, config for config:
 
     diff <(python3 tools/report_grid.py --src old/src) \\
          <(python3 tools/report_grid.py --src src)
@@ -35,7 +38,7 @@ KINDS = [
 SEEDS = (11, 12, 13)
 # (verification rounds, key rounds, sample fraction)
 PHASES = ((60, 300, 0.1), (0, 200, 0.5), (61, 101, 0.5))
-EDGE_PHASES = [(60, k, f) for k in (0, 1) for f in (0.1, 0.5)]
+EDGE_PHASES = [(k, f) for k in (0, 1) for f in (0.1, 0.5)]
 
 
 def grid():
@@ -45,17 +48,20 @@ def grid():
         variants = [("none", (), 0.0, True, False), ("none", (), 0.0, True, True)]
         if parties == 3:
             variants.append(("none", (), 0.0, False, False))
-        variants += [
+        attacked = [
             (kind, targets, strength, True, False)
             for targets in TARGET_SETS[parties]
             for kind, strength in KINDS
         ]
-        for variant in variants:
+        for variant in variants + attacked:
             for phases in PHASES:
                 for seed in SEEDS:
                     yield (protocol, *variant, *phases, seed)
         for phases in EDGE_PHASES:
-            yield (protocol, "none", (), 0.0, True, False, *phases, SEEDS[0])
+            yield (protocol, "none", (), 0.0, True, False, 60, *phases, SEEDS[0])
+        for variant in attacked:
+            for phases in EDGE_PHASES:
+                yield (protocol, *variant, 0, *phases, SEEDS[0])
 
 
 def oracle_grid():
