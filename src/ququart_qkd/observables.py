@@ -126,10 +126,11 @@ def outcome_from_bits(parity_bit: int, phase_bit: int) -> KeyOutcome:
     return outcome_from_index(2 * parity_bit + phase_bit)
 
 
-def sift(indices: tuple) -> tuple[int, int]:
+def sift(indices):
     """The key both ends should hold after one key round, as the pair
     (reference, estimate) of key-basis indices, whose bits are (parity,
-    phase).
+    phase).  The indices may be ints or equal-length int columns, one per
+    party, which sifts every round at once.
 
     Two parties (a, b): the channel pairs each outcome with the opposite
     parity and opposite phase, so the receiver flips both bits, giving
@@ -143,10 +144,12 @@ def sift(indices: tuple) -> tuple[int, int]:
     return c, a ^ b
 
 
-def key_bit_errors(indices: tuple) -> int:
-    """Key bits (0, 1 or 2) on which a round's estimate misses its reference."""
+def key_bit_errors(indices):
+    """Key bits (0, 1 or 2) on which a round's estimate misses its
+    reference; per round for int columns, as ``sift``."""
     reference, estimate = sift(indices)
-    return bin(reference ^ estimate).count("1")
+    x = reference ^ estimate
+    return (x & 1) + (x >> 1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ state one level at a time for all rounds: the attack's targets
 set) pair is measured once per phase, while every party draws from its
 own stream exactly the values a round-by-round run would draw: the key
 phase's are one bulk ``random`` per stream, the verification phase's
-are replayed from raw words, and it tallies its rounds from columns.
+are replayed from raw words.  Both phases keep their outcomes as one int
+column per party: verification tallies them, and the key phase sifts,
+samples, scores and keys them whole.  Per-round ``records`` are built
+from the columns only when read.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -24,6 +27,7 @@ error rate, and the rest become key bits by the sifting rule
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -113,33 +117,56 @@ class RoundRecord:
             assert self.discard_reason in (DISCARD_MISMATCH, DISCARD_SAMPLE)
 
 
-@dataclass(frozen=True)
-class SiftedKey:
-    """Key material: two bits per kept key round, parity bit first."""
+def _records(phase: str, choices, outcomes, kept: np.ndarray, reason: str) -> tuple:
+    """RoundRecords from per-round choice and outcome tuples and the kept
+    column; a round not kept carries ``reason``."""
+    return tuple(
+        RoundRecord(index, phase, c, o, k, None if k else reason)
+        for index, (c, o, k) in enumerate(zip(choices, outcomes, kept.tolist()))
+    )
 
-    bits: tuple
+
+@dataclass(frozen=True, eq=False)
+class SiftedKey:
+    """Key material: two bits per kept key round, parity bit first, held
+    as a read-only uint8 column; ``bits`` reads them as a tuple.  Keys are
+    equal when their bits are."""
+
+    column: np.ndarray
 
     def __post_init__(self):
-        assert len(self.bits) % 2 == 0
-        assert all(b in (0, 1) for b in self.bits)
+        bits = np.asarray(self.column)
+        if bits.ndim != 1 or len(bits) % 2 or not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("a key holds two bits, each 0 or 1, per round")
+        column = bits.astype(np.uint8)
+        column.setflags(write=False)
+        object.__setattr__(self, "column", column)
+
+    @property
+    def bits(self) -> tuple:
+        return tuple(self.column.tolist())
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.column)
+
+    def __eq__(self, other):
+        if not isinstance(other, SiftedKey):
+            return NotImplemented
+        return np.array_equal(self.column, other.column)
 
 
-def sift_key(outcomes) -> SiftedKey:
-    """Serialize key outcomes to bits in round order, parity then phase."""
-    bits = []
-    for o in outcomes:
-        assert o is not None, "missing outcome in a kept round"
-        bits.extend((o.parity_bit, o.phase_bit))
-    return SiftedKey(tuple(bits))
+def sift_key(indices) -> SiftedKey:
+    """Serialize key-basis outcome indices to bits in round order, parity
+    (``index >> 1``) then phase (``index & 1``)."""
+    indices = np.asarray(indices, dtype=np.intp)
+    return SiftedKey(np.stack((indices >> 1, indices & 1), axis=-1).ravel())
 
 
 def compare_keys(a: SiftedKey, b: SiftedKey) -> list:
     """Positions where the two keys disagree (diagnostic)."""
-    assert len(a) == len(b)
-    return [i for i, (x, y) in enumerate(zip(a.bits, b.bits)) if x != y]
+    if len(a) != len(b):
+        raise ValueError(f"keys of {len(a)} and {len(b)} bits cannot be compared")
+    return np.flatnonzero(a.column != b.column).tolist()
 
 
 @dataclass(frozen=True)
@@ -179,21 +206,9 @@ class VerificationSummary:
 
     @functools.cached_property
     def records(self) -> tuple:
-        choices = zip(*(codes.tolist() for codes in self.choices))
-        outcomes = zip(*(column.tolist() for column in self.outcomes))
-        return tuple(
-            RoundRecord(
-                index,
-                "verify",
-                tuple(self.menu[c] for c in codes),
-                tuple(SIGNS[k] for k in signs),
-                kept,
-                None if kept else DISCARD_MISMATCH,
-            )
-            for index, (codes, signs, kept) in enumerate(
-                zip(choices, outcomes, self.kept.tolist())
-            )
-        )
+        choices = zip(*(map(self.menu.__getitem__, c.tolist()) for c in self.choices))
+        outcomes = zip(*(map(SIGNS.__getitem__, column.tolist()) for column in self.outcomes))
+        return _records("verify", choices, outcomes, self.kept, DISCARD_MISMATCH)
 
 
 def _party_positions(spec: ChannelSpec):
@@ -381,7 +396,38 @@ def run_verification_phase(
     )
 
 
-def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
+@dataclass(frozen=True, eq=False)
+class KeyPhase:
+    """A key phase's outcome, held as columns: per party its key-basis
+    outcome index in every round, and per round whether the public sample
+    consumed it.  ``records`` are built from them on first read."""
+
+    outcomes: tuple  # per party, (rounds,) key-basis outcome indices
+    consumed: np.ndarray  # (rounds,) revealed in the public sample
+    qber: float
+    passed: bool
+
+    @property
+    def rounds(self) -> int:
+        return len(self.consumed)
+
+    @property
+    def sampled(self) -> int:
+        return int(np.count_nonzero(self.consumed))
+
+    @property
+    def kept(self) -> int:
+        return self.rounds - self.sampled
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        coded = [outcome_from_index(i) for i in range(len(KEY_LABELS))]
+        outcomes = zip(*(map(coded.__getitem__, column.tolist()) for column in self.outcomes))
+        choices = itertools.repeat(("key",) * len(self.outcomes))
+        return _records("key", choices, outcomes, ~self.consumed, DISCARD_SAMPLE)
+
+
+def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, bus, reveal):
     """The key phase both protocols share.
 
     Every party measures ``num_rounds`` fresh channel copies in the key
@@ -397,10 +443,11 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
     at a time: the attack's targets, then each party in the key basis
     (``linalg.Tree``).  Each party draws one uniform per round, so its
     stream's ``random(num_rounds)`` gives exactly the per-round draws;
-    the party and attack streams must be distinct generators.
+    the party and attack streams must be distinct generators.  Sifting,
+    the qber and the keys work on the outcome columns whole.
 
-    Returns (outcome-index tuples, records, qber, reference key, estimate
-    key, sample size).
+    Returns the ``KeyPhase`` fields as a dict, the reference key and the
+    estimate key.
     """
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError("sample_fraction must lie in [0, 1)")
@@ -415,59 +462,35 @@ def _key_phase(spec, num_rounds, sample_fraction, attack, rngs, bus, reveal):
         columns.append(tree.draw(ids, level, rngs[parties[j]].random(num_rounds)))
         if j + 1 < len(parties):
             ids = tree.children(ids, level, columns[j])
-    rounds = list(zip(*(column.tolist() for column in columns)))
-    sample = []
+    sample = np.zeros(0, dtype=np.intp)
     if reveal is not None:
         requester, revealers, control = reveal
         if control is not None:
-            bus.post(
-                ClassicalMessage(
-                    parties[control],
-                    "control-reveal",
-                    {"outcomes": {i: KEY_LABELS[r[control]] for i, r in enumerate(rounds)}},
-                )
-            )
+            labels = map(KEY_LABELS.__getitem__, columns[control].tolist())
+            payload = {"outcomes": dict(zip(range(num_rounds), labels))}
+            bus.post(ClassicalMessage(parties[control], "control-reveal", payload))
         count = int(round(sample_fraction * num_rounds))
         if count:
-            drawn = rngs["public"].choice(num_rounds, size=count, replace=False)
-            sample = sorted(int(i) for i in drawn)
-        bus.post(ClassicalMessage(requester, "sample-check-request", {"rounds": sample}))
+            sample = np.sort(rngs["public"].choice(num_rounds, size=count, replace=False))
+        rows = sample.tolist()
+        bus.post(ClassicalMessage(requester, "sample-check-request", {"rounds": rows}))
         for pos in revealers:
-            bus.post(
-                ClassicalMessage(
-                    parties[pos],
-                    "sample-check-reveal",
-                    {"outcomes": {i: KEY_LABELS[rounds[i][pos]] for i in sample}},
-                )
-            )
-    bit_errors = sum(key_bit_errors(rounds[i]) for i in sample)
-    qber = bit_errors / (2 * len(sample)) if sample else 0.0
-
-    coded = [outcome_from_index(i) for i in range(len(KEY_LABELS))]
-    choices = ("key",) * len(parties)
-    sample_set = set(sample)
-    records, reference, estimate = [], [], []
-    for index, r in enumerate(rounds):
-        outcomes = tuple(coded[k] for k in r)
-        if index in sample_set:
-            records.append(RoundRecord(index, "key", choices, outcomes, False, DISCARD_SAMPLE))
-            continue
-        records.append(RoundRecord(index, "key", choices, outcomes, True))
-        ref, est = sift(r)
-        reference.append(coded[ref])
-        estimate.append(coded[est])
-    return rounds, tuple(records), qber, sift_key(reference), sift_key(estimate), len(sample)
+            labels = map(KEY_LABELS.__getitem__, columns[pos][sample].tolist())
+            payload = {"outcomes": dict(zip(rows, labels))}
+            bus.post(ClassicalMessage(parties[pos], "sample-check-reveal", payload))
+    bit_errors = int(key_bit_errors([column[sample] for column in columns]).sum())
+    qber = bit_errors / (2 * len(sample)) if len(sample) else 0.0
+    consumed = np.zeros(num_rounds, dtype=bool)
+    consumed[sample] = True
+    reference, estimate = (sift_key(column[~consumed]) for column in sift(columns))
+    phase = dict(outcomes=tuple(columns), consumed=consumed, qber=qber)
+    return dict(phase, passed=qber <= qber_threshold), reference, estimate
 
 
-@dataclass(frozen=True)
-class KeyPhaseTwoParty:
-    records: tuple
+@dataclass(frozen=True, eq=False)
+class KeyPhaseTwoParty(KeyPhase):
     alice_key: SiftedKey
     bob_key: SiftedKey
-    qber: float
-    passed: bool
-    sampled: int
-    kept: int
 
 
 def run_key_phase_two_party(
@@ -486,19 +509,12 @@ def run_key_phase_two_party(
     the two sifted keys are identical.  The publicly revealed sample is
     consumed and its per-bit mismatch fraction is the qber.
     """
-    assert spec.party_count == 2
-    _, records, qber, alice_key, bob_key, sampled = _key_phase(
-        spec, num_rounds, sample_fraction, attack, rngs, bus, (ALICE, (0, 1), None)
+    if spec.party_count != 2:
+        raise ValueError("the two-party key phase needs a two-party channel")
+    phase, alice_key, bob_key = _key_phase(
+        spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, bus, (ALICE, (0, 1), None)
     )
-    return KeyPhaseTwoParty(
-        records=records,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        qber=qber,
-        passed=qber <= qber_threshold,
-        sampled=sampled,
-        kept=num_rounds - sampled,
-    )
+    return KeyPhaseTwoParty(**phase, alice_key=alice_key, bob_key=bob_key)
 
 
 def deduce_third_outcome(a: KeyOutcome, b: KeyOutcome) -> KeyOutcome:
@@ -507,15 +523,10 @@ def deduce_third_outcome(a: KeyOutcome, b: KeyOutcome) -> KeyOutcome:
     return outcome_from_index(a.index ^ b.index)
 
 
-@dataclass(frozen=True)
-class KeyPhaseControlled:
-    records: tuple
+@dataclass(frozen=True, eq=False)
+class KeyPhaseControlled(KeyPhase):
     bob_key: SiftedKey
     charlie_key: SiftedKey
-    qber: float
-    passed: bool
-    sampled: int
-    kept: int
     deduction_accuracy: float
     alice_permitted: bool
 
@@ -537,29 +548,29 @@ def run_key_phase_controlled(
     actual bits estimates the qber and is consumed.  Without permission
     nothing is revealed: Bob's best guess is uniform (his marginal is
     independent of Charlie's outcome), the accuracy of that guess is
-    reported, and no key material is produced.
+    reported, and no key material is produced.  Bob's guesses are one
+    bulk ``integers(4, size=num_rounds)``, which draws exactly the values
+    of one ``integers(4)`` per round.
     """
-    assert spec.party_count == 3
+    if spec.party_count != 3:
+        raise ValueError("the controlled key phase needs a three-party channel")
     # the controller reveals everything first; without permission she
     # stays silent and no message ever enters the bus
     reveal = (BOB, (2,), 0) if alice_permits else None
-    rounds, records, qber, charlie_key, bob_key, sampled = _key_phase(
-        spec, num_rounds, sample_fraction, attack, rngs, bus, reveal
+    phase, charlie_key, bob_key = _key_phase(
+        spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, bus, reveal
     )
+    outcomes = phase["outcomes"]
     if alice_permits:
-        hits = sum(ref == est for ref, est in map(sift, rounds))
+        hits = np.count_nonzero(np.equal(*sift(outcomes)))
     else:
         # Bob's estimate needs Alice's outcomes, so he can only guess
         bob_key = charlie_key = SiftedKey(())
-        hits = sum(int(rngs[BOB].integers(4)) == c for _, _, c in rounds)
+        hits = np.count_nonzero(rngs[BOB].integers(4, size=num_rounds) == outcomes[2])
     return KeyPhaseControlled(
-        records=records,
+        **phase,
         bob_key=bob_key,
         charlie_key=charlie_key,
-        qber=qber,
-        passed=qber <= qber_threshold,
-        sampled=sampled,
-        kept=num_rounds - sampled,
         deduction_accuracy=hits / num_rounds if num_rounds else float(alice_permits),
         alice_permitted=alice_permits,
     )

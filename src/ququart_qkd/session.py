@@ -118,16 +118,9 @@ def _z_score(freq: float, p: float, trials: int) -> float:
 
 
 def bits_to_hex(bits) -> str:
-    """Pack bits into hex, most significant bit of each byte first; the
-    tail is zero-padded, so the true bit count travels separately."""
-    out = []
-    for start in range(0, len(bits), 8):
-        byte = 0
-        chunk = bits[start : start + 8]
-        for i, b in enumerate(chunk):
-            byte |= b << (7 - i)
-        out.append(f"{byte:02x}")
-    return "".join(out)
+    """Pack 0/1 bits into hex, most significant bit of each byte first;
+    the tail is zero-padded, so the true bit count travels separately."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
 
 
 def hex_to_bits(hex_string: str, bit_count: int) -> tuple:
@@ -176,7 +169,8 @@ def run_session(config: SessionConfig) -> SessionReport:
             bus,
         )
         outcome = OUTCOME_ESTABLISHED if phase.passed else OUTCOME_ABORT_QBER
-        key_block = _two_party_key_block(phase, oracle, outcome)
+        keys = {ALICE: phase.alice_key, BOB: phase.bob_key}
+        key_block = _key_block(phase, oracle, outcome, keys, {})
     else:
         phase = run_key_phase_controlled(
             spec,
@@ -194,7 +188,13 @@ def run_session(config: SessionConfig) -> SessionReport:
             outcome = OUTCOME_ESTABLISHED
         else:
             outcome = OUTCOME_ABORT_QBER
-        key_block = _controlled_key_block(phase, oracle, outcome, config.key_rounds)
+        extra = {"deduction_accuracy": phase.deduction_accuracy}
+        if not config.alice_permits:
+            # blind-guess accuracy: oracle value is exactly 1/4
+            extra["guess_oracle"] = 0.25
+            extra["guess_z"] = _z_score(phase.deduction_accuracy, 0.25, config.key_rounds)
+        keys = {BOB: phase.bob_key, CHARLIE: phase.charlie_key}
+        key_block = _key_block(phase, oracle, outcome, keys, extra)
 
     return SessionReport(
         config=config,
@@ -231,9 +231,13 @@ def _empty_key_block() -> dict:
     return {"rounds": 0, "sampled": 0, "kept": 0, "sifted_bits": 0}
 
 
-def _two_party_key_block(phase, oracle, outcome) -> dict:
+def _key_block(phase, oracle, outcome, keys: dict, extra: dict) -> dict:
+    """Sample and qber statistics, the protocol's ``extra`` items, and on
+    success the two keys, named by party in ``keys`` order; the two keys
+    always have equal length."""
+    first, second = keys.values()
     block = {
-        "rounds": len(phase.records),
+        "rounds": phase.rounds,
         "sampled": phase.sampled,
         "sample_vacuous": phase.sampled == 0,
         "kept": phase.kept,
@@ -241,44 +245,16 @@ def _two_party_key_block(phase, oracle, outcome) -> dict:
         "qber_oracle": oracle.qber,
         "qber_z": _z_score(phase.qber, oracle.qber, 2 * phase.sampled),
         "pass": phase.passed,
-        "sifted_bits": len(phase.alice_key),
+        "sifted_bits": len(first),
+        **extra,
     }
     if outcome == OUTCOME_ESTABLISHED:
-        mismatches = compare_keys(phase.alice_key, phase.bob_key)
+        mismatches = compare_keys(first, second)
         block["keys_equal"] = not mismatches
         block["mismatch_count"] = len(mismatches)
-        block["alice_bits"] = len(phase.alice_key)
-        block["alice_hex"] = bits_to_hex(phase.alice_key.bits)
-        block["bob_bits"] = len(phase.bob_key)
-        block["bob_hex"] = bits_to_hex(phase.bob_key.bits)
-    return block
-
-
-def _controlled_key_block(phase, oracle, outcome, key_rounds: int) -> dict:
-    block = {
-        "rounds": len(phase.records),
-        "sampled": phase.sampled,
-        "sample_vacuous": phase.sampled == 0,
-        "kept": phase.kept,
-        "qber": phase.qber,
-        "qber_oracle": oracle.qber,
-        "qber_z": _z_score(phase.qber, oracle.qber, 2 * phase.sampled),
-        "pass": phase.passed,
-        "sifted_bits": len(phase.charlie_key),
-        "deduction_accuracy": phase.deduction_accuracy,
-    }
-    if not phase.alice_permitted:
-        # blind-guess accuracy: oracle value is exactly 1/4
-        block["guess_oracle"] = 0.25
-        block["guess_z"] = _z_score(phase.deduction_accuracy, 0.25, key_rounds)
-    if outcome == OUTCOME_ESTABLISHED:
-        mismatches = compare_keys(phase.bob_key, phase.charlie_key)
-        block["keys_equal"] = not mismatches
-        block["mismatch_count"] = len(mismatches)
-        block["bob_bits"] = len(phase.bob_key)
-        block["bob_hex"] = bits_to_hex(phase.bob_key.bits)
-        block["charlie_bits"] = len(phase.charlie_key)
-        block["charlie_hex"] = bits_to_hex(phase.charlie_key.bits)
+        for party, key in keys.items():
+            block[f"{party}_bits"] = len(key)
+            block[f"{party}_hex"] = bits_to_hex(key.column)
     return block
 
 

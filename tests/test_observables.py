@@ -212,3 +212,9 @@ def test_sift_matches_bit_formulas_on_every_index_tuple(parties):
         assert (got_reference // 2, got_reference % 2) == reference
         assert (got_estimate // 2, got_estimate % 2) == estimate
         assert key_bit_errors(indices) == errors
+    # on int columns, one per party, every round at once gives the same
+    table = list(itertools.product(range(4), repeat=parties))
+    columns = [np.array(column, dtype=np.intp) for column in zip(*table)]
+    got_reference, got_estimate = sift(columns)
+    assert list(zip(got_reference.tolist(), got_estimate.tolist())) == [sift(t) for t in table]
+    assert key_bit_errors(columns).tolist() == [reference_sift_errors(t)[2] for t in table]

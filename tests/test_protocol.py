@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from ququart_qkd.attacks import AttackModel
-from ququart_qkd.channels import three_party_channel, two_party_channel
+from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
 from ququart_qkd.observables import outcome_from_bits, outcome_from_index
 from ququart_qkd.protocol import (
     DISCARD_MISMATCH,
     DISCARD_SAMPLE,
+    PARTY_ORDER,
     THREE_PARTY_MENU,
     TWO_PARTY_MENU,
     ClassicalMessage,
@@ -60,16 +61,28 @@ def test_round_record_requires_discard_reason():
 
 def test_sifted_key_validation():
     SiftedKey((0, 1, 1, 0))
-    with pytest.raises(AssertionError):
-        SiftedKey((0, 1, 1))
-    with pytest.raises(AssertionError):
-        SiftedKey((0, 2))
+    for bad in ((0, 1, 1), (0, 2), (0, 2, 1), (-1, 0), (0.5, 1), ((0, 1), (1, 0)), 1):
+        with pytest.raises(ValueError):
+            SiftedKey(bad)
+
+
+def test_sifted_key_is_a_read_only_column_equal_by_bits():
+    bits = np.array([1, 0, 0, 1])
+    key = SiftedKey(bits)
+    bits[0] = 0  # the key holds its own copy
+    assert key.bits == (1, 0, 0, 1)
+    assert key.column.dtype == np.uint8 and not key.column.flags.writeable
+    assert key == SiftedKey((1, 0, 0, 1)) and key != SiftedKey((1, 0, 0, 0))
+    assert key != SiftedKey(()) and len(key) == 4
 
 
 def test_sift_key_bit_order():
     outcomes = [outcome_from_index(0), outcome_from_index(3)]  # phi+, psi-
-    assert sift_key(outcomes).bits == (0, 0, 1, 1)
+    bits = sift_key([o.index for o in outcomes]).bits
+    assert bits == (0, 0, 1, 1)
+    assert bits == tuple(b for o in outcomes for b in (o.parity_bit, o.phase_bit))
     assert sift_key([]).bits == ()
+    assert sift_key(np.arange(4)).bits == (0, 0, 0, 1, 1, 0, 1, 1)
 
 
 def test_compare_keys_reports_positions():
@@ -77,6 +90,9 @@ def test_compare_keys_reports_positions():
     b = SiftedKey((0, 1, 1, 1))
     assert compare_keys(a, b) == [1]
     assert compare_keys(a, a) == []
+    assert compare_keys(SiftedKey(()), SiftedKey(())) == []
+    with pytest.raises(ValueError):
+        compare_keys(a, SiftedKey((0, 0)))
 
 
 def test_deduce_third_outcome_xor_table():
@@ -188,6 +204,43 @@ def test_two_party_key_phase_attack_free():
     assert kinds == ["sample-check-request", "sample-check-reveal", "sample-check-reveal"]
 
 
+@pytest.mark.parametrize(
+    "parties,permits,attack",
+    [(2, True, NONE), (2, True, IRC_BOB), (3, True, NONE), (3, False, NONE)],
+    ids=["two-party", "two-party-intercept", "controlled", "controlled-no-permission"],
+)
+def test_key_records_match_the_per_round_construction(parties, permits, attack):
+    spec, bus = make_channel(parties), MessageBus()
+    if parties == 2:
+        phase = run_key_phase_two_party(spec, 301, 0.2, 0.0, attack, streams(27), bus)
+    else:
+        phase = run_key_phase_controlled(spec, 301, 0.2, 0.0, permits, attack, streams(27), bus)
+    assert "records" not in vars(phase)  # built on first read only
+    # the per-round construction the columns replaced: the sample is the
+    # one the transcript requested
+    requests = [m.payload["rounds"] for m in bus.transcript if m.kind == "sample-check-request"]
+    sample = set(requests[0]) if requests else set()
+    coded = [outcome_from_index(i) for i in range(4)]
+    choices = ("key",) * parties
+    want = []
+    for index, r in enumerate(zip(*(column.tolist() for column in phase.outcomes))):
+        outcomes = tuple(coded[k] for k in r)
+        if index in sample:
+            want.append(RoundRecord(index, "key", choices, outcomes, False, DISCARD_SAMPLE))
+        else:
+            want.append(RoundRecord(index, "key", choices, outcomes, True))
+    assert phase.records == tuple(want)
+    assert phase.records is phase.records
+    assert len(sample) == phase.sampled == (60 if permits else 0)
+    assert (phase.rounds, phase.kept) == (301, 301 - phase.sampled)
+    # every revealed label is the recorded outcome of its sender
+    for message in bus.transcript:
+        if message.kind.endswith("reveal"):
+            pos = PARTY_ORDER.index(message.sender)
+            for index, label in message.payload["outcomes"].items():
+                assert phase.records[index].outcomes[pos].label == label
+
+
 def test_two_party_key_phase_sampling_accounting():
     phase = run_key_phase_two_party(
         two_party_channel(), 1000, 0.25, 0.0, NONE, streams(19), MessageBus()
@@ -220,8 +273,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "from ququart_qkd.linalg import (apply, embed, inner, ket, measure_projective,\n"
         "    state_from_amplitudes)\n"
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
-        "from ququart_qkd.protocol import (MessageBus, run_key_phase_controlled,\n"
-        "    run_key_phase_two_party, run_verification_phase)\n"
+        "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
+        "    run_key_phase_controlled, run_key_phase_two_party, run_verification_phase)\n"
         "from ququart_qkd.session import _named_streams, hex_to_bits\n"
         "two, three, none = two_party_channel(), three_party_channel(), AttackModel()\n"
         "calls = {\n"
@@ -229,6 +282,14 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "        two, 10, 1.0, 0.0, none, _named_streams(0), MessageBus()),\n"
         "    'key controlled rounds -1': lambda: run_key_phase_controlled(\n"
         "        three, -1, 0.1, 0.0, True, none, _named_streams(0), MessageBus()),\n"
+        "    'key two-party on the three-party channel': lambda: run_key_phase_two_party(\n"
+        "        three, 100, 0.1, 0.0, none, _named_streams(0), MessageBus()),\n"
+        "    'key controlled on the two-party channel': lambda: run_key_phase_controlled(\n"
+        "        two, 100, 0.1, 0.0, True, none, _named_streams(0), MessageBus()),\n"
+        "    'key of three bits': lambda: SiftedKey((0, 2, 1)),\n"
+        "    'key bit 2': lambda: SiftedKey((0, 2)),\n"
+        "    'keys of 4 and 2 bits': lambda: compare_keys(\n"
+        "        SiftedKey((0, 1, 1, 0)), SiftedKey((0, 1))),\n"
         "    'verification rounds -1': lambda: run_verification_phase(\n"
         "        two, -1, none, _named_streams(0), MessageBus()),\n"
         "    'short hex': lambda: hex_to_bits('c', 6),\n"

@@ -5,7 +5,9 @@ itself, so these tests pin that conversion to numpy's: the replayed
 values must equal per-call ``integers(4)`` and ``random()``, and the
 generator must be left in an identical state, its buffered half-word
 included, so that every later draw agrees too.  A numpy release that
-changes its conversions fails here.
+changes its conversions fails here.  The controlled key phase draws Bob's
+blind guesses as one ``integers(4, size=N)``, which is pinned the same
+way against N per-call ``integers(4)``.
 """
 
 import numpy as np
@@ -76,6 +78,18 @@ def test_depolarize_draws_equal_per_call_draws(strength, buffered):
                         assert u[i, j] == called.random()
                         assert fresh[i, j] == called.integers(DIM)
                 assert_same_future(replayed, called)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+def test_bulk_guess_draw_equals_per_call_draws(buffered):
+    # the controlled phase's blind guess without permission is one
+    # integers(4, size=N) where a round-by-round run calls integers(4)
+    for seed in range(4):
+        for rounds in ROUNDS:
+            bulk, called = twin_generators(seed, buffered)
+            guesses = bulk.integers(4, size=rounds)
+            assert guesses.tolist() == [int(called.integers(4)) for _ in range(rounds)]
+            assert_same_future(bulk, called)
 
 
 def test_non_pcg64_generators_are_rejected():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ququart_qkd import protocol
 from ququart_qkd.attacks import AttackModel
 from ququart_qkd.session import (
     ConfigError,
@@ -89,6 +90,53 @@ def test_config_from_mapping_rejects_garbage():
         config_from_mapping({"protocol": "two-party", "attack": IRC, "attack_targets": "charlie"})
     with pytest.raises(ConfigError):
         config_from_mapping({"attack": "depolarize", "attack_strength": 2.0})
+
+
+CONFIG_KEYS = (
+    "protocol",
+    "verification_rounds",
+    "key_rounds",
+    "sample_fraction",
+    "qber_threshold",
+    "attack",
+    "attack_targets",
+    "attack_strength",
+    "alice_permits",
+    "corrupt",
+    "seed",
+    "report",
+)
+# words the parser gives meaning to, so that valid configs are drawn too
+CONFIG_WORDS = (
+    "two-party",
+    "three-party",
+    "none",
+    "intercept-computational",
+    "intercept-key",
+    "entangle-probe",
+    "depolarize",
+    "bob",
+    "charlie",
+    "bob,charlie",
+    "charlie, bob,",
+)
+CONFIG_VALUES = st.one_of(
+    st.integers(-(2**65), 2**65),
+    st.floats(),  # NaN and both infinities included
+    st.booleans(),
+    st.sampled_from(CONFIG_WORDS),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES))
+def test_config_from_mapping_gives_a_config_or_a_config_error(mapping):
+    try:
+        config = config_from_mapping(mapping)
+    except ConfigError:
+        return
+    assert isinstance(config, SessionConfig)
 
 
 def test_config_from_mapping_defaults_attack_target_to_bob():
@@ -282,13 +330,36 @@ def test_flat_format_round_trips(values):
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def per_byte_hex(bits) -> str:
+    """Hex packing as a loop over bytes, most significant bit first and
+    the tail zero-padded: the reference for ``bits_to_hex``."""
+    out = []
+    for start in range(0, len(bits), 8):
+        byte = 0
+        for i, b in enumerate(bits[start : start + 8]):
+            byte |= b << (7 - i)
+        out.append(f"{byte:02x}")
+    return "".join(out)
+
+
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=80))
-def test_hex_packing_matches_packbits_and_round_trips(bits):
+def test_hex_packing_matches_the_per_byte_loop_and_round_trips(bits):
     bits = tuple(bits)
     hex_string = bits_to_hex(bits)
-    assert hex_string == np.packbits(np.array(bits, dtype=np.uint8)).tobytes().hex()
+    assert hex_string == per_byte_hex(bits)
+    assert bits_to_hex(np.array(bits, dtype=np.uint8)) == hex_string
     assert hex_to_bits(hex_string, len(bits)) == bits
+
+
+@pytest.mark.parametrize("make_config", [two_party_config, three_party_config])
+def test_sessions_never_build_round_records(make_config, monkeypatch):
+    # a session reads counts and keys off the phase columns
+    def refuse(*args):
+        raise AssertionError("a session built round records")
+
+    monkeypatch.setattr(protocol, "_records", refuse)
+    assert run_session(make_config()).outcome == OUTCOME_ESTABLISHED
 
 
 def test_summary_line_mentions_the_essentials():
