@@ -5,10 +5,12 @@ Two semantics live side by side, on purpose:
 * ``attack_levels`` samples an attack on pure-state trajectories inside
   a simulated session: it takes every round of a phase from the root of
   its branch tree (``linalg.Tree``) to the node of that round's attacked
-  state, one target at a time.  Randomness comes from the session's
-  seeded attack stream, and every readout and shift is memoised on the
-  tree, so sessions stay cheap and replayable.  ``make_attack_hook`` is
-  the same code for one round.  The entangle-probe's trajectory is the
+  state, one target at a time.  Readouts and shifts are 4x4 operators
+  at the target's position, built once per (kind, target); randomness
+  comes from the session's seeded attack stream, and every readout and
+  shift is memoised on the tree, so sessions stay cheap and replayable.
+  ``make_attack_hook`` is the same code for one round, as a map from
+  state to state.  The entangle-probe's trajectory is the
   computational readout: its probe copies the target's computational
   digit, so reading the probe makes the same draw and the same collapse.
 * ``predict`` evolves the channel's density matrix through the exact
@@ -36,7 +38,17 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DIM, Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
+from .linalg import (
+    DIM,
+    OperatorStack,
+    ProjectorSet,
+    RawWords,
+    StateVector,
+    Tree,
+    halves,
+    quarter,
+    uniforms,
+)
 
 # attacks measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -104,39 +116,31 @@ def _validate_targets(model: AttackModel, num_parties: int):
             raise ValueError(f"invalid attack target {t} for {num_parties} parties")
 
 
-def _shift_matrix(amount: int) -> np.ndarray:
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for j in range(DIM):
-        m[(j + amount) % DIM, j] = 1.0
-    return m
-
-
-def _attack_operators(model: AttackModel, num_parties: int) -> tuple:
-    """The embedded readout set per target (the key basis for a key
-    intercept, else the computational basis) and, for depolarize, the
-    embedded cyclic shifts of each target by 0..3.  Built per phase or
-    per hook, not kept: every attack shape's operators at once would hold
-    megabytes."""
-    if model.kind == "intercept-key":
+@functools.cache
+def _attack_operators(kind: str, target: int) -> tuple:
+    """The readout set on ``target`` (the key basis for a key intercept,
+    else the computational basis) and, for depolarize, the cyclic shifts
+    of ``target`` by 0..3 (else None), each a stack of 4x4 operators at
+    that position.  Local operators do not depend on the party count, so
+    they are built once per (kind, target) and shared read-only."""
+    if kind == "intercept-key":
         local = key_basis().projectors
     else:
         local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
-    sets = {t: ProjectorSet([embed(p, t, num_parties) for p in local]) for t in model.targets}
-    shifts = {}
-    if model.kind == "depolarize":
-        shifts = {
-            t: [embed(_shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets
-        }
-    return sets, shifts
+    shifts = None
+    if kind == "depolarize":
+        # shift a maps |j> to |j + a mod 4>
+        shifts = OperatorStack([np.roll(np.eye(DIM), a, axis=0) for a in range(DIM)], target)
+    return ProjectorSet(local, target), shifts
 
 
 def attack_levels(
     model: AttackModel, num_parties: int
 ) -> Callable[[Tree, np.random.Generator, int], np.ndarray]:
     """The attack as a map (tree, rng, num_rounds) -> node ids of that many
-    attacked copies of the tree's root state, with its operators built
-    once, here, so that every call measures on the same ``ProjectorSet``
-    objects and hits the nodes' caches.
+    attacked copies of the tree's root state.  Its operators are built
+    once per (kind, target), so that every call measures on the same
+    ``ProjectorSet`` objects and hits the tree's tables.
 
     The rounds are sampled one target at a time (``Tree``), with the same
     draws from ``rng`` as a round-by-round run: a measuring attack draws
@@ -148,15 +152,15 @@ def attack_levels(
     _validate_targets(model, num_parties)
     if model.kind == "none":
         return lambda tree, rng, num_rounds: np.zeros(num_rounds, dtype=np.intp)
-    sets, shifts = _attack_operators(model, num_parties)
     targets = model.targets
+    sets, shifts = zip(*(_attack_operators(model.kind, t) for t in targets))
 
     def levels(tree, rng, num_rounds):
         ids = np.zeros(num_rounds, dtype=np.intp)
         if model.kind != "depolarize":
             u = rng.random(num_rounds * len(targets)).reshape(num_rounds, len(targets))
-            for j, t in enumerate(targets):
-                level = [sets[t]]
+            for j, readout in enumerate(sets):
+                level = [readout]
                 ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
             return ids
         # decouple a gated target by a computational readout, then
@@ -164,14 +168,12 @@ def attack_levels(
         # over rounds this replaces the target's marginal with the
         # maximally mixed state
         hit, u, fresh = _depolarize_draws(rng, num_rounds, len(targets), model.strength)
-        for j, t in enumerate(targets):
+        for j, (readout, shift) in enumerate(zip(sets, shifts)):
             rows = np.flatnonzero(hit[:, j])
-            level = [sets[t]]
+            level = [readout]
             outcomes = tree.draw(ids[rows], level, u[rows, j])
             measured = tree.children(ids[rows], level, outcomes)
-            amounts = (fresh[rows, j] - outcomes) % DIM
-            keys = [(t, a) for a in range(DIM)]
-            ids[rows] = tree.evolved(measured, amounts, keys, shifts[t])
+            ids[rows] = tree.evolved(measured, shift, (fresh[rows, j] - outcomes) % DIM)
         return ids
 
     return levels
@@ -179,16 +181,15 @@ def attack_levels(
 
 def make_attack_hook(
     model: AttackModel, num_parties: int
-) -> Callable[[Node, np.random.Generator], Node]:
-    """The attack as a one-round map on branch tree nodes: the hook samples
-    one row of ``attack_levels`` on a tree rooted at the node it is given
-    and returns the node of the attacked state, so matrix work happens
-    only the first time a round reaches a node."""
+) -> Callable[[StateVector, np.random.Generator], StateVector]:
+    """The attack as a one-round map from state to state: the hook samples
+    one row of ``attack_levels`` on a tree rooted at the state it is given
+    and returns the attacked state (the given one, if untouched)."""
     levels = attack_levels(model, num_parties)
 
-    def hook(node, rng):
-        tree = Tree(node)
-        return tree.nodes[levels(tree, rng, 1)[0]]
+    def hook(state, rng):
+        tree = Tree(state)
+        return tree.state(int(levels(tree, rng, 1)[0]))
 
     return hook
 

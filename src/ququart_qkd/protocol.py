@@ -6,11 +6,13 @@ auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack on the in-transit ququarts.  Each
 phase samples one branch tree (``linalg.Tree``) rooted at the channel
 state one level at a time for all rounds: the attack's targets
-(``attacks.attack_levels``), then each party.  So each (state, projector
-set) pair is measured once per phase, while every party draws from its
-own stream exactly the values a round-by-round run would draw: the key
-phase's are one bulk ``random`` per stream, the verification phase's
-are replayed from raw words.  Both phases keep their outcomes as one int
+(``attacks.attack_levels``), then each party.  Every party measures its
+own ququart, so its projector sets are 4x4 stacks at its position,
+built once per party count.  Each (state, projector set) pair is
+measured once per phase, while every party draws from its own stream
+exactly the values a round-by-round run would draw: the key phase's are
+one bulk ``random`` per stream, the verification phase's are replayed
+from raw words.  Both phases keep their outcomes as one int
 column per party: verification tallies them, and the key phase sifts,
 samples, scores and keys them whole.  Per-round ``records`` are built
 from the columns only when read.
@@ -33,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import Node, ProjectorSet, RawWords, Tree, embed, halves, quarter, uniforms
+from .linalg import ProjectorSet, RawWords, Tree, halves, quarter, uniforms
 
 # phases measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -232,9 +234,9 @@ def _menu(party_count: int):
 
 @functools.cache
 def _sign_projector_sets(party_count: int) -> MappingProxyType:
-    """Embedded (+1, -1) eigenprojector pairs per (position, observable);
-    None for the identity, which is never measured.  Built once per party
-    count and shared read-only."""
+    """(+1, -1) eigenprojector pairs per (position, observable), each a
+    (2, 4, 4) set at its position; None for the identity, which is never
+    measured.  Built once per party count and shared read-only."""
     sets = {}
     for pos in range(party_count):
         for name in _menu(party_count):
@@ -243,19 +245,15 @@ def _sign_projector_sets(party_count: int) -> MappingProxyType:
                 continue
             obs = check_observable(name)
             pair = (obs.plus_projector, obs.minus_projector)
-            sets[pos, name] = ProjectorSet([embed(p, pos, party_count) for p in pair])
+            sets[pos, name] = ProjectorSet(pair, pos)
     return MappingProxyType(sets)
 
 
 @functools.cache
 def _key_projector_sets(party_count: int) -> tuple:
-    """Embedded key-basis projectors per position, built once per party
-    count."""
-    kb = key_basis()
-    return tuple(
-        ProjectorSet([embed(p, pos, party_count) for p in kb.projectors])
-        for pos in range(party_count)
-    )
+    """The key-basis projectors as a (4, 4, 4) set per position, built once
+    per party count."""
+    return tuple(ProjectorSet(key_basis().projectors, pos) for pos in range(party_count))
 
 
 def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
@@ -332,7 +330,7 @@ def run_verification_phase(
     parties = _distinct_streams(spec, rngs)
     menu = _menu(spec.party_count)
     idle = menu.index("id") if "id" in menu else -1
-    tree = Tree(Node(spec.state))
+    tree = Tree(spec.state)
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
 
     draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
@@ -454,7 +452,7 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _distinct_streams(spec, rngs)
-    tree = Tree(Node(spec.state))
+    tree = Tree(spec.state)
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):

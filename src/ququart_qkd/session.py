@@ -40,6 +40,8 @@ OUTCOME_ABORT_VERIFY = "aborted-verification"
 OUTCOME_ABORT_QBER = "aborted-qber"
 OUTCOME_NO_PERMISSION = "no-permission"
 
+MAX_ROUNDS = int(np.iinfo(np.intp).max)
+
 TARGET_NAMES = {1: "bob", 2: "charlie"}
 TARGET_POSITIONS = {"bob": 1, "charlie": 2}
 
@@ -66,6 +68,9 @@ class SessionConfig:
             raise ConfigError(f"unknown protocol: {self.protocol!r}")
         if self.verification_rounds < 0 or self.key_rounds < 0:
             raise ConfigError("round counts must be >= 0")
+        # a phase holds a column per party with a row per round
+        if max(self.verification_rounds, self.key_rounds) > MAX_ROUNDS:
+            raise ConfigError(f"round counts must be at most {MAX_ROUNDS}")
         if not 0.0 <= self.sample_fraction < 1.0:
             raise ConfigError("sample_fraction must lie in [0, 1)")
         if not 0.0 <= self.qber_threshold < 1.0:

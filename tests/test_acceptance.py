@@ -21,7 +21,7 @@ from ququart_qkd.channels import (
     two_party_channel,
     verify_checks,
 )
-from ququart_qkd.linalg import embed, measure_projective
+from ququart_qkd.linalg import ProjectorSet, Tree, embed
 from ququart_qkd.observables import key_basis
 from ququart_qkd.protocol import (
     MessageBus,
@@ -186,12 +186,12 @@ def test_criterion_5_oracle_agreement_under_interception():
 def test_criterion_6_key_marginal_statistics():
     with _Criterion(6, "uniform key-basis marginal"):
         spec = two_party_channel()
-        projs = [embed(p, 0, 2) for p in key_basis().projectors]
+        projs = ProjectorSet([embed(p, 0, 2) for p in key_basis().projectors])
         rng = np.random.default_rng(404)
         n = 100000
-        counts = np.zeros(4, dtype=int)
-        for _ in range(n):
-            counts[measure_projective(spec.state, projs, rng).outcome_index] += 1
+        # one tree level of n rounds: the uniforms of n per-call draws
+        outcomes = Tree(spec.state).draw(np.zeros(n, dtype=np.intp), [projs], rng.random(n))
+        counts = np.bincount(outcomes, minlength=4)
         sigma = np.sqrt(0.25 * 0.75 / n)
         for count in counts:
             assert abs(count / n - 0.25) <= 4 * sigma

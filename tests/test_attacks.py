@@ -16,7 +16,7 @@ from ququart_qkd.attacks import (
     predict,
 )
 from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
-from ququart_qkd.linalg import DIM, Node, embed, measure_projective
+from ququart_qkd.linalg import DIM, embed, measure_projective
 from ququart_qkd.observables import key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     MessageBus,
@@ -187,7 +187,7 @@ def test_target_outside_channel_rejected():
 def test_none_hook_is_identity():
     spec = two_party_channel()
     hook = make_attack_hook(AttackModel(), 2)
-    assert hook(Node(spec.state), np.random.default_rng(0)).state is spec.state
+    assert hook(spec.state, np.random.default_rng(0)) is spec.state
 
 
 ALL_MODELS = [
@@ -205,7 +205,7 @@ def test_trajectories_stay_normalized(parties, model):
     hook = make_attack_hook(model, parties)
     rng = np.random.default_rng(31)
     for _ in range(40):
-        out = hook(Node(spec.state), rng).state
+        out = hook(spec.state, rng)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -215,7 +215,7 @@ def test_multi_target_trajectories_stay_normalized():
     for kind in (IRC, IRK, EP):
         hook = make_attack_hook(AttackModel(kind, targets=(1, 2)), 3)
         for _ in range(20):
-            out = hook(Node(spec.state), rng).state
+            out = hook(spec.state, rng)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_computational_intercept_collapses_to_basis_state():
     hook = make_attack_hook(AttackModel(IRC, targets=(1,)), 2)
     counts = {}
     for _ in range(2000):
-        out = hook(Node(spec.state), rng).state
+        out = hook(spec.state, rng)
         support = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
         assert len(support) == 1  # both sides collapse: the state is a product ket
         counts[int(support[0])] = counts.get(int(support[0]), 0) + 1
@@ -242,7 +242,7 @@ def test_entangle_probe_trajectory_reads_out_computational_value():
     rng = np.random.default_rng(5)
     hook = make_attack_hook(AttackModel(EP, targets=(1,)), 2)
     for _ in range(200):
-        out = hook(Node(spec.state), rng).state
+        out = hook(spec.state, rng)
         assert out.num_ququarts == 2
         support = np.flatnonzero(np.abs(out.amplitudes) > 1e-12)
         assert len(support) == 1
@@ -258,7 +258,7 @@ def test_key_intercept_pins_target_key_outcome():
     rng = np.random.default_rng(6)
     hook = make_attack_hook(AttackModel(IRK, targets=(1,)), 2)
     for _ in range(200):
-        out = hook(Node(spec.state), rng).state
+        out = hook(spec.state, rng)
         result = measure_projective(out, bob_projs, rng)
         assert result.probability == pytest.approx(1.0, abs=1e-12)
 
@@ -268,7 +268,7 @@ def test_depolarize_strength_zero_is_identity():
     rho = density(spec)
     model = AttackModel(DEP, targets=(1,), strength=0.0)
     np.testing.assert_allclose(attack_channel(model, rho, 2), rho, atol=1e-15)
-    out = make_attack_hook(model, 2)(Node(spec.state), np.random.default_rng(0)).state
+    out = make_attack_hook(model, 2)(spec.state, np.random.default_rng(0))
     np.testing.assert_allclose(out.amplitudes, spec.state.amplitudes, atol=1e-15)
 
 

@@ -3,15 +3,20 @@
 The reference below is the session path as it was before the tree: every
 round drew its choices and uniforms by per-call ``integers`` and
 ``random``, measured fresh ``StateVector`` objects with a per-call
-stacked product, and the attack hooks mapped states to states.  From
-equal seeds the level-by-level verification and key phases must give
-identical records, tallies, transcripts and outcomes, and leave every
-named stream in an identical state.  A per-round walk down the tree
+stacked product of full-register operators built here with ``embed``,
+and the attack hooks mapped states to states.  From equal seeds the
+level-by-level verification and key phases, which apply 4x4 operators
+at a position, must give identical records, tallies, transcripts and
+outcomes, and leave every named stream in an identical state.  Every
+row of the trees that sessions grow has bit-identical branches,
+probabilities and children under the library's local operators and
+their ``embed``-ed counterparts.  A per-round walk down the tree
 (``walk_round``) shows that the level sampler builds only the nodes a
 walk builds, and the key tree's exact leaf weights give ``predict``'s
 qber.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,20 +24,20 @@ import pytest
 from inverse_cdf import draw_index
 
 from ququart_qkd import attacks, protocol
-from ququart_qkd.attacks import AttackModel, make_attack_hook, predict
+from ququart_qkd.attacks import ATTACK_KINDS, AttackModel, attack_levels, predict
 from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import (
     DIM,
     MeasurementResult,
-    Node,
     ProjectorSet,
     StateVector,
     Tree,
+    apply_at,
     embed,
     ket,
     measure_projective,
 )
-from ququart_qkd.observables import key_basis, key_bit_errors
+from ququart_qkd.observables import check_observable, key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     DISCARD_MISMATCH,
     PARTY_ORDER,
@@ -52,6 +57,32 @@ from ququart_qkd.session import _named_streams
 
 # ---------------------------------------------------------------------------
 # reference: the per-round sampler and state-to-state hooks
+
+
+@functools.cache
+def dense_sign_sets(num_parties):
+    """Embedded (+1, -1) eigenprojector pairs per (position, observable);
+    None for the identity."""
+    menu = TWO_PARTY_MENU if num_parties == 2 else THREE_PARTY_MENU
+    sets = {}
+    for pos in range(num_parties):
+        for name in menu:
+            if name == "id":
+                sets[pos, name] = None
+                continue
+            obs = check_observable(name)
+            pair = (obs.plus_projector, obs.minus_projector)
+            sets[pos, name] = ProjectorSet([embed(p, pos, num_parties) for p in pair])
+    return sets
+
+
+@functools.cache
+def dense_key_sets(num_parties):
+    """Embedded key-basis projectors per position."""
+    return tuple(
+        ProjectorSet([embed(p, pos, num_parties) for p in key_basis().projectors])
+        for pos in range(num_parties)
+    )
 
 
 def per_call_measure_projective(psi, projectors, rng):
@@ -128,7 +159,7 @@ def per_round_verification_phase(spec, rounds, model, rngs, bus):
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
-    sign_sets = _sign_projector_sets(n)
+    sign_sets = dense_sign_sets(n)
     hook = reference_hook(model, n)
     expected = {c.operators: c.expected for c in spec.checks}
     tallies = {c.name: [0, 0] for c in spec.checks}
@@ -169,7 +200,7 @@ def reference_phases(spec, rounds, model, rngs, permits):
     hook = reference_hook(model, n)
     parties = PARTY_ORDER[:n]
     key = [
-        reference_measure_round(hook(spec.state, rngs["attack"]), _key_projector_sets(n), parties, rngs)
+        reference_measure_round(hook(spec.state, rngs["attack"]), dense_key_sets(n), parties, rngs)
         for _ in range(rounds)
     ]
     if not permits:
@@ -235,28 +266,101 @@ def test_tree_walk_matches_per_round_reference(parties, model):
 
 
 def test_measure_projective_matches_per_call_reference():
+    # the library's 4x4 sets at a position against the embedded sets
     spec = make_channel(3)
-    sets = [s for s in _sign_projector_sets(3).values() if s is not None]
-    for seed, projectors in enumerate(sets + list(_key_projector_sets(3))):
+    local = _sign_projector_sets(3)
+    pairs = [(s, dense_sign_sets(3)[key]) for key, s in local.items() if s is not None]
+    pairs += zip(_key_projector_sets(3), dense_key_sets(3))
+    for seed, (projectors, dense) in enumerate(pairs):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(50):
             a = measure_projective(spec.state, projectors, fast)
-            b = per_call_measure_projective(spec.state, projectors, slow)
+            b = per_call_measure_projective(spec.state, dense, slow)
             assert (a.outcome_index, a.probability) == (b.outcome_index, b.probability)
             np.testing.assert_array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
+
+
+def built_in_stacks(num_parties):
+    """Every operator stack a session of ``num_parties`` measures or
+    applies: the check pairs and key sets per position, and each attack
+    kind's readout set and shifts per target."""
+    stacks = [s for s in _sign_projector_sets(num_parties).values() if s is not None]
+    stacks += _key_projector_sets(num_parties)
+    for kind in ATTACK_KINDS[1:]:
+        for target in range(1, num_parties):
+            stacks += [s for s in attacks._attack_operators(kind, target) if s is not None]
+    return stacks
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_cached_session_operators_are_read_only_local_stacks(parties):
+    stacks = built_in_stacks(parties)
+    assert len(stacks) == len(set(map(id, stacks)))
+    for stack in stacks:
+        assert stack.stack.ndim == 3 and stack.stack.shape[1:] == (DIM, DIM)
+        assert not stack.stack.flags.writeable
+        assert 0 <= stack.position < parties
+    # built once: a second call returns the same objects
+    assert [id(s) for s in built_in_stacks(parties)] == [id(s) for s in stacks]
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    CASES,
+    ids=[f"{p}-{m.kind}{list(m.targets)}s{m.strength}" for p, m in CASES],
+)
+def test_local_products_equal_embedded_products_on_session_trees(parties, model, monkeypatch):
+    spec = make_channel(parties)
+    trees = []
+
+    def recording_tree(root):
+        trees.append(Tree(root))
+        return trees[-1]
+
+    monkeypatch.setattr(protocol, "Tree", recording_tree)
+    rngs = _named_streams(2)
+    verification_phase(spec, 300, model, rngs)
+    run_key_phase(spec, 300, model, rngs)
+    stacks = built_in_stacks(parties)
+    dense = {s: np.array([embed(m, s.position, parties) for m in s.stack]) for s in stacks}
+    for tree in trees:
+        rows = tree.amplitudes[: tree.size]
+        ids = np.arange(tree.size)
+        for stack in stacks:
+            # (k, rows, 4**n) under both operators; the embedded stack acts on
+            # one state at a time, as the session path once did
+            local = apply_at(stack.stack[:, None], stack.position, rows)
+            embedded = np.stack([dense[stack] @ row for row in rows], axis=1)
+            assert np.array_equal(local, embedded)
+            if isinstance(stack, ProjectorSet):
+                probs = np.square(embedded.view(float)).sum(axis=-1).T
+                assert np.array_equal(tree.probabilities(ids, stack), probs)
+        # every child the session built, from its node by the dense product
+        for stack, kids in tree._kids.items():
+            nodes, picks = np.nonzero(kids[: tree.size])
+            for node, pick, kid in zip(nodes, picks, kids[nodes, picks]):
+                child = dense[stack][pick] @ rows[node]
+                if isinstance(stack, ProjectorSet):
+                    child = child / math.sqrt(np.square(child.view(float)).sum())
+                assert np.array_equal(rows[kid], child)
 
 
 # ---------------------------------------------------------------------------
 # the tree itself
 
 
-def draw(node, projectors, rng):
-    """One measurement of ``node``: a one-row level of a tree rooted at it."""
-    return int(Tree(node).draw(np.zeros(1, dtype=np.intp), [projectors], rng.random(1))[0])
+def draw(tree, node, projectors, rng):
+    """One measurement of ``node``: a one-row level of ``tree``."""
+    return int(tree.draw(np.array([node]), [projectors], rng.random(1))[0])
 
 
-def walk_round(node, projector_sets, parties, rngs) -> tuple:
-    """Outcome indices of one round as a walk down the tree from ``node``:
+def child(tree, node, projectors, outcome):
+    """The node of ``outcome``'s post-measurement state of ``node``."""
+    return int(tree.children(np.array([node]), [projectors], np.array([outcome]))[0])
+
+
+def walk_round(tree, node, projector_sets, parties, rngs) -> tuple:
+    """Outcome indices of one round as a walk down ``tree`` from ``node``:
     each party in turn measures the node its predecessors left, drawing
     from its own stream.  A None set is the identity slot: it reads
     outcome 0 and draws nothing.  A drawn branch's node is built only when
@@ -268,52 +372,50 @@ def walk_round(node, projector_sets, parties, rngs) -> tuple:
             outcomes.append(0)
             continue
         if last is not None:
-            node = node.child(*last)
-        outcome = draw(node, projectors, rngs[party])
+            node = child(tree, node, *last)
+        outcome = draw(tree, node, projectors, rngs[party])
         outcomes.append(outcome)
         last = projectors, outcome
     return tuple(outcomes)
 
 
-def count_nodes(node):
-    return 1 + sum(count_nodes(child) for child in node._next.values())
-
-
 def test_children_are_memoised_and_built_only_when_measured_again():
     spec = make_channel(2)
     key_sets = _key_projector_sets(2)
-    root = Node(spec.state)
+    tree = Tree(spec.state)
     rngs = _named_streams(1)
     for _ in range(200):
-        walk_round(root, key_sets, PARTY_ORDER[:2], rngs)
+        walk_round(tree, 0, key_sets, PARTY_ORDER[:2], rngs)
     # Alice's four outcomes each lead to one node; Bob's last measurement
     # of each round builds none
-    assert count_nodes(root) == 1 + 4
-    k = draw(root, key_sets[0], rngs["alice"])
-    assert root.child(key_sets[0], k) is root.child(key_sets[0], k)
+    assert tree.size == 1 + 4
+    k = draw(tree, 0, key_sets[0], rngs["alice"])
+    assert child(tree, 0, key_sets[0], k) == child(tree, 0, key_sets[0], k)
+    assert tree.size == 1 + 4
 
 
-def walk_verification(root, spec, rounds, model, rngs):
-    """The verification phase's rounds as a walk down ``root``'s tree, one
-    round at a time."""
+def walk_verification(tree, spec, rounds, model, rngs):
+    """The verification phase's rounds as a walk down ``tree``, one round
+    at a time, each attacked by a one-row attack level from the root."""
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
-    hook = make_attack_hook(model, n)
+    levels = attack_levels(model, n)
     for _ in range(rounds):
-        node = hook(root, rngs["attack"])
+        node = int(levels(tree, rngs["attack"], 1)[0])
         choices = [menu[int(rngs[p].integers(len(menu)))] for p in parties]
         sets = [_sign_projector_sets(n)[pos, name] for pos, name in enumerate(choices)]
-        walk_round(node, sets, parties, rngs)
+        walk_round(tree, node, sets, parties, rngs)
 
 
-def walk_key(root, spec, rounds, model, rngs):
-    """The key phase's rounds as a walk down ``root``'s tree, one round at
-    a time."""
+def walk_key(tree, spec, rounds, model, rngs):
+    """The key phase's rounds as a walk down ``tree``, one round at a
+    time."""
     n = spec.party_count
-    hook = make_attack_hook(model, n)
+    levels = attack_levels(model, n)
     for _ in range(rounds):
-        walk_round(hook(root, rngs["attack"]), _key_projector_sets(n), PARTY_ORDER[:n], rngs)
+        node = int(levels(tree, rngs["attack"], 1)[0])
+        walk_round(tree, node, _key_projector_sets(n), PARTY_ORDER[:n], rngs)
 
 
 def run_key_phase(spec, rounds, model, rngs):
@@ -351,9 +453,12 @@ def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, phase, wal
 
     monkeypatch.setattr(protocol, "Tree", recording_tree)
     phase(spec, 300, model, _named_streams(3))
-    root = Node(spec.state)
-    walk(root, spec, 300, model, _named_streams(3))
-    assert count_nodes(trees[0].nodes[0]) == len(trees[0].nodes) == count_nodes(root)
+    walked = Tree(spec.state)
+    walk(walked, spec, 300, model, _named_streams(3))
+    assert trees[0].size == walked.size
+    # the same states, built in another order
+    rows = [sorted(map(bytes, t.amplitudes[: t.size])) for t in (trees[0], walked)]
+    assert rows[0] == rows[1]
 
 
 class AboveTotal:
@@ -370,14 +475,14 @@ def test_zero_probability_branch_raises_on_every_draw():
     for sample in (measure_projective, per_call_measure_projective):
         with pytest.raises(RuntimeError):
             sample(ket(0), comp, AboveTotal())
-    node = Node(ket(0))
+    tree = Tree(ket(0))
     for _ in range(3):
         # memoisation must not turn the first failure into a silent hit
         with pytest.raises(RuntimeError):
-            draw(node, comp, AboveTotal())
+            draw(tree, 0, comp, AboveTotal())
         with pytest.raises(RuntimeError):
-            walk_round(node, [comp], ("alice",), {"alice": AboveTotal()})
-    assert draw(node, comp, np.random.default_rng(0)) == 0
+            walk_round(tree, 0, [comp], ("alice",), {"alice": AboveTotal()})
+    assert draw(tree, 0, comp, np.random.default_rng(0)) == 0
 
 
 @pytest.mark.parametrize("parties", [2, 3])
@@ -397,10 +502,10 @@ def test_key_phase_level_draw_raises_on_a_zero_weight_last_branch(parties):
 # the key tree's exact law
 
 
-def branches(node, projectors):
+def branches(tree, node, projectors):
     """(outcome, probability) of every branch the sampler can draw: one
     whose amplitude is below 1e-9 raises there, and weighs under 1e-18."""
-    probs = node.probabilities(projectors)
+    probs = tree.probabilities(np.array([node]), projectors)[0].tolist()
     return [(k, p) for k, p in enumerate(probs) if math.sqrt(p) >= 1e-9]
 
 
@@ -411,35 +516,36 @@ def key_leaf_weights(spec, model):
     keeps its state with weight 1 - s or, with weight s, is read out and
     re-prepared as each fresh digit with weight 1/4."""
     n = spec.party_count
-    sets, shifts = attacks._attack_operators(model, n) if model.kind != "none" else ({}, {})
-    attacked = [(1.0, Node(spec.state))]
+    tree = Tree(spec.state)
+    attacked = [(1.0, 0)]
     for t in model.targets:
+        readout, shifts = attacks._attack_operators(model.kind, t)
         spread = []
         for weight, node in attacked:
             if model.kind == "depolarize":
                 spread.append(((1.0 - model.strength) * weight, node))
-            for k, p in branches(node, sets[t]):
-                measured = node.child(sets[t], k)
+            for k, p in branches(tree, node, readout):
+                measured = child(tree, node, readout, k)
                 if model.kind != "depolarize":
                     spread.append((weight * p, measured))
                     continue
                 for fresh in range(DIM):
-                    amount = (fresh - k) % DIM
-                    shifted = measured.evolved((t, amount), shifts[t][amount])
+                    amount = np.array([(fresh - k) % DIM])
+                    shifted = int(tree.evolved(np.array([measured]), shifts, amount)[0])
                     spread.append((weight * p * model.strength / DIM, shifted))
         attacked = spread
     leaves = [(weight, node, ()) for weight, node in attacked]
     *earlier, last = _key_projector_sets(n)
     for projectors in earlier:
         leaves = [
-            (weight * p, node.child(projectors, k), outcomes + (k,))
+            (weight * p, child(tree, node, projectors, k), outcomes + (k,))
             for weight, node, outcomes in leaves
-            for k, p in branches(node, projectors)
+            for k, p in branches(tree, node, projectors)
         ]
     return [
         (weight * p, outcomes + (k,))
         for weight, node, outcomes in leaves
-        for k, p in branches(node, last)
+        for k, p in branches(tree, node, last)
     ]
 
 

@@ -234,6 +234,16 @@ def test_mistyped_config_values_exit_one(capsys, tmp_path, line):
         assert "line 3" in err and "key_rounds" in err
 
 
+@pytest.mark.parametrize("key", ["verification_rounds", "key_rounds"])
+def test_round_counts_beyond_an_index_exit_one(capsys, tmp_path, key):
+    config = tmp_path / "huge.config"
+    config.write_text(f"{key} = 1e30\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 1
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_repeat_below_one_exits_one(capsys):
     code, out, err = run_cli(capsys, "run", "--verification-rounds", "10", "--repeat", "0")
     assert code == 1

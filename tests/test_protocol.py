@@ -270,8 +270,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
-        "from ququart_qkd.linalg import (apply, embed, inner, ket, measure_projective,\n"
-        "    state_from_amplitudes)\n"
+        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply, apply_at, embed,\n"
+        "    inner, ket, measure_projective, state_from_amplitudes)\n"
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
         "    run_key_phase_controlled, run_key_phase_two_party, run_verification_phase)\n"
@@ -301,6 +301,12 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "    'all-zero amplitudes': lambda: state_from_amplitudes([0, 0, 0, 0], 1),\n"
         "    'embed position 2 of 2': lambda: embed(np.eye(4), 2, 2),\n"
         "    'embed a 2x2 local operator': lambda: embed(np.eye(2), 0, 2),\n"
+        "    'a register stack at position 1': lambda: ProjectorSet([np.eye(16)], 1),\n"
+        "    'a stack at position -1': lambda: OperatorStack([np.eye(4)], -1),\n"
+        "    'a stack at position 2 of 2': lambda: apply_at(\n"
+        "        np.eye(4)[None], 2, ket(0, 2).amplitudes),\n"
+        "    'measure at position 2 of 2': lambda: measure_projective(\n"
+        "        ket(0, 2), ProjectorSet([np.eye(4)], 2), _named_streams(0)['alice']),\n"
         "    'apply a 16x16 operator to one ququart': lambda: apply(np.eye(16), ket(0)),\n"
         "    'inner of one and two ququarts': lambda: inner(ket(0), ket(0, 2)),\n"
         "    'observable of shape 2x2': lambda: Observable('bad', np.eye(2)),\n"

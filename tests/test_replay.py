@@ -15,7 +15,7 @@ import pytest
 
 from ququart_qkd.attacks import AttackModel, _depolarize_draws
 from ququart_qkd.channels import make_channel
-from ququart_qkd.linalg import DIM, Node, ProjectorSet, Tree, ket
+from ququart_qkd.linalg import DIM, ProjectorSet, Tree, ket
 from ququart_qkd.protocol import (
     MessageBus,
     _menu_draws,
@@ -131,7 +131,7 @@ def test_level_draw_raises_on_a_zero_weight_last_branch():
     # |0> under the computational set: a uniform of 1.0 lies above the
     # rounded total and falls through to the zero-weight last branch
     comp = ProjectorSet([np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)])
-    tree = Tree(Node(ket(0)))
+    tree = Tree(ket(0))
     rows = np.zeros(3, dtype=np.intp)
     for _ in range(2):
         # a cached law must not turn the first failure into a silent hit

@@ -48,6 +48,11 @@ def test_config_validation():
         SessionConfig(verification_rounds=-1)
     with pytest.raises(ConfigError):
         SessionConfig(key_rounds=-5)
+    limit = int(np.iinfo(np.intp).max)  # the largest index numpy takes
+    for key in ("verification_rounds", "key_rounds"):
+        SessionConfig(**{key: limit})
+        with pytest.raises(ConfigError):
+            SessionConfig(**{key: limit + 1})
     with pytest.raises(ConfigError):
         SessionConfig(sample_fraction=1.0)
     with pytest.raises(ConfigError):

@@ -7,7 +7,10 @@ rounds (qber threshold 0.6, so attacked keys are emitted); 0, 1, 101, 200
 and 300 key rounds at sample fractions 0.1 and 0.5; seeds 11-13.  The 0-
 and 1-key-round edge rows run attack-free after 60 verification rounds
 and under every attack after none, so attacked key phases meet their
-empty and single-round cases.  An odd verification round count leaves
+empty and single-round cases.  One row per attack runs 1000
+verification rounds, so its branch tree grows to hundreds of nodes and
+its tables and amplitude array grow several times.  An odd verification
+round count leaves
 each party's generator holding a buffered half-word, which only the
 three-party blind guess reads.  Two checkouts that print the same lines
 produce byte-identical reports, config for config:
@@ -39,6 +42,7 @@ SEEDS = (11, 12, 13)
 # (verification rounds, key rounds, sample fraction)
 PHASES = ((60, 300, 0.1), (0, 200, 0.5), (61, 101, 0.5))
 EDGE_PHASES = [(k, f) for k in (0, 1) for f in (0.1, 0.5)]
+LARGE_PHASE = (1000, 300, 0.1)
 
 
 def grid():
@@ -62,6 +66,8 @@ def grid():
         for variant in attacked:
             for phases in EDGE_PHASES:
                 yield (protocol, *variant, 0, *phases, SEEDS[0])
+        for variant in attacked:
+            yield (protocol, *variant, *LARGE_PHASE, SEEDS[0])
 
 
 def oracle_grid():
