@@ -165,14 +165,6 @@ def check_residuals(spec: ChannelSpec) -> dict[str, float]:
     return out
 
 
-def verify_checks(spec: ChannelSpec) -> float:
-    """Maximum residual over the channel's check list.
-
-    A clean channel returns < 1e-12; a corrupted one returns order 1.
-    """
-    return max(check_residuals(spec).values())
-
-
 @dataclass(frozen=True)
 class SubspaceCertificate:
     """Orthonormal basis of the joint eigenspace intersection.

@@ -122,37 +122,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if repeat < 1:
         raise ConfigError("--repeat must be >= 1")
     if repeat == 1:
-        report = run_session(config)
-        if config.report_path:
-            emit_report(report, config.report_path)
-        print(report.summary_line())
-        return EXIT_BY_OUTCOME[report.outcome]
+        reports = [run_session(config)]
+    else:
+        # fan out independent seeds; results come back in seed order.
+        # The pool is imported here so that single runs do not pay for it.
+        from concurrent.futures import ProcessPoolExecutor
 
-    # fan out independent seeds; results are merged back in seed order.
-    # The pool is imported here so that single runs do not pay for it.
-    from concurrent.futures import ProcessPoolExecutor
-
-    configs = [with_seed(config, config.seed + i) for i in range(repeat)]
-    with ProcessPoolExecutor() as pool:
-        reports = list(pool.map(run_session, configs))
+        configs = [with_seed(config, config.seed + i) for i in range(repeat)]
+        with ProcessPoolExecutor() as pool:
+            reports = list(pool.map(run_session, configs))
     if config.report_path:
-        sections = []
-        for i, rep in enumerate(reports):
-            sections.append(f"# run {i} seed={rep.config.seed}\n" + format_report(rep))
-        try:
-            with open(config.report_path, "w", encoding="ascii") as fh:
-                fh.write("\n".join(sections))
-        except OSError as exc:
-            raise OSError(f"cannot write report to {config.report_path}: {exc}") from exc
-    worst = 0
+        if repeat == 1:
+            text = format_report(reports[0])
+        else:
+            text = "\n".join(
+                f"# run {i} seed={rep.config.seed}\n" + format_report(rep)
+                for i, rep in enumerate(reports)
+            )
+        emit_report(text, config.report_path)
+    codes = set()
     for rep in reports:
         print(rep.summary_line())
-        code = EXIT_BY_OUTCOME[rep.outcome]
-        if code == 2:
-            worst = 2
-        elif code == 3 and worst != 2:
-            worst = 3
-    return worst
+        codes.add(EXIT_BY_OUTCOME[rep.outcome])
+    # an abort outweighs a withheld permission, which outweighs success
+    return 2 if 2 in codes else 3 if 3 in codes else 0
 
 
 def _cmd_verify_channel(args: argparse.Namespace) -> int:

@@ -1,9 +1,9 @@
 """Dense complex linear algebra over registers of four-level systems.
 
-Everything here is small and exact-friendly: states live on 4**n amplitudes
-(n <= 4 in practice), operators are plain numpy matrices, and projective
-measurement draws from an explicit seeded generator so runs replay
-bit-for-bit.  An ``OperatorStack`` is a read-only stack of 4x4 operators
+Everything here is small and exact-friendly: states are normalized and
+live on 4**n amplitudes (n <= 4 in practice), operators are plain numpy
+matrices, and projective measurement draws from an explicit seeded
+generator so runs replay bit-for-bit.  An ``OperatorStack`` is a read-only stack of 4x4 operators
 on one ququart, named by its position, or of full-register operators at
 position 0; ``apply_at`` applies it to a batch of state rows by one
 ``matmul`` over the acted-on axis, so no register operator is built
@@ -53,17 +53,15 @@ MAP_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of ``num_ququarts`` four-level systems.
+    """Normalized pure state of ``num_ququarts`` four-level systems.
 
     Amplitudes are stored as a read-only complex vector of length
-    4**num_ququarts.  Unnormalized vectors are only legal when flagged
-    explicitly (the subspace solver and raw operator application need
-    them); every protocol-facing state is normalized.
+    4**num_ququarts whose norm lies within NORM_TOL of 1; every state the
+    library builds is normalized, so there is no unnormalized kind.
     """
 
     num_ququarts: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         # user-reachable through ket and state_from_amplitudes: checked by
@@ -73,11 +71,10 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (DIM**self.num_ququarts,):
             raise ValueError(f"amplitude shape must be (4**n,), got {amps.shape}")
-        if self.normalized:
-            nrm2 = float(np.vdot(amps, amps).real)
-            # written so that a NaN amplitude fails the check too
-            if not abs(nrm2 - 1.0) < NORM_TOL:
-                raise ValueError(f"state not normalized: |psi|^2 = {nrm2}")
+        nrm2 = float(np.vdot(amps, amps).real)
+        # written so that a NaN amplitude fails the check too
+        if not abs(nrm2 - 1.0) < NORM_TOL:
+            raise ValueError(f"state not normalized: |psi|^2 = {nrm2}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -121,35 +118,10 @@ def tensor(a, b):
     tensor(|0>, |1>) = |01> (amplitude 1 at index 1).
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            a.num_ququarts + b.num_ququarts,
-            np.kron(a.amplitudes, b.amplitudes),
-            normalized=a.normalized and b.normalized,
-        )
+        return StateVector(a.num_ququarts + b.num_ququarts, np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return np.kron(a, b)
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def apply(op: np.ndarray, psi: StateVector) -> StateVector:
-    """Matrix-vector product without renormalization.
-
-    The result is flagged unnormalized unless its norm happens to be 1,
-    so eigen-equation residuals can be formed without tripping the
-    normalization invariant.
-    """
-    if op.shape != (psi.dim, psi.dim):
-        raise ValueError(f"operator shape {op.shape} does not act on dimension {psi.dim}")
-    out = op @ psi.amplitudes
-    nrm2 = float(np.vdot(out, out).real)
-    return StateVector(psi.num_ququarts, out, normalized=abs(nrm2 - 1.0) < NORM_TOL)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def embed(local: np.ndarray, position: int, num_ququarts: int) -> np.ndarray:

@@ -6,9 +6,11 @@ real ``float64`` matrix; the joint check matrices built from them are real
 too, which lets the uniqueness certificate use a real symmetric solver.
 The four-vector key basis {phi+, phi-, psi+, psi-} drives key generation;
 it is built once and shared, with every array read-only.  A key outcome
-is coded into two classical bits: the parity bit (phi = 0, psi = 1) and
-the phase bit (+ = 0, - = 1).  The sifting rule of both protocols
-(``sift``) works on these indices.
+is its index in that order, coded into two classical bits: the parity bit
+(phi = 0, psi = 1, ``index >> 1``) and the phase bit (+ = 0, - = 1,
+``index & 1``).  The sifting rule of both protocols (``sift``) works on
+these indices, one or a column at a time; ``outcome_from_index`` labels a
+single index.
 """
 
 from __future__ import annotations
@@ -122,10 +124,6 @@ def outcome_from_index(index: int) -> KeyOutcome:
     return KeyOutcome(KEY_LABELS[index], parity, phase)
 
 
-def outcome_from_bits(parity_bit: int, phase_bit: int) -> KeyOutcome:
-    return outcome_from_index(2 * parity_bit + phase_bit)
-
-
 def sift(indices):
     """The key both ends should hold after one key round, as the pair
     (reference, estimate) of key-basis indices, whose bits are (parity,
@@ -184,15 +182,3 @@ def key_basis() -> KeyBasis:
     for array in vectors + projectors:
         array.setflags(write=False)
     return KeyBasis(vectors, projectors)
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of [a, b] for equal-dimension matrices.
-
-    Zero means the two joint check operators are simultaneously
-    measurable; the three-party check set contains pairs where this is
-    genuinely nonzero, which is harmless because a verification round
-    only ever measures one matched operator triple.
-    """
-    assert a.shape == b.shape, "dimension mismatch"
-    return float(np.linalg.norm(a @ b - b @ a))

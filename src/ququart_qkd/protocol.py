@@ -12,10 +12,9 @@ built once per party count.  Each (state, projector set) pair is
 measured once per phase, while every party draws from its own stream
 exactly the values a round-by-round run would draw: the key phase's are
 one bulk ``random`` per stream, the verification phase's are replayed
-from raw words.  Both phases keep their outcomes as one int
-column per party: verification tallies them, and the key phase sifts,
-samples, scores and keys them whole.  Per-round ``records`` are built
-from the columns only when read.
+from raw words.  Both phases keep their outcomes only as one int column
+per party, a row per round: verification tallies them, and the key phase
+sifts, samples, scores and keys them whole.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -29,7 +28,6 @@ error rate, and the rest become key bits by the sifting rule
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -39,15 +37,10 @@ from .linalg import ProjectorSet, RawWords, Tree, halves, quarter, uniforms
 
 # phases measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
-from .observables import (
-    KEY_LABELS,
-    KeyOutcome,
-    check_observable,
-    key_basis,
-    key_bit_errors,
-    outcome_from_index,
-    sift,
-)
+from .observables import KEY_LABELS, check_observable, key_basis, key_bit_errors, sift
+
+# phases code key outcomes as indices; outcome_from_index stays bound for benchmark tracing
+from .observables import outcome_from_index  # noqa: F401
 from .channels import ChannelSpec
 from .attacks import AttackModel, attack_levels
 
@@ -64,9 +57,6 @@ THREE_PARTY_MENU = ("sx", "ex", "oz", "id")
 
 # the announced sign of a check's outcome index; the identity reads 0
 SIGNS = (+1, -1)
-
-DISCARD_MISMATCH = "operator-mismatch"
-DISCARD_SAMPLE = "sample-consumed"
 
 
 @dataclass(frozen=True)
@@ -100,32 +90,6 @@ class MessageBus:
 
     def post(self, message: ClassicalMessage):
         self.transcript.append(message)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Per-round log entry; kept=False always carries a discard reason."""
-
-    index: int
-    phase: str
-    choices: tuple
-    outcomes: tuple
-    kept: bool
-    discard_reason: str | None = None
-
-    def __post_init__(self):
-        assert self.phase in ("verify", "key")
-        if not self.kept:
-            assert self.discard_reason in (DISCARD_MISMATCH, DISCARD_SAMPLE)
-
-
-def _records(phase: str, choices, outcomes, kept: np.ndarray, reason: str) -> tuple:
-    """RoundRecords from per-round choice and outcome tuples and the kept
-    column; a round not kept carries ``reason``."""
-    return tuple(
-        RoundRecord(index, phase, c, o, k, None if k else reason)
-        for index, (c, o, k) in enumerate(zip(choices, outcomes, kept.tolist()))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +149,8 @@ class CheckTally:
 class VerificationSummary:
     """A verification phase's outcome, held as columns: per party, the
     menu code of its choice and its outcome index in every round, and per
-    round whether it matched a check.  ``records`` are built from them
-    on first read."""
+    round whether it matched a check; a round that matched none is
+    discarded."""
 
     menu: tuple
     choices: tuple  # per party, (rounds,) menu codes
@@ -205,12 +169,6 @@ class VerificationSummary:
     @property
     def total_violations(self) -> int:
         return sum(t.violations for t in self.tallies.values())
-
-    @functools.cached_property
-    def records(self) -> tuple:
-        choices = zip(*(map(self.menu.__getitem__, c.tolist()) for c in self.choices))
-        outcomes = zip(*(map(SIGNS.__getitem__, column.tolist()) for column in self.outcomes))
-        return _records("verify", choices, outcomes, self.kept, DISCARD_MISMATCH)
 
 
 def _party_positions(spec: ChannelSpec):
@@ -398,7 +356,7 @@ def run_verification_phase(
 class KeyPhase:
     """A key phase's outcome, held as columns: per party its key-basis
     outcome index in every round, and per round whether the public sample
-    consumed it.  ``records`` are built from them on first read."""
+    consumed it; the rounds not consumed give the keys."""
 
     outcomes: tuple  # per party, (rounds,) key-basis outcome indices
     consumed: np.ndarray  # (rounds,) revealed in the public sample
@@ -416,13 +374,6 @@ class KeyPhase:
     @property
     def kept(self) -> int:
         return self.rounds - self.sampled
-
-    @functools.cached_property
-    def records(self) -> tuple:
-        coded = [outcome_from_index(i) for i in range(len(KEY_LABELS))]
-        outcomes = zip(*(map(coded.__getitem__, column.tolist()) for column in self.outcomes))
-        choices = itertools.repeat(("key",) * len(self.outcomes))
-        return _records("key", choices, outcomes, ~self.consumed, DISCARD_SAMPLE)
 
 
 def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, bus, reveal):
@@ -513,12 +464,6 @@ def run_key_phase_two_party(
         spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, bus, (ALICE, (0, 1), None)
     )
     return KeyPhaseTwoParty(**phase, alice_key=alice_key, bob_key=bob_key)
-
-
-def deduce_third_outcome(a: KeyOutcome, b: KeyOutcome) -> KeyOutcome:
-    """XOR law of the three-party channel: the third party's bits are the
-    XOR of the other two parties' bits, bitwise."""
-    return outcome_from_index(a.index ^ b.index)
 
 
 @dataclass(frozen=True, eq=False)

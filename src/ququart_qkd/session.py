@@ -83,6 +83,8 @@ class SessionConfig:
                 raise ConfigError(
                     f"attack target {TARGET_NAMES.get(t, t)} invalid for {self.protocol}"
                 )
+        if party_count == 2 and not self.alice_permits:
+            raise ConfigError("withholding permission needs the three-party protocol")
 
     @property
     def party_count(self) -> int:
@@ -349,9 +351,8 @@ def format_report(report: SessionReport) -> str:
     return format_flat(report_items(report))
 
 
-def emit_report(report: SessionReport, path: str):
-    """Write the report file; failures carry the path in the message."""
-    text = format_report(report)
+def emit_report(text: str, path: str):
+    """Write a report file's text; failures carry the path in the message."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -391,7 +392,7 @@ def config_from_mapping(mapping: dict) -> SessionConfig:
     try:
         attack = AttackModel(
             kind=kind,
-            targets=tuple(sorted(set(targets))) if kind != "none" else (),
+            targets=tuple(sorted(set(targets))),
             strength=_typed(mapping, "attack_strength", 0.0, float),
         )
     except ValueError as exc:

@@ -19,7 +19,6 @@ from ququart_qkd.channels import (
     stabilized_subspace,
     three_party_channel,
     two_party_channel,
-    verify_checks,
 )
 from ququart_qkd.linalg import ProjectorSet, Tree, embed
 from ququart_qkd.observables import key_basis
@@ -77,7 +76,6 @@ def test_criterion_1_eigen_equations():
             assert len(residuals) == 4
             for value in residuals.values():
                 assert value < 1e-12
-            assert verify_checks(spec) < 1e-12
         assert crit.elapsed < 1.0
 
 
@@ -115,17 +113,14 @@ def test_criterion_3_attack_free_two_party_session():
         assert report.key["keys_equal"] is True
         assert report.key["mismatch_count"] == 0
 
-        # record-level view of the same law: every sampled pair carries
+        # round-level view of the same law: every sampled pair carries
         # opposite parity and opposite phase bits
         phase = run_key_phase_two_party(
             two_party_channel(), 10000, 0.1, 0.0, AttackModel(), streams(101), MessageBus()
         )
-        sampled = [r for r in phase.records if not r.kept]
-        assert len(sampled) == 1000
-        for record in sampled:
-            a, b = record.outcomes
-            assert a.parity_bit != b.parity_bit
-            assert a.phase_bit != b.phase_bit
+        a, b = (column[phase.consumed] for column in phase.outcomes)
+        assert len(a) == 1000
+        assert (a >> 1 != b >> 1).all() and (a & 1 != b & 1).all()
         assert phase.qber == 0.0
         assert phase.alice_key == phase.bob_key
         assert crit.elapsed < 30.0
@@ -206,8 +201,8 @@ def test_criterion_7_deterministic_reports(tmp_path):
         second = run_session(config)
         assert format_report(first) == format_report(second)
         path_a, path_b = tmp_path / "a.report", tmp_path / "b.report"
-        emit_report(first, str(path_a))
-        emit_report(second, str(path_b))
+        emit_report(format_report(first), str(path_a))
+        emit_report(format_report(second), str(path_b))
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -215,7 +210,7 @@ def test_criterion_8_corrupted_channel_negative_control():
     with _Criterion(8, "corrupted-channel negative control"):
         for parties in (2, 3):
             bad = corrupt_channel(make_channel(parties))
-            assert verify_checks(bad) > 0.1
+            assert max(check_residuals(bad).values()) > 0.1
         report = run_session(
             SessionConfig(
                 protocol="two-party",

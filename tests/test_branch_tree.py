@@ -6,8 +6,10 @@ round drew its choices and uniforms by per-call ``integers`` and
 stacked product of full-register operators built here with ``embed``,
 and the attack hooks mapped states to states.  From equal seeds the
 level-by-level verification and key phases, which apply 4x4 operators
-at a position, must give identical records, tallies, transcripts and
-outcomes, and leave every named stream in an identical state.  Every
+at a position, must give outcome columns that read as the reference's
+rounds (each round's choices, announced signs and kept flag, and the key
+outcomes), identical tallies and transcripts, and leave every named
+stream in an identical state.  Every
 row of the trees that sessions grow has bit-identical branches,
 probabilities and children under the library's local operators and
 their ``embed``-ed counterparts.  A per-round walk down the tree
@@ -39,14 +41,13 @@ from ququart_qkd.linalg import (
 )
 from ququart_qkd.observables import check_observable, key_basis, key_bit_errors
 from ququart_qkd.protocol import (
-    DISCARD_MISMATCH,
     PARTY_ORDER,
+    SIGNS,
     THREE_PARTY_MENU,
     TWO_PARTY_MENU,
     CheckTally,
     ClassicalMessage,
     MessageBus,
-    RoundRecord,
     _key_projector_sets,
     _sign_projector_sets,
     run_key_phase_controlled,
@@ -154,8 +155,9 @@ def reference_hook(model, num_parties):
 
 def per_round_verification_phase(spec, rounds, model, rngs, bus):
     """The verification phase as a loop over rounds, each drawing its
-    choices and uniforms by per-call ``integers`` and ``random``: records,
-    tallies and matched count, with the announcements posted to ``bus``."""
+    choices and uniforms by per-call ``integers`` and ``random``: each
+    round's (choices, announced signs, kept), the tallies and the matched
+    count, with the announcements posted to ``bus``."""
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
@@ -163,7 +165,7 @@ def per_round_verification_phase(spec, rounds, model, rngs, bus):
     hook = reference_hook(model, n)
     expected = {c.operators: c.expected for c in spec.checks}
     tallies = {c.name: [0, 0] for c in spec.checks}
-    records = []
+    rounds_read = []
     matched = 0
     announcements = {p: [] for p in parties}
     for index in range(rounds):
@@ -174,24 +176,21 @@ def per_round_verification_phase(spec, rounds, model, rngs, bus):
         outcomes = tuple(-1 if k else +1 for k in indices)
         for p, name, value in zip(parties, choices, outcomes):
             announcements[p].append((index, name, value))
-        if choices in expected:
+        kept = choices in expected
+        if kept:
             matched += 1
             tallies["_".join(choices)][0] += 1
             if int(np.prod(outcomes)) != expected[choices]:
                 tallies["_".join(choices)][1] += 1
-            records.append(RoundRecord(index, "verify", choices, outcomes, True))
-        else:
-            records.append(
-                RoundRecord(index, "verify", choices, outcomes, False, DISCARD_MISMATCH)
-            )
+        rounds_read.append((choices, outcomes, kept))
     for p in parties:
         bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements[p]}))
     tallies = {name: CheckTally(r, v) for name, (r, v) in tallies.items()}
-    return tuple(records), tallies, matched
+    return rounds_read, tallies, matched
 
 
 def reference_phases(spec, rounds, model, rngs, permits):
-    """The verification phase's records, tallies, matched count and
+    """The verification phase's rounds, tallies, matched count and
     transcript, then the key outcome indices (and, without permission,
     Bob's blind guesses)."""
     bus = MessageBus()
@@ -211,7 +210,10 @@ def reference_phases(spec, rounds, model, rngs, permits):
 def tree_phases(spec, rounds, model, rngs, permits):
     bus = MessageBus()
     summary = run_verification_phase(spec, rounds, model, rngs, bus)
-    verify = summary.records, summary.tallies, summary.matched
+    # each round's choices by name, announced signs and kept flag
+    names = zip(*(map(summary.menu.__getitem__, c.tolist()) for c in summary.choices))
+    signs = zip(*(map(SIGNS.__getitem__, c.tolist()) for c in summary.outcomes))
+    verify = list(zip(names, signs, summary.kept.tolist())), summary.tallies, summary.matched
     assert summary.rounds == rounds
     assert summary.discarded == rounds - summary.matched
     transcript = [m.serialize() for m in bus.transcript]
@@ -220,7 +222,7 @@ def tree_phases(spec, rounds, model, rngs, permits):
         phase = run_key_phase_two_party(spec, rounds, 0.0, 1.0, model, rngs, bus)
     else:
         phase = run_key_phase_controlled(spec, rounds, 0.0, 1.0, permits, model, rngs, bus)
-    key = [tuple(o.index for o in r.outcomes) for r in phase.records]
+    key = list(zip(*(column.tolist() for column in phase.outcomes)))
     return verify, transcript, key
 
 
@@ -258,7 +260,7 @@ def test_tree_walk_matches_per_round_reference(parties, model):
         permits = parties == 2 or rounds % 2 == 0
         tree = tree_phases(spec, rounds, model, tree_rngs, permits)
         reference = reference_phases(spec, rounds, model, ref_rngs, permits)
-        assert tree[0] == reference[0], "verification records or tallies differ"
+        assert tree[0] == reference[0], "verification rounds or tallies differ"
         assert tree[1] == reference[1], "transcripts differ"
         assert tree[2] == reference[2], "key outcomes differ"
         for name in ref_rngs:

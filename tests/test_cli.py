@@ -189,18 +189,14 @@ def test_config_file_with_flag_overrides(capsys, tmp_path):
 
 
 def test_config_errors_exit_one(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "run",
-        "--protocol",
-        "two-party",
-        "--attack",
-        "intercept-computational",
-        "--attack-target",
-        "charlie",
-    )
-    assert code == 1
-    assert "config error" in err
+    for argv in (
+        ("--protocol", "two-party", "--attack", "intercept-computational", "--attack-target", "charlie"),
+        ("--attack-target", "charlie"),  # a target without an attack
+        ("--no-permission",),  # withheld permission on the two-party protocol
+    ):
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert code == 1, argv
+        assert "config error" in err and out == "", argv
 
 
 def test_unknown_config_key_exits_one(capsys, tmp_path):

@@ -8,9 +8,7 @@ from ququart_qkd.linalg import (
     MeasurementResult,
     ProjectorSet,
     StateVector,
-    apply,
     embed,
-    inner,
     ket,
     measure_projective,
     tensor,
@@ -34,13 +32,11 @@ def test_state_vector_rejects_wrong_length():
         StateVector(2, np.zeros(4, dtype=complex))
 
 
-def test_state_vector_rejects_unnormalized_unless_flagged():
+def test_state_vector_rejects_unnormalized():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 2.0
     with pytest.raises(ValueError):
         StateVector(1, amps)
-    unflagged = StateVector(1, amps, normalized=False)
-    assert unflagged.amplitudes[0] == 2.0
 
 
 def test_amplitudes_are_read_only():
@@ -84,31 +80,6 @@ def test_tensor_is_associative():
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
     np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
-
-
-def test_apply_identity_and_dimension_check():
-    psi = ket(2, 1)
-    out = apply(np.eye(DIM, dtype=complex), psi)
-    np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
-    with pytest.raises(ValueError):
-        apply(np.eye(16, dtype=complex), psi)
-
-
-def test_apply_flags_unnormalized_results():
-    proj = np.zeros((DIM, DIM), dtype=complex)
-    proj[0, 0] = 1.0
-    half = apply(proj, StateVector(1, np.full(DIM, 0.5, dtype=complex)))
-    assert not half.normalized
-
-
-def test_inner_conjugate_linear_first_argument():
-    a = StateVector(1, np.array([1j, 0, 0, 0]) / 1.0)
-    b = ket(0, 1)
-    assert inner(a, b) == pytest.approx(-1j)
-    assert inner(b, a) == pytest.approx(1j)
-    assert inner(ket(0, 1), ket(1, 1)) == 0
-    with pytest.raises(ValueError):
-        inner(ket(0, 1), ket(0, 2))
 
 
 def test_embed_positions():
@@ -163,9 +134,8 @@ def test_measure_probability_matches_projected_norm():
 def test_projector_branches_are_orthogonal():
     kb = key_basis()
     psi = StateVector(1, np.ones(DIM, dtype=complex) / 2.0)
-    first = apply(kb.projectors[0], psi)
-    crossed = apply(kb.projectors[1], first)
-    assert np.linalg.norm(crossed.amplitudes) < 1e-10
+    crossed = kb.projectors[1] @ (kb.projectors[0] @ psi.amplitudes)
+    assert np.linalg.norm(crossed) < 1e-10
 
 
 def test_conditional_collapse_pins_partner_outcome():

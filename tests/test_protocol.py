@@ -6,21 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ququart_qkd import protocol
 from ququart_qkd.attacks import AttackModel
 from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
-from ququart_qkd.observables import outcome_from_bits, outcome_from_index
+from ququart_qkd.observables import KEY_LABELS, outcome_from_index, sift
 from ququart_qkd.protocol import (
-    DISCARD_MISMATCH,
-    DISCARD_SAMPLE,
     PARTY_ORDER,
+    SIGNS,
     THREE_PARTY_MENU,
     TWO_PARTY_MENU,
     ClassicalMessage,
     MessageBus,
-    RoundRecord,
     SiftedKey,
     compare_keys,
-    deduce_third_outcome,
     run_key_phase_controlled,
     run_key_phase_two_party,
     run_verification_phase,
@@ -37,6 +35,14 @@ def streams(seed):
     return {n: np.random.default_rng(s) for n, s in zip(names, seqs)}
 
 
+def verification_rounds(summary):
+    """Per round, read from the summary's columns: the parties' choices by
+    name, their announced signs and whether the round matched a check."""
+    names = zip(*(map(summary.menu.__getitem__, c.tolist()) for c in summary.choices))
+    signs = zip(*(map(SIGNS.__getitem__, c.tolist()) for c in summary.outcomes))
+    return list(zip(names, signs, summary.kept.tolist()))
+
+
 def test_message_serialization_is_canonical():
     msg = ClassicalMessage("alice", "sample-check-reveal", {"b": [1, 2], "a": {2: "x", 1: "y"}})
     assert msg.serialize() == "sender=alice kind=sample-check-reveal a=1:y;2:x b=1,2"
@@ -49,14 +55,6 @@ def test_bus_is_fifo_and_keeps_transcript():
     bus.post(first)
     bus.post(second)
     assert bus.transcript == [first, second]
-
-
-def test_round_record_requires_discard_reason():
-    RoundRecord(0, "verify", ("sx", "sx"), (1, -1), True)
-    with pytest.raises(AssertionError):
-        RoundRecord(0, "verify", ("sx", "sx"), (1, -1), False)
-    with pytest.raises(AssertionError):
-        RoundRecord(0, "spooky", ("sx", "sx"), (1, -1), True)
 
 
 def test_sifted_key_validation():
@@ -95,14 +93,16 @@ def test_compare_keys_reports_positions():
         compare_keys(a, SiftedKey((0, 0)))
 
 
-def test_deduce_third_outcome_xor_table():
+def test_xor_law_table_and_worked_examples():
+    # Bob's estimate of Charlie's outcome is Alice's and his own, bitwise XORed
     for a in range(4):
         for b in range(4):
-            d = deduce_third_outcome(outcome_from_index(a), outcome_from_index(b))
+            d = outcome_from_index(sift((a, b, 0))[1])
             assert d.parity_bit == (a // 2) ^ (b // 2)
             assert d.phase_bit == (a % 2) ^ (b % 2)
-    # worked example: phi+ with psi- deduces psi-
-    assert deduce_third_outcome(outcome_from_index(0), outcome_from_index(3)).label == "psi-"
+    # phi+ with psi- deduces psi-; psi+ with psi+ deduces phi+
+    assert KEY_LABELS[sift((0, 3, 0))[1]] == "psi-"
+    assert KEY_LABELS[sift((2, 2, 0))[1]] == "phi+"
 
 
 def test_two_party_verification_attack_free():
@@ -112,15 +112,14 @@ def test_two_party_verification_attack_free():
     assert summary.passed and not summary.vacuous
     assert summary.total_violations == 0
     assert summary.matched + summary.discarded == 1500
-    assert len(summary.records) == 1500
+    assert summary.rounds == 1500 and np.count_nonzero(summary.kept) == summary.matched
+    assert all(len(c) == 1500 for c in summary.choices + summary.outcomes)
     expected = {c.operators: c.expected for c in spec.checks}
-    for record in summary.records:
-        if record.kept:
-            assert record.choices in expected
-            assert int(np.prod(record.outcomes)) == expected[record.choices]
-        else:
-            assert record.discard_reason == DISCARD_MISMATCH
-            assert record.choices not in expected
+    for choices, signs, kept in verification_rounds(summary):
+        # a round is kept exactly when its choices are a listed check
+        assert kept == (choices in expected)
+        if kept:
+            assert int(np.prod(signs)) == expected[choices]
 
 
 def test_two_party_mismatch_rate_matches_menu_model():
@@ -133,11 +132,11 @@ def test_two_party_mismatch_rate_matches_menu_model():
 
 def test_verification_choices_come_from_the_menus():
     two = run_verification_phase(two_party_channel(), 300, NONE, streams(13), MessageBus())
-    for record in two.records:
-        assert all(name in TWO_PARTY_MENU for name in record.choices)
+    for choices, _, _ in verification_rounds(two):
+        assert all(name in TWO_PARTY_MENU for name in choices)
     three = run_verification_phase(three_party_channel(), 300, NONE, streams(13), MessageBus())
-    for record in three.records:
-        assert all(name in THREE_PARTY_MENU for name in record.choices)
+    for choices, _, _ in verification_rounds(three):
+        assert all(name in THREE_PARTY_MENU for name in choices)
 
 
 def test_three_party_verification_attack_free():
@@ -145,12 +144,13 @@ def test_three_party_verification_attack_free():
     assert summary.passed
     assert summary.total_violations == 0
     # identity slots always announce +1
-    for record in summary.records:
-        for name, value in zip(record.choices, record.outcomes):
+    rounds = verification_rounds(summary)
+    for choices, signs, _ in rounds:
+        for name, value in zip(choices, signs):
             assert value in (-1, +1)
             if name == "id":
                 assert value == +1
-    kept_kinds = {r.choices for r in summary.records if r.kept}
+    kept_kinds = {choices for choices, _, kept in rounds if kept}
     assert kept_kinds <= {
         ("sx", "sx", "sx"),
         ("oz", "oz", "oz"),
@@ -191,15 +191,11 @@ def test_two_party_key_phase_attack_free():
     assert phase.kept == 1800
     assert len(phase.alice_key) == 2 * phase.kept
     assert phase.alice_key == phase.bob_key
-    for record in phase.records:
-        a, b = record.outcomes
-        # the channel only ever pairs opposite parity with opposite phase
-        assert a.parity_bit != b.parity_bit
-        assert a.phase_bit != b.phase_bit
-        if not record.kept:
-            assert record.discard_reason == DISCARD_SAMPLE
-        if a.label == "psi-":
-            assert b.label == "phi+"
+    a, b = phase.outcomes
+    # the channel only ever pairs opposite parity with opposite phase
+    assert len(a) == len(b) == 2000
+    assert (a ^ b == 3).all()
+    assert (b[a == KEY_LABELS.index("psi-")] == KEY_LABELS.index("phi+")).all()
     kinds = [m.kind for m in bus.transcript]
     assert kinds == ["sample-check-request", "sample-check-reveal", "sample-check-reveal"]
 
@@ -209,36 +205,25 @@ def test_two_party_key_phase_attack_free():
     [(2, True, NONE), (2, True, IRC_BOB), (3, True, NONE), (3, False, NONE)],
     ids=["two-party", "two-party-intercept", "controlled", "controlled-no-permission"],
 )
-def test_key_records_match_the_per_round_construction(parties, permits, attack):
+def test_key_columns_match_the_transcript(parties, permits, attack):
     spec, bus = make_channel(parties), MessageBus()
     if parties == 2:
         phase = run_key_phase_two_party(spec, 301, 0.2, 0.0, attack, streams(27), bus)
     else:
         phase = run_key_phase_controlled(spec, 301, 0.2, 0.0, permits, attack, streams(27), bus)
-    assert "records" not in vars(phase)  # built on first read only
-    # the per-round construction the columns replaced: the sample is the
-    # one the transcript requested
+    # the consumed rounds are the sample the transcript requested
     requests = [m.payload["rounds"] for m in bus.transcript if m.kind == "sample-check-request"]
-    sample = set(requests[0]) if requests else set()
-    coded = [outcome_from_index(i) for i in range(4)]
-    choices = ("key",) * parties
-    want = []
-    for index, r in enumerate(zip(*(column.tolist() for column in phase.outcomes))):
-        outcomes = tuple(coded[k] for k in r)
-        if index in sample:
-            want.append(RoundRecord(index, "key", choices, outcomes, False, DISCARD_SAMPLE))
-        else:
-            want.append(RoundRecord(index, "key", choices, outcomes, True))
-    assert phase.records == tuple(want)
-    assert phase.records is phase.records
+    sample = requests[0] if requests else []
+    assert np.flatnonzero(phase.consumed).tolist() == sample
     assert len(sample) == phase.sampled == (60 if permits else 0)
     assert (phase.rounds, phase.kept) == (301, 301 - phase.sampled)
-    # every revealed label is the recorded outcome of its sender
+    assert [len(column) for column in phase.outcomes] == [301] * parties
+    # every revealed label is the outcome column's entry of its sender
     for message in bus.transcript:
         if message.kind.endswith("reveal"):
             pos = PARTY_ORDER.index(message.sender)
             for index, label in message.payload["outcomes"].items():
-                assert phase.records[index].outcomes[pos].label == label
+                assert KEY_LABELS[phase.outcomes[pos][index]] == label
 
 
 def test_two_party_key_phase_sampling_accounting():
@@ -247,8 +232,8 @@ def test_two_party_key_phase_sampling_accounting():
     )
     assert phase.sampled == 250
     assert phase.sampled + phase.kept == 1000
-    sampled_records = [r for r in phase.records if not r.kept]
-    assert len(sampled_records) == 250
+    assert np.count_nonzero(phase.consumed) == 250
+    assert len(phase.alice_key) == len(phase.bob_key) == 2 * 750
 
 
 @pytest.mark.parametrize(
@@ -270,8 +255,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
-        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply, apply_at, embed,\n"
-        "    inner, ket, measure_projective, state_from_amplitudes)\n"
+        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply_at, embed, ket,\n"
+        "    measure_projective, state_from_amplitudes)\n"
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
         "    run_key_phase_controlled, run_key_phase_two_party, run_verification_phase)\n"
@@ -307,8 +292,6 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "        np.eye(4)[None], 2, ket(0, 2).amplitudes),\n"
         "    'measure at position 2 of 2': lambda: measure_projective(\n"
         "        ket(0, 2), ProjectorSet([np.eye(4)], 2), _named_streams(0)['alice']),\n"
-        "    'apply a 16x16 operator to one ququart': lambda: apply(np.eye(16), ket(0)),\n"
-        "    'inner of one and two ququarts': lambda: inner(ket(0), ket(0, 2)),\n"
         "    'observable of shape 2x2': lambda: Observable('bad', np.eye(2)),\n"
         "    'non-Hermitian observable': lambda: Observable(\n"
         "        'bad', np.roll(np.eye(4), 1, axis=0)),\n"
@@ -364,9 +347,8 @@ def test_controlled_key_phase_with_permission():
     assert phase.deduction_accuracy == 1.0
     assert phase.bob_key == phase.charlie_key
     assert len(phase.charlie_key) == 2 * phase.kept
-    for record in phase.records:
-        a, b, c = record.outcomes
-        assert deduce_third_outcome(a, b) == c
+    a, b, c = phase.outcomes
+    assert (a ^ b == c).all()  # the XOR law, round for round
     kinds = [m.kind for m in bus.transcript]
     assert kinds == ["control-reveal", "sample-check-request", "sample-check-reveal"]
 
@@ -375,13 +357,10 @@ def test_controlled_key_phase_law_worked_example():
     phase = run_key_phase_controlled(
         three_party_channel(), 2000, 0.1, 0.0, True, NONE, streams(24), MessageBus()
     )
-    hits = 0
-    for record in phase.records:
-        a, b, c = record.outcomes
-        if a.label == "phi+" and b.label == "psi-":
-            hits += 1
-            assert c.label == "psi-"
-    assert hits > 50  # each (a, b) pair lands with probability 1/16
+    a, b, c = phase.outcomes
+    hits = (a == KEY_LABELS.index("phi+")) & (b == KEY_LABELS.index("psi-"))
+    assert (c[hits] == KEY_LABELS.index("psi-")).all()
+    assert np.count_nonzero(hits) > 50  # each (a, b) pair lands with probability 1/16
 
 
 def test_controlled_key_phase_without_permission():
@@ -403,10 +382,8 @@ def test_bob_marginal_is_flat_without_the_control_value():
     phase = run_key_phase_controlled(
         three_party_channel(), 8000, 0.1, 0.0, True, NONE, streams(26), MessageBus()
     )
-    counts = np.zeros((4, 4))
-    for record in phase.records:
-        _, b, c = record.outcomes
-        counts[b.index, c.index] += 1
+    _, b, c = phase.outcomes
+    counts = np.bincount(4 * b + c, minlength=16).reshape(4, 4)
     freqs = counts / counts.sum()
     sigma = np.sqrt((1 / 16) * (15 / 16) / counts.sum())
     assert np.all(np.abs(freqs - 1 / 16) <= 4 * sigma)
@@ -418,12 +395,22 @@ def test_phase_runs_are_reproducible():
             two_party_channel(), 300, 0.1, 0.0, NONE, streams(seed), MessageBus()
         )
 
-    assert run(42).records == run(42).records
+    def columns(phase):
+        return [column.tolist() for column in (*phase.outcomes, phase.consumed)]
+
+    assert columns(run(42)) == columns(run(42))
     assert run(42).alice_key == run(42).alice_key
-    assert run(42).records != run(43).records
+    assert columns(run(42)) != columns(run(43))
 
 
-def test_outcome_composition_example():
-    # a psi+ reading composed with a psi+ reading deduces phi+
-    psi_plus = outcome_from_bits(1, 0)
-    assert deduce_third_outcome(psi_plus, psi_plus).label == "phi+"
+def test_benchmark_tracer_bindings_still_resolve():
+    # the benchmark's tracer patches these module attributes; a deletion
+    # that breaks one would otherwise show only under its --trace 1 runs.
+    # The tracer's source is run here, so no byte code is written for it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    bindings = [(module, attr) for module, attr, _ in tracing["BINDINGS"]]
+    bindings.append((protocol, "make_attack_hook"))
+    for module, attr in bindings:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
