@@ -1,7 +1,17 @@
+import concurrent.futures
+
 import pytest
 
+from ququart_qkd import cli
 from ququart_qkd.cli import main
-from ququart_qkd.session import parse_flat
+from ququart_qkd.session import (
+    OUTCOME_ABORT_VERIFY,
+    OUTCOME_ESTABLISHED,
+    OUTCOME_NO_PERMISSION,
+    config_from_mapping,
+    parse_flat,
+    run_session,
+)
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +181,81 @@ def test_run_repeat_merges_reports(capsys, tmp_path):
     assert "# run 0 seed=7" in text
     assert "# run 1 seed=8" in text
     assert text.count("schema_version") == 2
+
+
+@pytest.mark.parametrize("repeat", ["1", "2"])
+def test_report_write_failure_names_the_path(capsys, repeat):
+    code, _, err = run_cli(
+        capsys,
+        "run",
+        "--verification-rounds",
+        "50",
+        "--key-rounds",
+        "50",
+        "--repeat",
+        repeat,
+        "--report",
+        "/nonexistent/run.report",
+    )
+    assert code == 1
+    assert err.startswith("error: cannot write report to /nonexistent/run.report")
+
+
+@pytest.fixture(scope="module")
+def reports_by_outcome():
+    """One real report per outcome: an attack-free two-party session, a
+    three-party session whose controller withholds permission, and an
+    intercepted session that fails verification."""
+    mappings = (
+        {"verification_rounds": 100, "key_rounds": 100, "seed": 7},
+        {
+            "protocol": "three-party",
+            "verification_rounds": 200,
+            "key_rounds": 200,
+            "alice_permits": False,
+            "seed": 2,
+        },
+        {
+            "verification_rounds": 500,
+            "key_rounds": 100,
+            "attack": "intercept-computational",
+            "seed": 1,
+        },
+    )
+    configs = [config_from_mapping(mapping) for mapping in mappings]
+    reports = [run_session(config) for config in configs]
+    return {report.outcome: report for report in reports}
+
+
+ESTABLISHED, NO_PERMISSION, ABORTED = OUTCOME_ESTABLISHED, OUTCOME_NO_PERMISSION, OUTCOME_ABORT_VERIFY
+
+
+@pytest.mark.parametrize(
+    "outcomes, code",
+    [
+        ((ESTABLISHED,), 0),
+        ((NO_PERMISSION,), 3),
+        ((ABORTED,), 2),
+        ((ESTABLISHED, ESTABLISHED), 0),
+        ((ESTABLISHED, NO_PERMISSION), 3),
+        ((NO_PERMISSION, ABORTED), 2),
+        ((ABORTED, ESTABLISHED, NO_PERMISSION), 2),
+    ],
+)
+def test_run_folds_exit_codes(capsys, monkeypatch, reports_by_outcome, outcomes, code):
+    # an abort outweighs a withheld permission, which outweighs success;
+    # for a single run the fold is the outcome's own exit code
+    reports = [reports_by_outcome[outcome] for outcome in outcomes]
+    monkeypatch.setattr(cli, "run_session", lambda config: reports[config.seed])
+    # threads share the stand-in above, which worker processes would not
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor
+    )
+    got, out, _ = run_cli(capsys, "run", "--seed", "0", "--repeat", str(len(outcomes)))
+    assert got == code
+    if len(outcomes) == 1:
+        assert got == cli.EXIT_BY_OUTCOME[outcomes[0]]
+    assert out.splitlines() == [report.summary_line() for report in reports]
 
 
 def test_config_file_with_flag_overrides(capsys, tmp_path):

@@ -8,6 +8,7 @@ from ququart_qkd.linalg import (
     MeasurementResult,
     ProjectorSet,
     StateVector,
+    apply_at,
     embed,
     ket,
     measure_projective,
@@ -80,6 +81,19 @@ def test_tensor_is_associative():
     left = tensor(tensor(a, b), c)
     right = tensor(a, tensor(b, c))
     np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-15)
+
+
+def test_apply_identity_and_dimension_check():
+    psi = ket(2, 1)
+    out = apply_at(np.eye(DIM, dtype=complex), 0, psi.amplitudes)
+    np.testing.assert_array_equal(out, psi.amplitudes)
+    pair = ket(6, 2).amplitudes
+    for position in (0, 1):
+        np.testing.assert_array_equal(apply_at(np.eye(DIM, dtype=complex), position, pair), pair)
+    with pytest.raises(ValueError):
+        apply_at(np.eye(16, dtype=complex), 0, psi.amplitudes)
+    with pytest.raises(ValueError):
+        apply_at(np.eye(DIM, dtype=complex), 1, psi.amplitudes)
 
 
 def test_embed_positions():

@@ -100,9 +100,8 @@ def test_xor_law_table_and_worked_examples():
             d = outcome_from_index(sift((a, b, 0))[1])
             assert d.parity_bit == (a // 2) ^ (b // 2)
             assert d.phase_bit == (a % 2) ^ (b % 2)
-    # phi+ with psi- deduces psi-; psi+ with psi+ deduces phi+
+    # worked example: phi+ with psi- deduces psi-
     assert KEY_LABELS[sift((0, 3, 0))[1]] == "psi-"
-    assert KEY_LABELS[sift((2, 2, 0))[1]] == "phi+"
 
 
 def test_two_party_verification_attack_free():
@@ -401,6 +400,12 @@ def test_phase_runs_are_reproducible():
     assert columns(run(42)) == columns(run(42))
     assert run(42).alice_key == run(42).alice_key
     assert columns(run(42)) != columns(run(43))
+
+
+def test_outcome_composition_example():
+    # a psi+ reading composed with a psi+ reading deduces phi+
+    psi_plus = KEY_LABELS.index("psi+")
+    assert KEY_LABELS[sift((psi_plus, psi_plus, 0))[1]] == "phi+"
 
 
 def test_benchmark_tracer_bindings_still_resolve():
