@@ -15,7 +15,10 @@ A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
 rows of one amplitude array, and per stack it keeps a table of branch
 probabilities and of child ids, so each (state, stack) pair is computed
-once.  A tree is sampled one level at a time for all rounds at once, by
+once.  A tree may outlive its phase: attack-free phases on the built-in
+channels share one per party count for the life of the process
+(``protocol``), while attacked and corrupt-channel phases build their
+own.  A tree is sampled one level at a time for all rounds at once, by
 one inverse-CDF rule, and a level computes its missing rows of one stack
 in batched products.  ``measure_projective`` is one row of such a level,
 by the same rule and product.  The uniforms are a stream's bulk draws,

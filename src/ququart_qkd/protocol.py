@@ -4,17 +4,26 @@ A session is a single logical thread.  Parties never share state; all
 classical coupling is posted to a message bus whose transcript makes runs
 auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack on the in-transit ququarts.  Each
-phase samples one branch tree (``linalg.Tree``) rooted at the channel
+phase samples a branch tree (``linalg.Tree``) rooted at the channel
 state one level at a time for all rounds: the attack's targets
 (``attacks.attack_levels``), then each party.  Every party measures its
 own ququart, so its projector sets are 4x4 stacks at its position,
 built once per party count.  Each (state, projector set) pair is
-measured once per phase, while every party draws from its own stream
+measured once per tree, while every party draws from its own stream
 exactly the values a round-by-round run would draw: the key phase's are
 one bulk ``random`` per stream, the verification phase's are replayed
 from raw words.  Both phases keep their outcomes only as one int column
 per party, a row per round: verification tallies them, and the key phase
 sifts, samples, scores and keys them whole.
+
+Attack-free phases on a built-in channel (``make_channel``) measure the
+same state with the same sets in every session, so they share one tree
+per party count, kept for the life of the process; it stops growing at
+13 rows for two parties and 69 for three.  Attacked and corrupt-channel
+phases build their own tree.  A tree only caches products, so a
+session's draws and report do not depend on what ran before it; but the
+shared tree is process state, so sessions in one process must run one at
+a time (``run --repeat`` runs its sessions in worker processes).
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -41,7 +50,7 @@ from .observables import KEY_LABELS, check_observable, key_basis, key_bit_errors
 
 # phases code key outcomes as indices; outcome_from_index stays bound for benchmark tracing
 from .observables import outcome_from_index  # noqa: F401
-from .channels import ChannelSpec
+from .channels import ChannelSpec, make_channel
 from .attacks import AttackModel, attack_levels
 
 # phases sample attack levels; make_attack_hook stays bound for benchmark tracing
@@ -214,6 +223,25 @@ def _key_projector_sets(party_count: int) -> tuple:
     return tuple(ProjectorSet(key_basis().projectors, pos) for pos in range(party_count))
 
 
+@functools.cache
+def _attack_free_tree(party_count: int) -> Tree:
+    """The branch tree of every attack-free phase on the built-in channel
+    of ``party_count`` parties, kept for the life of the process.  Its
+    children are keyed by (node, stack, pick) and only the cached
+    projector sets measure it, so it stops growing at the protocol's
+    bound: 13 rows for two parties, 69 for three."""
+    return Tree(make_channel(party_count).state)
+
+
+def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
+    """The tree a phase samples: the shared attack-free tree of a built-in
+    channel, else a fresh one.  Every probability and child is the same
+    product on the same bytes in either, so the draws are the same."""
+    if attack.kind == "none" and spec is make_channel(spec.party_count):
+        return _attack_free_tree(spec.party_count)
+    return Tree(spec.state)
+
+
 def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
     """One party's verification draws, replayed from raw words (``RawWords``).
 
@@ -288,7 +316,7 @@ def run_verification_phase(
     parties = _distinct_streams(spec, rngs)
     menu = _menu(spec.party_count)
     idle = menu.index("id") if "id" in menu else -1
-    tree = Tree(spec.state)
+    tree = _phase_tree(spec, attack)
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
 
     draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
@@ -403,7 +431,7 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _distinct_streams(spec, rngs)
-    tree = Tree(spec.state)
+    tree = _phase_tree(spec, attack)
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ququart_qkd import attacks
 from ququart_qkd.attacks import (
@@ -279,6 +281,31 @@ def test_attack_channels_preserve_trace_and_hermiticity():
             out = attack_channel(model, rho, parties)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
+
+
+@st.composite
+def attack_models(draw, parties):
+    """A random attack kind on a random sorted set of a ``parties``
+    channel's transit positions, at a random strength."""
+    kind = draw(st.sampled_from(attacks.ATTACK_KINDS))
+    if kind == "none":
+        return AttackModel()
+    targets = draw(st.sets(st.integers(1, parties - 1), min_size=1))
+    return AttackModel(kind, tuple(sorted(targets)), draw(st.floats(0.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(attack_models(2), attack_models(3))
+def test_attacked_states_and_predictions_stay_physical(two, three):
+    for parties, model in ((2, two), (3, three)):
+        spec = make_channel(parties)
+        out = attack_channel(model, density(spec), parties)
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+        pred = predict(model, spec)
+        for p in [*pred.violation.values(), pred.qber]:
+            assert 0.0 <= p <= 1.0
 
 
 def test_dephasing_channels_are_idempotent():

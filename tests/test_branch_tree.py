@@ -306,13 +306,10 @@ def test_cached_session_operators_are_read_only_local_stacks(parties):
     assert [id(s) for s in built_in_stacks(parties)] == [id(s) for s in stacks]
 
 
-@pytest.mark.parametrize(
-    "parties,model",
-    CASES,
-    ids=[f"{p}-{m.kind}{list(m.targets)}s{m.strength}" for p, m in CASES],
-)
-def test_local_products_equal_embedded_products_on_session_trees(parties, model, monkeypatch):
-    spec = make_channel(parties)
+def record_trees(monkeypatch) -> list:
+    """Every tree the phases build from now on, in build order.  The
+    attack-free trees are emptied first, so that an attack-free phase
+    builds its shared tree anew, and so records it."""
     trees = []
 
     def recording_tree(root):
@@ -320,9 +317,23 @@ def test_local_products_equal_embedded_products_on_session_trees(parties, model,
         return trees[-1]
 
     monkeypatch.setattr(protocol, "Tree", recording_tree)
+    protocol._attack_free_tree.cache_clear()
+    return trees
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    CASES,
+    ids=[f"{p}-{m.kind}{list(m.targets)}s{m.strength}" for p, m in CASES],
+)
+def test_local_products_equal_embedded_products_on_session_trees(parties, model, monkeypatch):
+    spec = make_channel(parties)
+    trees = record_trees(monkeypatch)
     rngs = _named_streams(2)
     verification_phase(spec, 300, model, rngs)
     run_key_phase(spec, 300, model, rngs)
+    # attack-free, both phases sample the one shared tree
+    assert len(trees) == (1 if model.kind == "none" else 2)
     stacks = built_in_stacks(parties)
     dense = {s: np.array([embed(m, s.position, parties) for m in s.stack]) for s in stacks}
     for tree in trees:
@@ -447,14 +458,9 @@ LEVEL_MODELS = [
 )
 def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, phase, walk, monkeypatch):
     spec = make_channel(parties)
-    trees = []
-
-    def recording_tree(root):
-        trees.append(Tree(root))
-        return trees[-1]
-
-    monkeypatch.setattr(protocol, "Tree", recording_tree)
+    trees = record_trees(monkeypatch)
     phase(spec, 300, model, _named_streams(3))
+    assert len(trees) == 1
     walked = Tree(spec.state)
     walk(walked, spec, 300, model, _named_streams(3))
     assert trees[0].size == walked.size

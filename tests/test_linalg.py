@@ -8,6 +8,7 @@ from ququart_qkd.linalg import (
     MeasurementResult,
     ProjectorSet,
     StateVector,
+    Tree,
     apply_at,
     embed,
     ket,
@@ -173,13 +174,12 @@ def test_conditional_collapse_pins_partner_outcome():
 
 def test_key_marginal_frequencies_match_binomial_model():
     spec = two_party_channel()
-    kb = key_basis()
-    projs = [embed(p, 0, 2) for p in kb.projectors]
+    projs = ProjectorSet([embed(p, 0, 2) for p in key_basis().projectors])
     rng = np.random.default_rng(2024)
     n = 20000
-    counts = np.zeros(4, dtype=int)
-    for _ in range(n):
-        counts[measure_projective(spec.state, projs, rng).outcome_index] += 1
+    # one tree level of n rounds: the uniforms of n per-call draws
+    outcomes = Tree(spec.state).draw(np.zeros(n, dtype=np.intp), [projs], rng.random(n))
+    counts = np.bincount(outcomes, minlength=4)
     sigma = np.sqrt(0.25 * 0.75 / n)
     for c in counts:
         assert abs(c / n - 0.25) <= 4 * sigma
