@@ -15,6 +15,7 @@ permission, 1 usage/config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -116,21 +117,33 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
     return mapping
 
 
+def _cores() -> int:
+    # what ProcessPoolExecutor() sizes its pool by on this Python
+    return getattr(os, "process_cpu_count", os.cpu_count)() or 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = config_from_mapping(_mapping_from_args(args))
     repeat = args.repeat
     if repeat < 1:
         raise ConfigError("--repeat must be >= 1")
-    if repeat == 1:
-        reports = [run_session(config)]
+    configs = [with_seed(config, config.seed + i) for i in range(repeat)]
+    # The calling process is one of the cores: it runs the first share of
+    # the seeds itself, after handing the rest to one worker per other
+    # core; each process runs its sessions one at a time, and reports
+    # stay in seed order.  The pool is imported only when it is built, so
+    # runs without workers do not pay for the import.
+    workers = min(repeat, _cores()) - 1
+    own = -(-repeat // (workers + 1))
+    if workers == 0:
+        reports = [run_session(c) for c in configs]
     else:
-        # fan out independent seeds; results come back in seed order.
-        # The pool is imported here so that single runs do not pay for it.
         from concurrent.futures import ProcessPoolExecutor
 
-        configs = [with_seed(config, config.seed + i) for i in range(repeat)]
-        with ProcessPoolExecutor() as pool:
-            reports = list(pool.map(run_session, configs))
+        with ProcessPoolExecutor(workers) as pool:
+            rest = pool.map(run_session, configs[own:])
+            reports = [run_session(c) for c in configs[:own]]
+            reports += rest
     if config.report_path:
         if repeat == 1:
             text = format_report(reports[0])
@@ -207,7 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one session (or --repeat N sessions)")
     _add_session_flags(run_p)
-    run_p.add_argument("--repeat", type=int, default=1, help="fan out N seeds in parallel")
+    run_p.add_argument(
+        "--repeat",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run N seeds from --seed on: this process runs the first share, one "
+        "worker per other core the rest, each one session at a time",
+    )
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify-channel", help="residuals and uniqueness certificates")

@@ -23,7 +23,8 @@ per party count, kept for the life of the process; it stops growing at
 phases build their own tree.  A tree only caches products, so a
 session's draws and report do not depend on what ran before it; but the
 shared tree is process state, so sessions in one process must run one at
-a time (``run --repeat`` runs its sessions in worker processes).
+a time (``run --repeat`` runs a share of its seeds in the calling process
+and the rest in worker processes, each process one session at a time).
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's

@@ -26,6 +26,7 @@ from ququart_qkd.protocol import (
     run_key_phase_two_party,
     run_verification_phase,
 )
+from test_branch_tree import key_leaf_weights
 
 IRC = "intercept-computational"
 IRK = "intercept-key"
@@ -306,6 +307,40 @@ def test_attacked_states_and_predictions_stay_physical(two, three):
         pred = predict(model, spec)
         for p in [*pred.violation.values(), pred.qber]:
             assert 0.0 <= p <= 1.0
+
+
+@functools.cache
+def embedded_key_projectors(parties):
+    """Each party's four key-basis projectors lifted to the full register."""
+    return [[embed(p, pos, parties) for p in key_basis().projectors] for pos in range(parties)]
+
+
+def key_basis_law(model, spec):
+    """{key outcome indices: tr(rho' P_k)}, with rho' the attacked channel
+    state and P_k the product of the parties' embedded key projectors."""
+    parties = spec.party_count
+    rho = attack_channel(model, density(spec), parties)
+    law = {}
+    for outcomes in itertools.product(range(DIM), repeat=parties):
+        projector = functools.reduce(
+            np.matmul, (embedded_key_projectors(parties)[pos][k] for pos, k in enumerate(outcomes))
+        )
+        law[outcomes] = float(np.trace(rho @ projector).real)
+    return law
+
+
+@settings(deadline=None, max_examples=40)
+@given(attack_models(2), attack_models(3))
+def test_key_tree_leaves_sum_to_the_key_basis_law(two, three):
+    # the branch tree's leaves against the density-matrix channel: two
+    # independent computations of the key phase's joint outcome law
+    for parties, model in ((2, two), (3, three)):
+        spec = make_channel(parties)
+        law = dict.fromkeys(itertools.product(range(DIM), repeat=parties), 0.0)
+        for weight, outcomes in key_leaf_weights(spec, model):
+            law[outcomes] += weight
+        want = key_basis_law(model, spec)
+        assert max(abs(law[k] - want[k]) for k in want) <= 1e-12, model
 
 
 def test_dephasing_channels_are_idempotent():

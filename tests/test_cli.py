@@ -1,4 +1,10 @@
 import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +246,14 @@ ESTABLISHED, NO_PERMISSION, ABORTED = OUTCOME_ESTABLISHED, OUTCOME_NO_PERMISSION
         ((ESTABLISHED, NO_PERMISSION), 3),
         ((NO_PERMISSION, ABORTED), 2),
         ((ABORTED, ESTABLISHED, NO_PERMISSION), 2),
+        # on two cores the caller runs the first ceil(K / 2) seeds and the
+        # worker the rest: the deciding outcome from either share
+        ((ABORTED, ESTABLISHED, ESTABLISHED), 2),
+        ((ESTABLISHED, ESTABLISHED, ABORTED), 2),
+        ((NO_PERMISSION, ESTABLISHED, ESTABLISHED), 3),
+        ((ESTABLISHED, ESTABLISHED, NO_PERMISSION), 3),
+        ((ESTABLISHED, NO_PERMISSION, ESTABLISHED, ESTABLISHED), 3),
+        ((ESTABLISHED, NO_PERMISSION, ESTABLISHED, ABORTED), 2),
     ],
 )
 def test_run_folds_exit_codes(capsys, monkeypatch, reports_by_outcome, outcomes, code):
@@ -247,6 +261,7 @@ def test_run_folds_exit_codes(capsys, monkeypatch, reports_by_outcome, outcomes,
     # for a single run the fold is the outcome's own exit code
     reports = [reports_by_outcome[outcome] for outcome in outcomes]
     monkeypatch.setattr(cli, "run_session", lambda config: reports[config.seed])
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
     # threads share the stand-in above, which worker processes would not
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor
@@ -256,6 +271,98 @@ def test_run_folds_exit_codes(capsys, monkeypatch, reports_by_outcome, outcomes,
     if len(outcomes) == 1:
         assert got == cli.EXIT_BY_OUTCOME[outcomes[0]]
     assert out.splitlines() == [report.summary_line() for report in reports]
+
+
+@pytest.mark.parametrize(
+    "cores, repeat, pools, own",
+    [
+        (1, 1, [], 1),
+        (1, 3, [], 3),
+        (2, 1, [], 1),
+        (2, 2, [1], 1),
+        (2, 3, [1], 2),
+        (2, 5, [1], 3),
+        (3, 5, [2], 2),
+        (8, 1, [], 1),
+        (8, 3, [2], 1),
+    ],
+)
+def test_run_repeat_splits_seeds_between_caller_and_workers(
+    capsys, monkeypatch, reports_by_outcome, cores, repeat, pools, own
+):
+    """The calling thread runs the first ``own`` seeds; a pool of
+    ``min(repeat, cores) - 1`` workers, built only when that is not 0,
+    runs the rest; every seed runs exactly once."""
+    built, ran = [], []
+    report = reports_by_outcome[ESTABLISHED]
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    def session(config):
+        ran.append((config.seed, threading.get_ident()))
+        return report
+
+    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    monkeypatch.setattr(cli, "run_session", session)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run_cli(capsys, "run", "--seed", "40", "--repeat", str(repeat))
+    assert code == 0
+    assert out.count("outcome=key-established") == repeat
+    assert built == pools
+    assert sorted(seed for seed, _ in ran) == list(range(40, 40 + repeat))
+    caller = threading.get_ident()
+    assert sorted(seed for seed, thread in ran if thread == caller) == list(range(40, 40 + own))
+
+
+def test_run_repeat_leaves_no_worker_running(capsys, monkeypatch, tmp_path):
+    # a real pool of one worker beside the calling process
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
+    path = tmp_path / "merged.report"
+    code, out, _ = run_cli(
+        capsys,
+        "run",
+        "--verification-rounds",
+        "20",
+        "--key-rounds",
+        "40",
+        "--seed",
+        "7",
+        "--repeat",
+        "3",
+        "--report",
+        str(path),
+    )
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines()] == ["seed=7", "seed=8", "seed=9"]
+    text = path.read_text()
+    assert text.index("# run 0 seed=7") < text.index("# run 1 seed=8") < text.index("# run 2 seed=9")
+    assert multiprocessing.active_children() == []
+
+
+def test_run_without_a_pool_does_not_import_one():
+    script = (
+        "import sys\n"
+        "from ququart_qkd import cli\n"
+        "cli._cores = lambda: 1\n"
+        "for repeat in ('1', '3'):\n"
+        "    code = cli.main(['run', '--verification-rounds', '10', '--key-rounds', '10',\n"
+        "                     '--repeat', repeat])\n"
+        "    assert code == 0, code\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("outcome=key-established") == 4
 
 
 def test_config_file_with_flag_overrides(capsys, tmp_path):

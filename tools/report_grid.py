@@ -24,11 +24,24 @@ default), for no attack, every measuring attack on every valid target set
 and depolarize at strengths i/101; and ``check_residuals`` on both clean
 channels and on every single-amplitude corruption.  Each digest covers the
 ``repr`` of every value, so equal lines mean bit-identical results.
+
+``--cli`` digests ``cli.main(["run", ..., "--repeat", K, "--report",
+PATH])`` for K = 1 to 5 over five configs: two-party, three-party,
+three-party without permission, three-party depolarized at strength 0.3 on
+charlie (aborts) and the two-party corrupt channel, each at 60
+verification and 120 key rounds from seed 11.  A digest covers the exit
+code, the summary lines on stdout and the merged report file, so equal
+lines mean the command's whole output is unchanged, however it splits
+the seeds between processes.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 
 TARGET_SETS = {2: [(1,)], 3: [(1,), (2,), (1, 2)]}
 KINDS = [
@@ -98,14 +111,48 @@ def oracle_grid():
             yield f"residuals parties={parties} flip={index}", residuals(corrupt_channel(clean, index))
 
 
+CLI_CONFIGS = (
+    ("two-party", ["--protocol", "two-party"]),
+    ("three-party", ["--protocol", "three-party"]),
+    ("three-party permits=False", ["--protocol", "three-party", "--no-permission"]),
+    (
+        "three-party depolarize[charlie] s=0.3",
+        ["--protocol", "three-party", "--attack", "depolarize", "--attack-target", "charlie",
+         "--attack-strength", "0.3"],
+    ),
+    ("two-party corrupt=True", ["--protocol", "two-party", "--corrupt-channel"]),
+)
+CLI_REPEATS = range(1, 6)
+
+
+def cli_grid():
+    """(label, result text) pairs: exit code, stdout and report of each run."""
+    from ququart_qkd import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.report")
+        for label, flags in CLI_CONFIGS:
+            for repeat in CLI_REPEATS:
+                argv = ["run", *flags, "--verification-rounds", "60", "--key-rounds", "120"]
+                argv += ["--seed", str(SEEDS[0]), "--repeat", str(repeat), "--report", path]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                with open(path, encoding="ascii", newline="") as fh:
+                    report = fh.read()
+                yield f"cli {label} repeat={repeat}", f"exit = {code}\n{out.getvalue()}{report}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="source directory holding ququart_qkd")
-    parser.add_argument("--oracle", action="store_true", help="digest the exact oracle, not sessions")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--oracle", action="store_true", help="digest the exact oracle, not sessions")
+    mode.add_argument("--cli", action="store_true", help="digest `run --repeat K` commands")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    if args.oracle:
-        for label, text in oracle_grid():
+    if args.oracle or args.cli:
+        for label, text in oracle_grid() if args.oracle else cli_grid():
             print(f"{hashlib.sha256(text.encode()).hexdigest()}  {label}")
         return
     from ququart_qkd.attacks import AttackModel
