@@ -140,7 +140,8 @@ def attack_levels(
     """The attack as a map (tree, rng, num_rounds) -> node ids of that many
     attacked copies of the tree's root state.  Its operators are built
     once per (kind, target), so that every call measures on the same
-    ``ProjectorSet`` objects and hits the tree's tables.
+    ``ProjectorSet`` objects, and so on the same levels of the tree, whose
+    tables then hold each readout and shift once.
 
     The rounds are sampled one target at a time (``Tree``), with the same
     draws from ``rng`` as a round-by-round run: a measuring attack draws

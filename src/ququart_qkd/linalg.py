@@ -13,19 +13,19 @@ is built, so a draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
-rows of one amplitude array, and per stack it keeps a table of branch
-probabilities and of child ids, so each (state, stack) pair is computed
-once.  A tree may outlive its phase: attack-free phases on the built-in
-channels share one per party count for the life of the process
-(``protocol``), while attacked and corrupt-channel phases build their
-own.  A tree is sampled one level at a time for all rounds at once, by
-one inverse-CDF rule, and a level computes its missing rows of one stack
-in batched products.  ``measure_projective`` is one row of such a level,
-by the same rule and product.  The uniforms are a stream's bulk draws,
-or ``RawWords`` replays them from a PCG64 generator's raw words, so the
+rows of one amplitude array, and per level it keeps tables of branch
+probabilities, their cumulative law and child ids, so each (state, set)
+pair is computed once.  A tree may outlive its phase: attack-free phases
+on the built-in channels share one per party count for the life of the
+process (``protocol``), while attacked and corrupt-channel phases build
+their own.  A tree is sampled one level at a time for all rounds at once,
+by one inverse-CDF rule, and a level computes its missing rows in batched
+products.  ``measure_projective`` is one row of such a level, by the same
+rule and product.  The uniforms are a stream's bulk draws, or
+``RawWords`` replays them from a PCG64 generator's raw words, so the
 draws equal per-round calls.  Input a user can reach (state shapes and
-norms, operator and local shapes, basis indices, positions) is checked
-by raising ``ValueError``, so the checks hold under ``python -O``.
+norms, operator and local shapes, basis indices, positions) is checked by
+raising ``ValueError``, so the checks hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -267,7 +267,7 @@ def measure_projective(
     branches = apply_at(projectors.stack, projectors.position, psi.amplitudes)
     # the squared real and imaginary parts of each branch, summed
     law = np.square(branches.view(float)).sum(axis=-1)[None]
-    k = int(_inverse_cdf(law, _ONE_ROW, rng.random(1))[0])
+    k = int(_inverse_cdf(law, np.cumsum(law[:, :-1], axis=1), _ONE_ROW, rng.random(1))[0])
     p = float(law[0, k])
     return MeasurementResult(k, p, StateVector(psi.num_ququarts, branches[k] / math.sqrt(p)))
 
@@ -276,41 +276,56 @@ _ONE_ROW = np.zeros(1, dtype=np.intp)
 _ONE_ROW.setflags(write=False)
 
 
-def _inverse_cdf(laws, group, u) -> np.ndarray:
-    """Outcome per row from its uniform ``u`` and its law ``laws[group]``:
-    the count of the cumulative probabilities below the last that are at
-    or below ``u``.  That is the first branch whose running sum exceeds
-    ``u``, with a uniform above the rounded total falling through to the
-    last branch.  A row that drew a zero-probability branch raises
-    RuntimeError."""
+def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
+    """Outcome per row from its uniform ``u`` and its law ``laws[key]``,
+    whose cumulative probabilities below the last branch are
+    ``cdf[key]``: the count of those at or below ``u``.  That is the first
+    branch whose running sum exceeds ``u``, with a uniform above the
+    rounded total falling through to the last branch.  A row that drew a
+    zero-probability branch raises RuntimeError."""
     outcomes = np.zeros(len(u), dtype=np.intp)
-    for column in np.cumsum(laws[:, :-1], axis=1)[group].T:
+    for column in cdf.take(keys, axis=0).T:
         outcomes += u >= column
     # sqrt is monotone, so the least drawn probability decides
-    if math.sqrt(laws[group, outcomes].min()) < 1e-9:
+    if math.sqrt(laws.ravel().take(keys * laws.shape[1] + outcomes).min()) < 1e-9:
         # zero-probability branch cannot be drawn from a complete set
         raise RuntimeError("sampled a zero-probability measurement branch")
     return outcomes
+
+
+class _Level:
+    """One level's tables (``Tree``), a row per key ``node * width + code``:
+    branch probabilities (NaN until filled), their cumulative law below the
+    last branch, and child ids (-1 until built); grown from ``old``."""
+
+    def __init__(self, sets: tuple, nodes: int, old=None):
+        self.sets, self.width, self.branches = sets, len(sets), _branch_count(sets)
+        rows = nodes * self.width
+        self.probs = np.full((rows, self.branches), np.nan)
+        self.cdf = np.empty((rows, self.branches - 1))
+        self.kids = np.full((rows, self.branches), -1, dtype=np.intp)
+        if old is not None:
+            for table, kept in zip((self.probs, self.cdf, self.kids), (old.probs, old.cdf, old.kids)):
+                table[: len(kept)] = kept
 
 
 class Tree:
     """A phase's branch tree, sampled one level at a time for all rounds.
 
     Nodes are the rows of one amplitude array (``amplitudes[:size]``),
-    named by their row index; row 0 is the root.  Each ``OperatorStack``
-    the tree meets gets a table of branch probabilities and a table of
-    child ids, a row per node, so each (node, stack) pair is measured
-    once and each child is built once, however often rounds revisit them.
-    A level computes all its missing rows of one stack in batched products
-    (``apply_at``) of at most MAP_BYTES per array.
-
-    Rows are rounds, each at a node.  A level measures each row's node
-    with a projector set, picked per row by a code into ``sets``
-    (``sets[0]`` without codes), and moves rows to the nodes they reach.
-    A None set is the identity slot: it reads outcome 0 and keeps the
-    node.  Only the (node, set) pairs and the children that some row
-    reaches are computed, so the tree grows exactly as a walk of the same
-    rounds grows it.  The sets of one level have equal branch counts.
+    named by their row index; row 0 is the root.  Rows are rounds, each at
+    a node.  A level is the tuple of sets one ``draw``, ``children`` or
+    ``evolved`` call uses (a party's menu of sign sets, a key set, an
+    attack readout, a shift stack), picked per row by a code (``sets[0]``
+    without codes); they have equal branch counts.  A None set is the
+    identity slot: it reads outcome 0 and keeps the node.  Per level the
+    tree keeps a (node x code) table of branch probabilities and their
+    cumulative law, filled once per row, and a (node x code x branch)
+    table of child ids, the identity slot's being its node (``_Level``).
+    So a call on filled rows is a gather.  The missing rows and children
+    that some row reaches are computed in batched products (``apply_at``)
+    of at most MAP_BYTES per array, so the tree grows exactly as a walk of
+    the same rounds grows it.
     """
 
     def __init__(self, root: StateVector):
@@ -318,9 +333,7 @@ class Tree:
         self.amplitudes = _rows(16, root.dim)
         self.amplitudes[0] = root.amplitudes
         self.size = 1
-        # per OperatorStack, (node, k) tables of branch probabilities and
-        # of child ids, NaN and 0 where not yet computed (no child is the root)
-        self._probs, self._kids = {}, {}
+        self._levels = {}  # tuple of sets -> _Level
 
     def state(self, node: int) -> StateVector:
         """The normalized state of a node; the root is the one given."""
@@ -328,64 +341,94 @@ class Tree:
             return self.root
         return StateVector(self.root.num_ququarts, self.amplitudes[node].copy())
 
-    def _table(self, tables: dict, ops: OperatorStack, dtype, blank) -> np.ndarray:
-        """``ops``'s (node, k) table in ``tables``, ``blank`` where not yet
-        computed, with a row for every node the amplitude array has room
-        for: made, or grown, on first use after the array grew."""
-        table = tables.get(ops)
-        if table is None or len(table) < len(self.amplitudes):
-            grown = np.empty((len(self.amplitudes), len(ops.stack)), dtype=dtype)
-            grown.fill(blank)
-            if table is not None:
-                grown[: len(table)] = table
-            table = tables[ops] = grown
-        return table
+    def _level(self, sets) -> _Level:
+        """The level of ``sets``, with rows for every node the amplitude
+        array has room for: made, or grown after the array grew."""
+        sets = tuple(sets)
+        level = self._levels.get(sets)
+        if level is None or len(level.kids) < len(self.amplitudes) * level.width:
+            level = self._levels[sets] = _Level(sets, len(self.amplitudes), level)
+        return level
+
+    def _fill(self, level: _Level, keys):
+        """Fill the level's rows of ``keys`` that are not yet filled: a
+        set's from batched products, the identity slot's as a sure outcome
+        0 whose child is the node itself."""
+        missing = keys[np.isnan(level.probs[:, 0].take(keys))]
+        if not len(missing):
+            return
+        # distinct and sorted; np.unique would import numpy.ma on first use
+        missing = np.flatnonzero(np.bincount(missing))
+        nodes, codes = np.divmod(missing, level.width)
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            rows, at = missing[codes == code], nodes[codes == code]
+            projectors = level.sets[code]
+            if projectors is None:
+                level.probs[rows] = 0.0
+                level.probs[rows, 0] = 1.0
+                level.kids[rows] = at[:, None]
+                continue
+            step = max(1, MAP_BYTES // (len(projectors.stack) * self.amplitudes.shape[1] * 16))
+            for start in range(0, len(rows), step):
+                part = slice(start, start + step)
+                branches = apply_at(projectors.stack[:, None], projectors.position, self.amplitudes[at[part]])
+                # the squared real and imaginary parts of each branch, summed;
+                # squared in place, since the branches are not kept
+                parts = branches.view(float)
+                level.probs[rows[part]] = np.square(parts, out=parts).sum(axis=-1).T
+        level.cdf[missing] = np.cumsum(level.probs[missing, :-1], axis=1)
 
     def probabilities(self, ids, projectors: ProjectorSet) -> np.ndarray:
-        """|P_k psi|^2 for every branch of each id's node, a row per id; the
-        missing rows come from batched products."""
-        probs = self._table(self._probs, projectors, float, np.nan)
-        missing = ids[np.isnan(probs[:, 0][ids])]
-        step = max(1, MAP_BYTES // (len(projectors.stack) * self.amplitudes.shape[1] * 16))
-        for at in range(0, len(missing), step):
-            nodes = missing[at : at + step]
-            branches = apply_at(projectors.stack[:, None], projectors.position, self.amplitudes[nodes])
-            # the squared real and imaginary parts of each branch, summed;
-            # squared in place, since the branches are not kept
-            parts = branches.view(float)
-            probs[nodes] = np.square(parts, out=parts).sum(axis=-1).T
-        return probs[ids]
+        """|P_k psi|^2 for every branch of each id's node, a row per id."""
+        level = self._level((projectors,))
+        self._fill(level, ids)
+        return level.probs[ids]
 
-    def _children(self, ops: OperatorStack, keys, normalized: bool) -> np.ndarray:
-        """Child id of each distinct (node, pick) pair, keyed ``node * k +
-        pick``: ``ops.stack[pick]`` applied to the node's state, divided by
-        the branch's norm if ``normalized``; the missing children come from
-        batched products written straight into their new rows."""
-        kids = self._table(self._kids, ops, np.intp, 0).ravel()
-        found = kids[keys]
-        unbuilt = np.flatnonzero(found == 0)
-        if len(unbuilt):
-            keys = keys[unbuilt]
-            nodes, picks = np.divmod(keys, len(ops.stack))
-            start, end = self.size, self.size + len(keys)
-            if end > len(self.amplitudes):
-                # grown by a quarter before the product, so that only the old
-                # and the new array are held at once
-                grown = _rows(end + end // 4, self.amplitudes.shape[1])
-                grown[:start] = self.amplitudes[:start]
-                self.amplitudes = grown
-            rows = self.amplitudes[start:end]
-            # a chunk gathers a state row and an operator per pair
-            step = max(1, MAP_BYTES // (max(self.amplitudes.shape[1], ops.stack.shape[1] ** 2) * 16))
-            for at in range(0, len(keys), step):
-                part = slice(at, at + step)
-                apply_at(ops.stack[picks[part]], ops.position, self.amplitudes[nodes[part]], out=rows[part])
-                if normalized:
-                    # the same product as that branch's probability, so the same bits
-                    rows[part] /= np.sqrt(self._probs[ops].ravel()[keys[part]])[:, None]
-            self.size = end
-            found[unbuilt] = kids[keys] = np.arange(start, end)
-        return found
+    def _kids(self, level: _Level, slots, normalized: bool, needed=None) -> np.ndarray:
+        """Child id of each slot ``key * branches + pick``: the set's
+        ``stack[pick]`` applied to the key's node, over the branch's norm
+        if ``normalized``.  Missing children are built where the boolean
+        mask ``needed`` (all, if None) says, and read -1 elsewhere."""
+        kids = level.kids.ravel()
+        found = kids.take(slots)
+        unbuilt = found < 0
+        if needed is not None:
+            unbuilt &= needed
+        if not unbuilt.any():
+            return found
+        build = np.flatnonzero(np.bincount(slots[unbuilt]))
+        if normalized:
+            # a row not yet drawn from; filling resolves any identity slot
+            self._fill(level, build // level.branches)
+            build = build[kids[build] < 0]
+        nodes, codes = np.divmod(build // level.branches, level.width)
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            these = build[codes == code]
+            norms = np.sqrt(level.probs.ravel()[these]) if normalized else None
+            kids[these] = self._build(level.sets[code], nodes[codes == code], these % level.branches, norms)
+        return kids.take(slots)
+
+    def _build(self, ops: OperatorStack, nodes, picks, norms) -> np.ndarray:
+        """Ids of new nodes ``ops.stack[pick]`` applied to each node's
+        state, over ``norms`` if given, written straight into new rows."""
+        start, end = self.size, self.size + len(nodes)
+        if end > len(self.amplitudes):
+            # grown by a quarter before the product, so that only the old
+            # and the new array are held at once
+            grown = _rows(end + end // 4, self.amplitudes.shape[1])
+            grown[:start] = self.amplitudes[:start]
+            self.amplitudes = grown
+        rows = self.amplitudes[start:end]
+        # a chunk gathers a state row and an operator per pair
+        step = max(1, MAP_BYTES // (max(self.amplitudes.shape[1], ops.stack.shape[1] ** 2) * 16))
+        for at in range(0, len(nodes), step):
+            part = slice(at, at + step)
+            apply_at(ops.stack[picks[part]], ops.position, self.amplitudes[nodes[part]], out=rows[part])
+            if norms is not None:
+                # the same product as that branch's probability, so the same bits
+                rows[part] /= norms[part, None]
+        self.size = end
+        return np.arange(start, end)
 
     def draw(self, ids, sets, u, codes=None) -> np.ndarray:
         """Outcome index per row from its uniform ``u`` (``_inverse_cdf``):
@@ -393,55 +436,25 @@ class Tree:
         however often its node was measured before."""
         if not len(ids):
             return np.zeros(0, dtype=np.intp)
-        width = len(sets)
-        keys = ids if codes is None else ids * width + codes
-        present = np.flatnonzero(np.bincount(keys))
-        if width == 1:
-            laws = self.probabilities(present, sets[0])
-        else:
-            nodes, picks = np.divmod(present, width)
-            laws = np.zeros((len(present), _branch_count(sets)))
-            # the codes in use; np.unique would import numpy.ma on first use
-            for code in np.flatnonzero(np.bincount(picks)).tolist():
-                rows = picks == code
-                if sets[code] is None:
-                    laws[rows, 0] = 1.0  # the identity slot
-                else:
-                    laws[rows] = self.probabilities(nodes[rows], sets[code])
-        return _inverse_cdf(laws, np.searchsorted(present, keys), u)
+        level = self._level(sets)
+        keys = ids if codes is None else ids * level.width + codes
+        self._fill(level, keys)
+        return _inverse_cdf(level.probs, level.cdf, keys, u)
 
     def children(self, ids, sets, outcomes, codes=None, needed=None) -> np.ndarray:
         """Node id per row of its drawn outcome's post-measurement state.
         Rows outside the boolean mask ``needed`` keep their node, and
         their children are not built."""
-        if not len(ids):
-            return ids
-        width, branches = len(sets), _branch_count(sets)
-        keys = (ids if codes is None else ids * width + codes) * branches + outcomes
-        counts = np.bincount(keys, weights=needed)
-        table = np.arange(len(counts)) // (width * branches)  # the row's own node
-        present = np.flatnonzero(counts)
-        if width == 1:
-            table[present] = self._children(sets[0], present, True)
-            return table[keys]
-        pairs, picks = np.divmod(present, branches)
-        nodes, codes = np.divmod(pairs, width)
-        for code in np.flatnonzero(np.bincount(codes)).tolist():
-            if sets[code] is not None:
-                rows = codes == code
-                table[present[rows]] = self._children(sets[code], nodes[rows] * branches + picks[rows], True)
-        return table[keys]
+        level = self._level(sets)
+        keys = ids if codes is None else ids * level.width + codes
+        kids = self._kids(level, keys * level.branches + outcomes, True, needed)
+        return kids if needed is None else np.where(needed, kids, ids)
 
     def evolved(self, ids, operators: OperatorStack, picks) -> np.ndarray:
         """Node id per row of ``operators.stack[pick]`` applied to its node's
         state, which must stay normalized; built once per (node, pick)."""
-        if not len(ids):
-            return ids
-        keys = ids * len(operators.stack) + picks
-        table = np.zeros(keys.max() + 1, dtype=np.intp)
-        present = np.flatnonzero(np.bincount(keys))
-        table[present] = self._children(operators, present, False)
-        return table[keys]
+        level = self._level((operators,))
+        return self._kids(level, ids * level.branches + picks, False)
 
 
 def _rows(count: int, dim: int) -> np.ndarray:

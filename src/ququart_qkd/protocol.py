@@ -19,12 +19,14 @@ sifts, samples, scores and keys them whole.
 Attack-free phases on a built-in channel (``make_channel``) measure the
 same state with the same sets in every session, so they share one tree
 per party count, kept for the life of the process; it stops growing at
-13 rows for two parties and 69 for three.  Attacked and corrupt-channel
-phases build their own tree.  A tree only caches products, so a
-session's draws and report do not depend on what ran before it; but the
-shared tree is process state, so sessions in one process must run one at
-a time (``run --repeat`` runs a share of its seeds in the calling process
-and the rest in worker processes, each process one session at a time).
+13 rows for two parties and 69 for three, after which a phase's draws
+and children are gathers from its levels' tables.  Attacked and
+corrupt-channel phases build their own tree.  A tree only caches
+products, so a session's draws and report do not depend on what ran
+before it; but the shared tree is process state, so sessions in one
+process must run one at a time (``run --repeat`` runs a share of its
+seeds in the calling process and the rest in worker processes, each
+process one session at a time).
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's

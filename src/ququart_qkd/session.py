@@ -6,11 +6,15 @@ the two phases plus the permission flag.  The report is a flat
 ``key = value`` text document with a fixed schema version; identical
 configs produce byte-identical files, so reports double as regression
 artifacts.  Empirical frequencies are printed next to the exact oracle's
-predictions with binomial z-scores.
+predictions with binomial z-scores.  On a built-in channel the oracle is
+a pure function of the attack model and the party count, so
+``run_session`` keeps it in a bounded memo; a corrupt-channel session
+calls ``predict`` afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -44,6 +48,10 @@ MAX_ROUNDS = int(np.iinfo(np.intp).max)
 
 TARGET_NAMES = {1: "bob", 2: "charlie"}
 TARGET_POSITIONS = {"bob": 1, "charlie": 2}
+
+# built-in channel oracles kept, least recently used dropped first: far
+# more attack configs than a run cycles through (the eavesdrop benchmark's 16)
+ORACLE_MEMO = 64
 
 
 class ConfigError(ValueError):
@@ -147,9 +155,11 @@ def run_session(config: SessionConfig) -> SessionReport:
     spec = make_channel(config.party_count)
     if config.corrupt:
         spec = corrupt_channel(spec)
+        oracle = predict(config.attack, spec)
+    else:
+        oracle = _built_in_oracle(config.attack, config.party_count)
     rngs = _named_streams(config.seed)
     bus = MessageBus()
-    oracle = predict(config.attack, spec)
 
     verification = run_verification_phase(
         spec, config.verification_rounds, config.attack, rngs, bus
@@ -210,6 +220,15 @@ def run_session(config: SessionConfig) -> SessionReport:
         outcome=outcome,
         transcript_messages=len(bus.transcript),
     )
+
+
+@functools.lru_cache(maxsize=ORACLE_MEMO)
+def _built_in_oracle(attack: AttackModel, party_count: int):
+    """``predict`` on the built-in channel of ``party_count`` parties, one
+    shared prediction that callers only read.  A miss calls it through
+    this module's binding, so a wrapper there sees it; ``predict`` itself
+    stays uncached."""
+    return predict(attack, make_channel(party_count))
 
 
 def _verify_block(spec: ChannelSpec, summary, oracle) -> dict:

@@ -2,10 +2,11 @@
 
 Every attack-free phase on a built-in channel samples one tree per party
 count, kept for the life of the process (``protocol._attack_free_tree``).
-A session's report must not depend on what that tree already holds: the
-reports of a fresh process, where every phase samples a tree of its own,
-equal those of a process in which attacked and attack-free sessions of
-both channels ran first.  The shared trees stop growing at a bound that
+A session's report must not depend on what that tree, or the session's
+oracle memo, already holds: the reports of a fresh process, where every
+phase samples a tree of its own and every oracle is predicted anew, equal
+those of a process in which attacked and attack-free sessions of both
+channels ran first.  The shared trees stop growing at a bound that
 follows from the menus, and attacked or corrupt-channel sessions, which
 build their own trees, leave them as they are.
 """
@@ -22,7 +23,7 @@ from ququart_qkd import protocol
 from ququart_qkd.attacks import ATTACK_KINDS, AttackModel
 from ququart_qkd.observables import key_basis
 from ququart_qkd.protocol import SIGNS, THREE_PARTY_MENU, TWO_PARTY_MENU
-from ququart_qkd.session import SessionConfig, format_report, run_session
+from ququart_qkd.session import SessionConfig, _built_in_oracle, format_report, run_session
 
 PROTOCOLS = {2: "two-party", 3: "three-party"}
 
@@ -47,6 +48,39 @@ CONFIGS = [
         key_rounds=1000,
         seed=39,
         attack=("depolarize", (1, 2), 0.5),
+    ),
+] + [
+    # attacks of run_other_sessions, whose oracles the warm reports read
+    # from the session's memo; a fresh process predicts them
+    dict(
+        protocol="two-party",
+        verification_rounds=61,
+        key_rounds=100,
+        seed=40,
+        attack=("intercept-key", (1,), 0.5),
+    ),
+    dict(
+        protocol="two-party",
+        verification_rounds=0,
+        key_rounds=300,
+        qber_threshold=0.9,
+        seed=41,
+        attack=("depolarize", (1,), 0.5),
+    ),
+    dict(
+        protocol="three-party",
+        verification_rounds=61,
+        key_rounds=100,
+        seed=42,
+        attack=("entangle-probe", (1, 2), 0.5),
+    ),
+    dict(
+        protocol="three-party",
+        verification_rounds=0,
+        key_rounds=300,
+        qber_threshold=0.9,
+        seed=43,
+        attack=("intercept-computational", (1, 2), 0.5),
     ),
 ]
 
@@ -92,15 +126,21 @@ def run_other_sessions(parties, seed):
 def warm_reports():
     """The configs' reports in this process, last config first, after
     attacked and attack-free sessions of both channels have grown the
-    shared trees."""
+    shared trees and filled the session's oracle memo; and the count of
+    memo misses among them."""
     for parties in (2, 3):
         run_other_sessions(parties, 0)
         for seed in range(4):
             run_session(SessionConfig(PROTOCOLS[parties], verification_rounds=500, seed=seed))
-    return [format_report(run_session(session(c))) for c in reversed(CONFIGS)][::-1]
+    misses = _built_in_oracle.cache_info().misses
+    reports = [format_report(run_session(session(c))) for c in reversed(CONFIGS)][::-1]
+    return reports, _built_in_oracle.cache_info().misses - misses
 
 
 def test_reports_equal_those_of_a_fresh_process(warm_reports):
+    warm_reports, predicted = warm_reports
+    # every built-in channel's oracle came from the memo here
+    assert predicted == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-c", FRESH_SCRIPT.format(configs=CONFIGS)],
@@ -144,10 +184,22 @@ def test_attack_free_rows_follow_from_the_menus():
 def test_shared_trees_stay_within_the_menu_bound(parties, warm_reports):
     tree = protocol._attack_free_tree(parties)
     assert 1 < tree.size <= attack_free_rows(parties)
-    # only the protocol's cached projector sets measure it
-    sets = [s for s in protocol._sign_projector_sets(parties).values() if s is not None]
-    sets += protocol._key_projector_sets(parties)
-    assert set(tree._probs) <= set(sets)
+    # only the protocol's cached projector sets measure it: one level per
+    # party of each phase, its menu of sign sets or its key set
+    sign_sets = protocol._sign_projector_sets(parties)
+    menu = TWO_PARTY_MENU if parties == 2 else THREE_PARTY_MENU
+    levels = {tuple(sign_sets[pos, name] for name in menu) for pos in range(parties)}
+    levels |= {(s,) for s in protocol._key_projector_sets(parties)}
+    assert set(tree._levels) <= levels
+
+
+def tree_tables(tree):
+    """A tree's size, room, and every level's tables as bytes."""
+    levels = {
+        sets: tuple(table.tobytes() for table in (level.probs, level.cdf, level.kids))
+        for sets, level in tree._levels.items()
+    }
+    return tree.size, len(tree.amplitudes), levels
 
 
 def test_attacked_and_corrupt_sessions_leave_the_shared_trees_alone():
@@ -155,11 +207,11 @@ def test_attacked_and_corrupt_sessions_leave_the_shared_trees_alone():
     for parties in (2, 3):
         # grown first, so that a change would show
         run_session(SessionConfig(protocol=PROTOCOLS[parties], seed=9))
-    before = [(t.size, len(t.amplitudes), set(t._probs), set(t._kids)) for t in trees]
+    before = [tree_tables(t) for t in trees]
     for parties in (2, 3):
         # seeds the other tests' sessions did not use, so that a shared
         # tree would meet new states
         run_other_sessions(parties, 100)
-    after = [(t.size, len(t.amplitudes), set(t._probs), set(t._kids)) for t in trees]
+    after = [tree_tables(t) for t in trees]
     assert after == before
     assert trees == [protocol._attack_free_tree(n) for n in (2, 3)]

@@ -348,10 +348,19 @@ def test_local_products_equal_embedded_products_on_session_trees(parties, model,
             if isinstance(stack, ProjectorSet):
                 probs = np.square(embedded.view(float)).sum(axis=-1).T
                 assert np.array_equal(tree.probabilities(ids, stack), probs)
-        # every child the session built, from its node by the dense product
-        for stack, kids in tree._kids.items():
-            nodes, picks = np.nonzero(kids[: tree.size])
-            for node, pick, kid in zip(nodes, picks, kids[nodes, picks]):
+        for sets, level in tree._levels.items():
+            # each filled row's cumulative law is its probabilities' running sum
+            filled = ~np.isnan(level.probs[:, 0])
+            assert np.array_equal(level.cdf[filled], np.cumsum(level.probs[filled, :-1], axis=1))
+            # every child the session built, from its node by the dense
+            # product; the identity slot's child is its node
+            keys, picks = np.nonzero(level.kids[: tree.size * len(sets)] >= 0)
+            for key, pick in zip(keys.tolist(), picks.tolist()):
+                node, code = divmod(key, len(sets))
+                stack, kid = sets[code], level.kids[key, pick]
+                if stack is None:
+                    assert kid == node
+                    continue
                 child = dense[stack][pick] @ rows[node]
                 if isinstance(stack, ProjectorSet):
                     child = child / math.sqrt(np.square(child.view(float)).sum())
@@ -405,6 +414,111 @@ def test_children_are_memoised_and_built_only_when_measured_again():
     k = draw(tree, 0, key_sets[0], rngs["alice"])
     assert child(tree, 0, key_sets[0], k) == child(tree, 0, key_sets[0], k)
     assert tree.size == 1 + 4
+    # children asked for before any draw: their rows are measured first,
+    # and the identity slot keeps its node
+    fresh = Tree(spec.state)
+    ids, outcomes = np.zeros(2, dtype=np.intp), np.array([0, k])
+    kids = fresh.children(ids, [None, key_sets[0]], outcomes, np.array([0, 1]))
+    assert kids[0] == 0
+    assert np.array_equal(fresh.amplitudes[kids[1]], tree.amplitudes[child(tree, 0, key_sets[0], k)])
+
+
+@functools.cache
+def dense_stacks(num_parties):
+    """Every built-in stack's embedded counterpart, by stack."""
+    return {
+        s: np.array([embed(m, s.position, num_parties) for m in s.stack])
+        for s in built_in_stacks(num_parties)
+    }
+
+
+class Uniforms:
+    """Generator stub whose ``random()`` gives the given uniforms in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def check_level(tree, ids, sets, u, codes, needed):
+    """One ``draw`` and ``children`` level of ``tree`` against the scalar
+    rule: per row, ``draw_index`` on the dense branch probabilities of its
+    node's state, the identity slot reading outcome 0 and keeping its
+    node.  A needed row's child holds the drawn branch by the dense
+    product, normalized; any other row keeps its node.  Returns the
+    children."""
+    outcomes = tree.draw(ids, sets, u, codes)
+    kids = tree.children(ids, sets, outcomes, codes, needed)
+    dense = dense_stacks(tree.root.num_ququarts)
+    picks = np.zeros(len(ids), dtype=np.intp) if codes is None else codes
+    for row, (node, code) in enumerate(zip(ids.tolist(), picks.tolist())):
+        projectors = sets[code]
+        if projectors is None:
+            assert (outcomes[row], kids[row]) == (0, node)
+            continue
+        branches = dense[projectors] @ tree.amplitudes[node]
+        probs = np.square(branches.view(float)).sum(axis=-1).tolist()
+        k = draw_index(probs, Uniforms([u[row]]))
+        assert outcomes[row] == k
+        if needed[row]:
+            assert np.array_equal(tree.amplitudes[kids[row]], branches[k] / math.sqrt(probs[k]))
+        else:
+            assert kids[row] == node
+    return kids
+
+
+def check_party_levels(tree, ids, rng, as_phases=True):
+    """A verification phase's and a key phase's party levels from the
+    nodes ``ids``, each checked by ``check_level``: every party draws its
+    menu code and uniforms from ``rng``.  A verification level needs the
+    children of the rows in which a later party measures, as the phases
+    build them, or else of a random half of the rows; a key level needs
+    all but the last party's."""
+    n = tree.root.num_ququarts
+    menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
+    codes = rng.integers(len(menu), size=(n, len(ids)))
+    measures = np.array([menu[c] != "id" for c in range(len(menu))])[codes]
+    at = ids
+    for j in range(n):
+        sets = [_sign_projector_sets(n)[j, name] for name in menu]
+        needed = measures[j + 1 :].any(axis=0) if as_phases else rng.random(len(ids)) < 0.5
+        at = check_level(tree, at, sets, rng.random(len(ids)), codes[j], needed)
+    at = ids
+    for j, projectors in enumerate(_key_projector_sets(n)):
+        needed = np.full(len(ids), j + 1 < n)
+        at = check_level(tree, at, [projectors], rng.random(len(ids)), None, needed)
+
+
+def filled_keys(tree) -> dict:
+    """The keys of every level's filled rows."""
+    levels = tree._levels.items()
+    return {sets: np.flatnonzero(~np.isnan(level.probs[:, 0])).tolist() for sets, level in levels}
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_level_tables_draw_by_the_scalar_rule_on_the_shared_tree(parties):
+    tree = protocol._attack_free_tree(parties)
+    check_party_levels(tree, np.zeros(1000, dtype=np.intp), np.random.default_rng(0))
+    # saturated for these rounds: the levels below only read filled rows
+    size, filled = tree.size, filled_keys(tree)
+    check_party_levels(tree, np.zeros(300, dtype=np.intp), np.random.default_rng(1))
+    assert (tree.size, filled_keys(tree)) == (size, filled)
+
+
+def test_level_tables_draw_by_the_scalar_rule_on_a_growing_attacked_tree():
+    tree = Tree(make_channel(3).state)
+    rng = np.random.default_rng(2)
+    for rounds in (40, 300):
+        ids = np.zeros(rounds, dtype=np.intp)
+        everywhere = np.ones(rounds, dtype=bool)
+        for target in (1, 2):
+            readout = attacks._attack_operators("intercept-key", target)[0]
+            ids = check_level(tree, ids, [readout], rng.random(rounds), None, everywhere)
+        size = tree.size
+        check_party_levels(tree, ids, rng, as_phases=False)
+        assert tree.size > size
 
 
 def walk_verification(tree, spec, rounds, model, rngs):
@@ -491,6 +605,18 @@ def test_zero_probability_branch_raises_on_every_draw():
         with pytest.raises(RuntimeError):
             walk_round(tree, 0, [comp], ("alice",), {"alice": AboveTotal()})
     assert draw(tree, 0, comp, np.random.default_rng(0)) == 0
+    # a row an earlier call filled without failing: a level in which one
+    # row falls through to its zero-weight last branch raises, with the
+    # identity slot beside it
+    tree = Tree(ket(0))
+    assert draw(tree, 0, comp, np.random.default_rng(0)) == 0
+    assert not np.isnan(tree._levels[(comp,)].probs[0]).any()
+    ids, u = np.zeros(3, dtype=np.intp), np.array([0.5, 1.0, 0.25])
+    codes = np.array([1, 0, 1])  # the first and last rows read the identity slot
+    for level, level_codes in (([comp], None), ([comp, None], codes)):
+        with pytest.raises(RuntimeError):
+            tree.draw(ids, level, u, level_codes)
+    assert tree.draw(ids, [comp, None], np.array([0.5, 0.75, 0.25]), codes).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("parties", [2, 3])

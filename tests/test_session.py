@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ququart_qkd.attacks import AttackModel
+from ququart_qkd import attacks, session
+from ququart_qkd.attacks import AttackModel, predict
+from ququart_qkd.channels import corrupt_channel, make_channel
 from ququart_qkd.session import (
     ConfigError,
     OUTCOME_ABORT_QBER,
@@ -380,3 +383,97 @@ def test_corrupt_channel_session_aborts():
     report = run_session(two_party_config(corrupt=True))
     assert report.outcome == OUTCOME_ABORT_VERIFY
     assert report.verify["violations"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the oracle memo
+
+# the attacks of tools/report_grid.py: none, and every kind on every valid
+# target set, depolarize at strengths 0.3 and 1
+GRID_KINDS = [
+    (IRC, 0.0),
+    ("intercept-key", 0.0),
+    ("entangle-probe", 0.0),
+    ("depolarize", 0.3),
+    ("depolarize", 1.0),
+]
+GRID_ATTACKS = [
+    (AttackModel(kind, targets, strength), parties)
+    for parties, target_sets in ((2, [(1,)]), (3, [(1,), (2,), (1, 2)]))
+    for targets in target_sets
+    for kind, strength in GRID_KINDS
+] + [(AttackModel(), 2), (AttackModel(), 3)]
+
+
+def oracle_values(report) -> dict:
+    """The oracle's values a report carries: per check, and the qber."""
+    values = {k: v for k, v in report.verify.items() if k.endswith(".oracle")}
+    return dict(values, qber=report.key["qber_oracle"])
+
+
+def test_memoised_oracles_equal_fresh_predictions():
+    session._built_in_oracle.cache_clear()
+    # the second pass reads every oracle from the memo, which holds them all
+    for _ in range(2):
+        for model, parties in GRID_ATTACKS:
+            want = predict(model, make_channel(parties))
+            assert repr(session._built_in_oracle(model, parties)) == repr(want)
+            # no verification rounds pass vacuously, so the key phase runs
+            config = SessionConfig(
+                "two-party" if parties == 2 else "three-party",
+                verification_rounds=0,
+                key_rounds=1,
+                qber_threshold=0.9,
+                attack=model,
+            )
+            checks = {f"check.{name}.oracle": p for name, p in want.violation.items()}
+            assert oracle_values(run_session(config)) == dict(checks, qber=want.qber)
+    assert session._built_in_oracle.cache_info().misses == len(GRID_ATTACKS)
+
+
+def test_run_session_predicts_on_a_miss_and_on_every_corrupt_session(monkeypatch):
+    calls = []
+
+    def counted(model, spec):
+        calls.append(model)
+        return predict(model, spec)
+
+    # the misses go through session's own binding, where a wrapper sees them
+    monkeypatch.setattr(session, "predict", counted)
+    session._built_in_oracle.cache_clear()
+    model = AttackModel("intercept-key", (1,))
+    for corrupt, want in ((False, 1), (True, 4)):
+        for seed in range(3):
+            config = two_party_config(verification_rounds=20, key_rounds=20, seed=seed)
+            run_session(replace(config, attack=model, corrupt=corrupt))
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("make_config", [two_party_config, three_party_config])
+@pytest.mark.parametrize(
+    "model", [AttackModel(), AttackModel("intercept-key", (1,)), AttackModel("depolarize", (1,), 0.3)]
+)
+def test_corrupt_session_after_a_clean_one_carries_the_corrupt_oracle(make_config, model):
+    # no verification rounds pass vacuously, so both reports carry a qber oracle
+    config = make_config(verification_rounds=0, key_rounds=40, qber_threshold=0.9, attack=model)
+    clean = oracle_values(run_session(config))
+    corrupt = oracle_values(run_session(replace(config, corrupt=True)))
+    want = predict(model, corrupt_channel(make_channel(config.party_count)))
+    checks = {f"check.{name}.oracle": p for name, p in want.violation.items()}
+    assert corrupt == dict(checks, qber=want.qber)
+    assert corrupt != clean
+
+
+def test_predict_recomputes_on_every_call(monkeypatch):
+    calls = []
+    real = attacks.attack_channel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(attacks, "attack_channel", counted)
+    model, spec = AttackModel("intercept-key", (1,)), make_channel(2)
+    predictions = [repr(attacks.predict(model, spec)) for _ in range(3)]
+    assert len(calls) == 3
+    assert len(set(predictions)) == 1
