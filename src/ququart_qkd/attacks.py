@@ -9,6 +9,11 @@ Two semantics live side by side, on purpose:
   at the target's position, built once per (kind, target); randomness
   comes from the session's seeded attack stream, and every readout and
   shift is memoised on the tree, so sessions stay cheap and replayable.
+  A measuring attack's uniforms are one bulk draw.  Depolarize draws a
+  readout uniform and a fresh digit only where its gate uniform hits, so
+  its draws are replayed from the attack stream's raw words: the gates
+  are one column over all the words, a scan steps word offsets only, and
+  the uniforms and digits are read by indexing (``_depolarize_draws``).
   ``make_attack_hook`` is the same code for one round, as a map from
   state to state.  The entangle-probe's trajectory is the
   computational readout: its probe copies the target's computational
@@ -196,32 +201,46 @@ def make_attack_hook(
 
 
 def _depolarize_draws(rng, num_rounds: int, num_targets: int, strength: float):
-    """Depolarize's draws per (round, target), replayed by a scan over raw
-    words: whether the gate uniform fell below ``strength``, and if so the
-    readout uniform and the fresh digit, ``integers(4)``."""
-    words = RawWords(rng, 3 * num_rounds * num_targets)
-    raw, half, buffered = words.words.tolist(), words.half, words.buffered
-    hits, u, fresh = [], [], []  # per (round, target) that passed the gate
-    at = 0
-    for i in range(num_rounds * num_targets):
-        gate = uniforms(raw[at])
-        at += 1
-        if gate >= strength:
-            continue
-        hits.append(i)
-        u.append(uniforms(raw[at]))
-        at += 1
-        if not buffered:
-            low, half = halves(raw[at])
-            fresh.append(quarter(low))
-            at += 1
+    """Depolarize's draws per (round, target), replayed from raw words:
+    whether the gate uniform fell below ``strength``, and if so the
+    readout uniform and the fresh digit, ``integers(4)``.
+
+    Every (round, target) reads a gate word; a hit then reads a uniform's
+    word and, unless a half-word is buffered, a fresh word whose low half
+    is its digit and whose high half is buffered for the next hit.  The
+    gates are one column over all the words, so the scan only steps word
+    offsets; the uniforms and digits are then read by indexing.
+    """
+    n = num_rounds * num_targets
+    words = RawWords(rng, 3 * n)
+    raw, half, buffered = words.words, words.half, words.buffered
+    gates = (uniforms(raw) < strength).tolist()
+    hits, starts = [], []  # per hit, its (round, target) and its gate's word
+    at, first = 0, int(buffered)
+    for i in range(n):
+        if gates[at]:
+            hits.append(i)
+            starts.append(at)
+            at += 3 - buffered
+            buffered = not buffered
         else:
-            fresh.append(quarter(half))
-        buffered = not buffered
+            at += 1
+    # the hits alternate: one reads a fresh word's low half, the next that
+    # word's high half; a half-word buffered at the start is the first's
+    starts = np.array(starts, dtype=np.intp)
+    low, high = halves(raw[starts[first::2] + 2])
+    digits = np.empty(len(starts), dtype=np.intp)
+    digits[first::2] = quarter(low)
+    later = digits[first + 1 :: 2]
+    later[:] = quarter(high[: len(later)])
+    if first and len(starts):
+        digits[0] = quarter(half)
+    if len(high):
+        half = int(high[-1])
     words.release(at, half, buffered)
     columns = []
-    for values, dtype in ((True, bool), (u, float), (fresh, np.intp)):
-        column = np.zeros(num_rounds * num_targets, dtype=dtype)
+    for values, dtype in ((True, bool), (uniforms(raw[starts + 1]), float), (digits, np.intp)):
+        column = np.zeros(n, dtype=dtype)
         column[hits] = values
         columns.append(column.reshape(num_rounds, num_targets))
     return tuple(columns)

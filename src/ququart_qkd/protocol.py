@@ -28,6 +28,12 @@ process must run one at a time (``run --repeat`` runs a share of its
 seeds in the calling process and the rest in worker processes, each
 process one session at a time).
 
+A phase posts each per-round announcement (the operator announcements,
+the control reveal and the sample reveals) as a message holding the
+read-only columns it announces; the message builds its payload once, on
+the first read of ``payload`` or ``serialize()``.  A session only counts
+its messages, so it builds none of these.
+
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
 expected outcome products, and rounds whose operator choices match no
@@ -42,6 +48,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
@@ -71,13 +78,29 @@ THREE_PARTY_MENU = ("sx", "ex", "oz", "id")
 SIGNS = (+1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalMessage:
-    """One classical announcement with a canonical serialized form."""
+    """One classical announcement with a canonical serialized form.
+
+    ``content`` is the payload dict, or a function of no arguments that
+    builds it.  ``payload`` is that dict, built on its first read and then
+    kept, so a message built from read-only columns announces what they
+    held when it was posted, while a run that never reads it never pays
+    for it.  Messages are equal when their sender, kind and payload are.
+    """
 
     sender: str
     kind: str
-    payload: dict
+    content: dict | Callable[[], dict]
+
+    @functools.cached_property
+    def payload(self) -> dict:
+        return self.content() if callable(self.content) else self.content
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassicalMessage):
+            return NotImplemented
+        return (self.sender, self.kind, self.payload) == (other.sender, other.kind, other.payload)
 
     def serialize(self) -> str:
         parts = [f"sender={self.sender}", f"kind={self.kind}"]
@@ -159,10 +182,10 @@ class CheckTally:
 
 @dataclass(frozen=True, eq=False)
 class VerificationSummary:
-    """A verification phase's outcome, held as columns: per party, the
-    menu code of its choice and its outcome index in every round, and per
-    round whether it matched a check; a round that matched none is
-    discarded."""
+    """A verification phase's outcome, held as read-only columns: per
+    party, the menu code of its choice and its outcome index in every
+    round, and per round whether it matched a check; a round that matched
+    none is discarded."""
 
     menu: tuple
     choices: tuple  # per party, (rounds,) menu codes
@@ -181,6 +204,29 @@ class VerificationSummary:
     @property
     def total_violations(self) -> int:
         return sum(t.violations for t in self.tallies.values())
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
+
+
+def _announcements(menu: tuple, codes: np.ndarray, column: np.ndarray) -> dict:
+    """An operator announcement's payload: per round, its index, the
+    party's choice by name and its announced sign."""
+    names = map(menu.__getitem__, codes.tolist())
+    signs = map(SIGNS.__getitem__, column.tolist())
+    return {"rounds": list(zip(range(len(codes)), names, signs))}
+
+
+def _reveal(column: np.ndarray, sample=None) -> dict:
+    """A reveal's payload: the key outcome label of every round of
+    ``column``, or of the ``sample`` rounds only, by round."""
+    if sample is None:
+        rows, values = range(len(column)), column
+    else:
+        rows, values = sample.tolist(), column[sample]
+    return {"outcomes": dict(zip(rows, map(KEY_LABELS.__getitem__, values.tolist())))}
 
 
 def _party_positions(spec: ChannelSpec):
@@ -323,7 +369,7 @@ def run_verification_phase(
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
 
     draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
-    choices = [codes for codes, _ in draws]
+    choices = [_read_only(codes) for codes, _ in draws]
     # per party, the rounds in which a later party measures: only there is
     # the drawn branch's node built
     later = [np.zeros(num_rounds, dtype=bool)]
@@ -333,7 +379,7 @@ def run_verification_phase(
     outcomes = []
     for j, (codes, u) in enumerate(draws):
         sets = [sign_sets[j, name] for name in menu]
-        outcomes.append(tree.draw(ids, sets, u, codes))
+        outcomes.append(_read_only(tree.draw(ids, sets, u, codes)))
         if j + 1 < len(parties):
             ids = tree.children(ids, sets, outcomes[j], codes, later[j])
 
@@ -359,15 +405,13 @@ def run_verification_phase(
         violations = odd_rounds if check.expected == 1 else rounds - odd_rounds
         tallies[check.name] = CheckTally(rounds, violations)
         listed[code] = True
-    kept = listed[choice]
+    kept = _read_only(listed[choice])
     matched = sum(n for n, hit in zip(counts, listed.tolist()) if hit)
 
     # batch announcement at end of phase; per-round would be equivalent
     for p, codes, column in zip(parties, choices, outcomes):
-        names = map(menu.__getitem__, codes.tolist())
-        signs = map(SIGNS.__getitem__, column.tolist())
-        announcements = list(zip(range(num_rounds), names, signs))
-        bus.post(ClassicalMessage(p, "operator-announcement", {"rounds": announcements}))
+        payload = functools.partial(_announcements, menu, codes, column)
+        bus.post(ClassicalMessage(p, "operator-announcement", payload))
 
     violations = sum(t.violations for t in tallies.values())
     return VerificationSummary(
@@ -385,9 +429,9 @@ def run_verification_phase(
 
 @dataclass(frozen=True, eq=False)
 class KeyPhase:
-    """A key phase's outcome, held as columns: per party its key-basis
-    outcome index in every round, and per round whether the public sample
-    consumed it; the rounds not consumed give the keys."""
+    """A key phase's outcome, held as read-only columns: per party its
+    key-basis outcome index in every round, and per round whether the
+    public sample consumed it; the rounds not consumed give the keys."""
 
     outcomes: tuple  # per party, (rounds,) key-basis outcome indices
     consumed: np.ndarray  # (rounds,) revealed in the public sample
@@ -439,29 +483,28 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
         level = [projectors]
-        columns.append(tree.draw(ids, level, rngs[parties[j]].random(num_rounds)))
+        columns.append(_read_only(tree.draw(ids, level, rngs[parties[j]].random(num_rounds))))
         if j + 1 < len(parties):
             ids = tree.children(ids, level, columns[j])
-    sample = np.zeros(0, dtype=np.intp)
+    sample = _read_only(np.zeros(0, dtype=np.intp))
     if reveal is not None:
         requester, revealers, control = reveal
         if control is not None:
-            labels = map(KEY_LABELS.__getitem__, columns[control].tolist())
-            payload = {"outcomes": dict(zip(range(num_rounds), labels))}
+            payload = functools.partial(_reveal, columns[control])
             bus.post(ClassicalMessage(parties[control], "control-reveal", payload))
         count = int(round(sample_fraction * num_rounds))
         if count:
-            sample = np.sort(rngs["public"].choice(num_rounds, size=count, replace=False))
-        rows = sample.tolist()
-        bus.post(ClassicalMessage(requester, "sample-check-request", {"rounds": rows}))
+            drawn = rngs["public"].choice(num_rounds, size=count, replace=False)
+            sample = _read_only(np.sort(drawn))
+        bus.post(ClassicalMessage(requester, "sample-check-request", {"rounds": sample.tolist()}))
         for pos in revealers:
-            labels = map(KEY_LABELS.__getitem__, columns[pos][sample].tolist())
-            payload = {"outcomes": dict(zip(rows, labels))}
+            payload = functools.partial(_reveal, columns[pos], sample)
             bus.post(ClassicalMessage(parties[pos], "sample-check-reveal", payload))
     bit_errors = int(key_bit_errors([column[sample] for column in columns]).sum())
     qber = bit_errors / (2 * len(sample)) if len(sample) else 0.0
     consumed = np.zeros(num_rounds, dtype=bool)
     consumed[sample] = True
+    consumed.setflags(write=False)
     reference, estimate = (sift_key(column[~consumed]) for column in sift(columns))
     phase = dict(outcomes=tuple(columns), consumed=consumed, qber=qber)
     return dict(phase, passed=qber <= qber_threshold), reference, estimate

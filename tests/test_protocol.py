@@ -44,8 +44,13 @@ def verification_rounds(summary):
 
 
 def test_message_serialization_is_canonical():
-    msg = ClassicalMessage("alice", "sample-check-reveal", {"b": [1, 2], "a": {2: "x", 1: "y"}})
+    payload = {"b": [1, 2], "a": {2: "x", 1: "y"}}
+    msg = ClassicalMessage("alice", "sample-check-reveal", payload)
     assert msg.serialize() == "sender=alice kind=sample-check-reveal a=1:y;2:x b=1,2"
+    # a dict is the payload as given; a builder is called on first read
+    assert msg.payload is payload
+    built = ClassicalMessage("alice", "sample-check-reveal", lambda: dict(payload))
+    assert built.serialize() == msg.serialize() and built == msg
 
 
 def test_bus_is_fifo_and_keeps_transcript():
@@ -223,6 +228,27 @@ def test_key_columns_match_the_transcript(parties, permits, attack):
             pos = PARTY_ORDER.index(message.sender)
             for index, label in message.payload["outcomes"].items():
                 assert KEY_LABELS[phase.outcomes[pos][index]] == label
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_posted_columns_are_read_only(parties):
+    # a message builds its payload when first read, so every column it
+    # reads must still hold what it held when the message was posted
+    spec, bus, rngs = make_channel(parties), MessageBus(), streams(29)
+    summary = run_verification_phase(spec, 40, NONE, rngs, bus)
+    if parties == 2:
+        phase = run_key_phase_two_party(spec, 40, 0.25, 0.0, NONE, rngs, bus)
+    else:
+        phase = run_key_phase_controlled(spec, 40, 0.25, 0.0, True, NONE, rngs, bus)
+    columns = [*summary.choices, *summary.outcomes, summary.kept, *phase.outcomes, phase.consumed]
+    # the sampled rows are held only by the messages that announce them
+    builders = [m.content for m in bus.transcript if callable(m.content)]
+    posted = [a for build in builders for a in build.args if isinstance(a, np.ndarray)]
+    sample = np.flatnonzero(phase.consumed)
+    assert len(sample) == 10 and any(np.array_equal(a, sample) for a in posted)
+    for column in columns + posted:
+        with pytest.raises(ValueError):
+            column[0] = column[0]
 
 
 def test_two_party_key_phase_sampling_accounting():

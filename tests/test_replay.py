@@ -61,6 +61,23 @@ def test_menu_draws_equal_per_call_draws(idle, buffered):
             assert_same_future(replayed, called)
 
 
+def assert_depolarize_draws(replayed, called, rounds, targets, strength):
+    """The replayed depolarize draws equal per-call draws, (round, target)
+    by (round, target), and leave the generators in one state; returns the
+    replayed columns."""
+    hit, u, fresh = _depolarize_draws(replayed, rounds, targets, strength)
+    for i in range(rounds):
+        for j in range(targets):
+            if called.random() >= strength:
+                assert not hit[i, j]
+                continue
+            assert hit[i, j]
+            assert u[i, j] == called.random()
+            assert fresh[i, j] == called.integers(DIM)
+    assert_same_future(replayed, called)
+    return hit, u, fresh
+
+
 @pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
 def test_depolarize_draws_equal_per_call_draws(strength, buffered):
@@ -68,16 +85,33 @@ def test_depolarize_draws_equal_per_call_draws(strength, buffered):
         for rounds in ROUNDS:
             for targets in (1, 2):
                 replayed, called = twin_generators(seed, buffered)
-                hit, u, fresh = _depolarize_draws(replayed, rounds, targets, strength)
-                for i in range(rounds):
-                    for j in range(targets):
-                        if called.random() >= strength:
-                            assert not hit[i, j]
-                            continue
-                        assert hit[i, j]
-                        assert u[i, j] == called.random()
-                        assert fresh[i, j] == called.integers(DIM)
-                assert_same_future(replayed, called)
+                assert_depolarize_draws(replayed, called, rounds, targets, strength)
+
+
+@pytest.mark.parametrize("strength", [0.5, 0.999])
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+def test_long_depolarize_draws_equal_per_call_draws(strength, buffered):
+    # a phase's length: the hits alternate between fresh words and the
+    # half-words they buffer over a thousand times
+    for seed in range(2):
+        replayed, called = twin_generators(seed, buffered)
+        hit, _, _ = assert_depolarize_draws(replayed, called, 1000, 2, strength)
+        assert abs(hit.mean() - strength) < 0.05
+
+
+def test_first_depolarize_hit_reads_the_buffered_half():
+    # a half-word buffered before the scan is the first hit's digit, even
+    # when gates missed before that hit
+    late = 0
+    for seed in range(16):
+        replayed, called = twin_generators(seed, buffered=True)
+        half = replayed.bit_generator.state["uinteger"]
+        hit, _, fresh = assert_depolarize_draws(replayed, called, 5, 2, 0.5)
+        first = np.flatnonzero(hit.ravel())
+        if len(first):
+            assert fresh.ravel()[first[0]] == half >> 30
+            late += first[0] > 0
+    assert late
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
