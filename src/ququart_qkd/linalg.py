@@ -13,17 +13,15 @@ is built, so a draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
-rows of one amplitude array, a plain heap array grown by a quarter when
-full, and per level it keeps tables of branch probabilities, their
-cumulative law and child ids, so each (state, set) pair is computed
-once.  A tree may outlive its phase: attack-free phases on the built-in
-channels share one per party count for the life of the process
-(``protocol``), while attacked and corrupt-channel phases build their
-own.  A tree is sampled one level at a time for all rounds at once, by
-one inverse-CDF rule, and a level computes its missing rows in batched
-products of at most MAP_BYTES per temporary array.
-``measure_projective`` is one row of such a level, by the same rule and
-product.  The uniforms are a stream's bulk draws, or
+rows of one amplitude array, and per level it keeps tables of branch
+probabilities, their cumulative law and child ids, so each (state, set)
+pair is computed once.  A tree may outlive its phase: attack-free phases
+on the built-in channels share one per party count for the life of the
+process (``protocol``), while attacked and corrupt-channel phases build
+their own.  A tree is sampled one level at a time for all rounds at once,
+by one inverse-CDF rule, and a level computes its missing rows in batched
+products.  ``measure_projective`` is one row of such a level, by the same
+rule and product.  The uniforms are a stream's bulk draws, or
 ``RawWords`` replays them from a PCG64 generator's raw words, so the
 draws equal per-round calls.  Input a user can reach (state shapes and
 norms, operator and local shapes, basis indices, positions) is checked by
@@ -36,6 +34,7 @@ ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,10 +45,12 @@ DIM = 4
 NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 
-# glibc's malloc maps requests of 128 KiB or more directly, which costs a
-# fresh mapping and its page faults per request; so a tree batches its
-# products in chunks of at most MAP_BYTES per temporary array, which the
-# heap serves and reuses.
+# glibc's malloc maps requests of 128 KiB or more directly; freeing a
+# mapped block raises that threshold to the block's size and lets the
+# heap keep up to twice as much freed memory resident.  So a tree
+# batches its products in chunks of at most MAP_BYTES per array, and maps
+# an amplitude array of MAP_BYTES or more itself, unmapping it when the
+# array is dropped.
 MAP_BYTES = 1 << 17
 
 
@@ -329,7 +330,7 @@ class Tree:
 
     def __init__(self, root: StateVector):
         self.root = root
-        self.amplitudes = np.empty((16, root.dim), dtype=complex)
+        self.amplitudes = _rows(16, root.dim)
         self.amplitudes[0] = root.amplitudes
         self.size = 1
         self._levels = {}  # tuple of sets -> _Level
@@ -414,7 +415,7 @@ class Tree:
         if end > len(self.amplitudes):
             # grown by a quarter before the product, so that only the old
             # and the new array are held at once
-            grown = np.empty((end + end // 4, self.amplitudes.shape[1]), dtype=complex)
+            grown = _rows(end + end // 4, self.amplitudes.shape[1])
             grown[:start] = self.amplitudes[:start]
             self.amplitudes = grown
         rows = self.amplitudes[start:end]
@@ -454,6 +455,15 @@ class Tree:
         state, which must stay normalized; built once per (node, pick)."""
         level = self._level((operators,))
         return self._kids(level, ids * level.branches + picks, False)
+
+
+def _rows(count: int, dim: int) -> np.ndarray:
+    """An uninitialised (count, dim) complex array, in its own anonymous
+    memory map from MAP_BYTES on."""
+    size = count * dim * 16  # complex128
+    if size < MAP_BYTES:
+        return np.empty((count, dim), dtype=complex)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=complex).reshape(count, dim)
 
 
 def _branch_count(sets) -> int:

@@ -7,9 +7,10 @@
 exports the committed files of ``REV`` into a temporary directory and, per
 seed, runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in that copy and once in this checkout's working tree, each side from
-its own sources.  An odd seed runs the parent first, an even seed the
-change, so neither side always runs on a warmer machine.  ``--workload``
-may be given more than once.
+its own sources.  The workload names and the run length ``T`` are
+``BENCHMARK.json``'s ``workloads`` and ``run_seconds``.  An odd seed runs
+the parent first, an even seed the change, so neither side always runs on
+a warmer machine.  ``--workload`` may be given more than once.
 
 The pairs are written to ``--out`` as ``{what, parent, command, machine,
 env, workloads}``; per workload, ``pairs`` holds each seed's order and the
@@ -17,8 +18,8 @@ end-to-end metrics of ``BENCHMARK.json`` on both sides (plus the attempted
 and failed operations and the harness's verdict), and ``summary`` holds per
 metric the parent's median and quartiles, the change's median, their ratio
 (change / parent) and the number of pairs in which the change was better.
-An existing ``--out`` of the same parent keeps the workloads not run
-again.  The per-metric medians are printed as each workload finishes.
+An existing ``--out`` of the same parent and command keeps the workloads
+not run again.  The per-metric medians are printed as each workload finishes.
 ``perfbench/`` is run, never changed.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,10 +38,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SLACK_S = 180  # set-up, warm-up and checks on top of a run's measured seconds
 
 
-def end_to_end() -> dict:
-    """Metric name -> "higher" or "lower", as BENCHMARK.json declares."""
+def benchmark() -> tuple:
+    """BENCHMARK.json's workload names, run length in seconds, and end-to-end
+    metrics as name -> "higher" or "lower"."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        spec = json.load(f)
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return [w["name"] for w in spec["workloads"]], spec["run_seconds"], metrics
 
 
 def seed_range(text: str) -> list:
@@ -100,14 +105,16 @@ def summarize(pairs: list, metrics: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--workload", required=True, action="append",
-                        choices=["keygen", "eavesdrop", "certify", "sweep"])
+    workloads, seconds, metrics = benchmark()
+    parser.add_argument("--workload", required=True, action="append", choices=workloads)
     parser.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
     parser.add_argument("--out", required=True, help="the BENCH_<n>_<name>.json to write")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--what", default="", help="what the change is")
     args = parser.parse_args(argv)
-    metrics = end_to_end()
+    command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+    # a terminated run unwinds like an interrupted one: the running harness
+    # is killed and the parent's copy removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_dir:
         parent = export(args.parent, parent_dir)
@@ -117,10 +124,12 @@ def main(argv=None) -> int:
                 record = json.load(f)
             if record.get("parent") != parent:
                 raise SystemExit(f"error: {args.out} compares against {record.get('parent')}")
+            if record.get("command") != command:
+                raise SystemExit(f"error: {args.out} was run as {record.get('command')!r}")
         record.update(
             what=args.what or record.get("what", ""),
             parent=parent,
-            command=f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+            command=command,
             machine=f"{os.cpu_count()}-core machine; times scaled to the base clock by the harness",
         )
         record.setdefault("workloads", {})
@@ -131,7 +140,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], env = run_once(checkouts[side], workload, seed, args.seconds, metrics)
+                    pair[side], env = run_once(checkouts[side], workload, seed, seconds, metrics)
                     record["env"] = env or record.get("env", "")
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
