@@ -13,15 +13,16 @@ is built, so a draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
-rows of one amplitude array, and per level it keeps tables of branch
-probabilities, their cumulative law and child ids, so each (state, set)
-pair is computed once.  A tree may outlive its phase: attack-free phases
-on the built-in channels share one per party count for the life of the
-process (``protocol``), while attacked and corrupt-channel phases build
-their own.  A tree is sampled one level at a time for all rounds at once,
-by one inverse-CDF rule, and a level computes its missing rows in batched
-products.  ``measure_projective`` is one row of such a level, by the same
-rule and product.  The uniforms are a stream's bulk draws, or
+the distinct states, one row each of one amplitude array (a built state
+equal in bytes to a node is that node), and per level it keeps tables of
+branch probabilities, their cumulative law and child ids, so each (state,
+set) pair is computed once.  A tree may outlive its phase: attack-free
+phases on the built-in channels share one per party count for the life of
+the process (``protocol``), while attacked and corrupt-channel phases
+build their own.  A tree is sampled one level at a time for all rounds at
+once, by one inverse-CDF rule, and a level computes its missing rows in
+one product per set.  ``measure_projective`` is one row of such a level,
+by the same rule and product.  The uniforms are a stream's bulk draws, or
 ``RawWords`` replays them from a PCG64 generator's raw words, so the
 draws equal per-round calls.  Input a user can reach (state shapes and
 norms, operator and local shapes, basis indices, positions) is checked by
@@ -34,7 +35,6 @@ ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,14 +44,6 @@ DIM = 4
 
 NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
-
-# glibc's malloc maps requests of 128 KiB or more directly; freeing a
-# mapped block raises that threshold to the block's size and lets the
-# heap keep up to twice as much freed memory resident.  So a tree
-# batches its products in chunks of at most MAP_BYTES per array, and maps
-# an amplitude array of MAP_BYTES or more itself, unmapping it when the
-# array is dropped.
-MAP_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -229,20 +221,17 @@ class ProjectorSet(OperatorStack):
             raise ValueError("projectors do not sum to identity")
 
 
-def apply_at(stack: np.ndarray, position: int, rows: np.ndarray, out=None) -> np.ndarray:
+def apply_at(stack: np.ndarray, position: int, rows: np.ndarray) -> np.ndarray:
     """A (..., d, d) operator stack acting at ``position`` on (..., n) state
-    rows, leading axes broadcast, written to the (..., n) array ``out`` if
-    given.  Each row is viewed as a (4**position, d, rest) array, so one
-    ``matmul`` contracts the acted-on axis and no register operator is
-    built."""
+    rows, leading axes broadcast.  Each row is viewed as a (4**position, d,
+    rest) array, so one ``matmul`` contracts the acted-on axis and no
+    register operator is built."""
     d, n = stack.shape[-1], rows.shape[-1]
     before = DIM**position
     after = n // (before * d)
     if before * d * after != n:
         raise ValueError(f"a ({d}, {d}) operator at position {position} does not act on dimension {n}")
-    if out is not None:
-        out = out.reshape(*out.shape[:-1], before, d, after)
-    out = np.matmul(stack[..., None, :, :], rows.reshape(*rows.shape[:-1], before, d, after), out=out)
+    out = np.matmul(stack[..., None, :, :], rows.reshape(*rows.shape[:-1], before, d, after))
     return out.reshape(*out.shape[:-3], n)
 
 
@@ -323,16 +312,19 @@ class Tree:
     cumulative law, filled once per row, and a (node x code x branch)
     table of child ids, the identity slot's being its node (``_Level``).
     So a call on filled rows is a gather.  The missing rows and children
-    that some row reaches are computed in batched products (``apply_at``)
-    of at most MAP_BYTES per array, so the tree grows exactly as a walk of
-    the same rounds grows it.
+    that some row reaches are computed in one product per set
+    (``apply_at``), so the tree never holds more rows than a walk of the
+    same rounds builds; a built row equal in bytes to an existing node
+    reuses its id, so no two rows are equal and a node may have several
+    parents.
     """
 
     def __init__(self, root: StateVector):
         self.root = root
-        self.amplitudes = _rows(16, root.dim)
+        self.amplitudes = np.empty((16, root.dim), dtype=complex)
         self.amplitudes[0] = root.amplitudes
         self.size = 1
+        self._index = {self.amplitudes[0].tobytes(): 0}  # row bytes -> node id
         self._levels = {}  # tuple of sets -> _Level
 
     def state(self, node: int) -> StateVector:
@@ -368,14 +360,11 @@ class Tree:
                 level.probs[rows, 0] = 1.0
                 level.kids[rows] = at[:, None]
                 continue
-            step = max(1, MAP_BYTES // (len(projectors.stack) * self.amplitudes.shape[1] * 16))
-            for start in range(0, len(rows), step):
-                part = slice(start, start + step)
-                branches = apply_at(projectors.stack[:, None], projectors.position, self.amplitudes[at[part]])
-                # the squared real and imaginary parts of each branch, summed;
-                # squared in place, since the branches are not kept
-                parts = branches.view(float)
-                level.probs[rows[part]] = np.square(parts, out=parts).sum(axis=-1).T
+            branches = apply_at(projectors.stack[:, None], projectors.position, self.amplitudes[at])
+            # the squared real and imaginary parts of each branch, summed;
+            # squared in place, since the branches are not kept
+            parts = branches.view(float)
+            level.probs[rows] = np.square(parts, out=parts).sum(axis=-1).T
         level.cdf[missing] = np.cumsum(level.probs[missing, :-1], axis=1)
 
     def probabilities(self, ids, projectors: ProjectorSet) -> np.ndarray:
@@ -409,26 +398,25 @@ class Tree:
         return kids.take(slots)
 
     def _build(self, ops: OperatorStack, nodes, picks, norms) -> np.ndarray:
-        """Ids of new nodes ``ops.stack[pick]`` applied to each node's
-        state, over ``norms`` if given, written straight into new rows."""
-        start, end = self.size, self.size + len(nodes)
+        """Node ids of ``ops.stack[pick]`` applied to each node's state,
+        over ``norms`` if given: a row whose exact bytes already belong to
+        a node is that node, and the others are appended once each."""
+        rows = apply_at(ops.stack[picks], ops.position, self.amplitudes[nodes])
+        if norms is not None:
+            # the same product as that branch's probability, so the same bits
+            rows /= norms[:, None]
+        index, start = self._index, self.size
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+        fresh, end = ids >= start, len(index)
         if end > len(self.amplitudes):
-            # grown by a quarter before the product, so that only the old
-            # and the new array are held at once
-            grown = _rows(end + end // 4, self.amplitudes.shape[1])
+            grown = np.empty((end + end // 4, rows.shape[1]), dtype=complex)
             grown[:start] = self.amplitudes[:start]
             self.amplitudes = grown
-        rows = self.amplitudes[start:end]
-        # a chunk gathers a state row and an operator per pair
-        step = max(1, MAP_BYTES // (max(self.amplitudes.shape[1], ops.stack.shape[1] ** 2) * 16))
-        for at in range(0, len(nodes), step):
-            part = slice(at, at + step)
-            apply_at(ops.stack[picks[part]], ops.position, self.amplitudes[nodes[part]], out=rows[part])
-            if norms is not None:
-                # the same product as that branch's probability, so the same bits
-                rows[part] /= norms[part, None]
+        # a new node repeated in the batch writes equal bytes twice
+        self.amplitudes[ids[fresh]] = rows[fresh]
         self.size = end
-        return np.arange(start, end)
+        return ids
 
     def draw(self, ids, sets, u, codes=None) -> np.ndarray:
         """Outcome index per row from its uniform ``u`` (``_inverse_cdf``):
@@ -455,15 +443,6 @@ class Tree:
         state, which must stay normalized; built once per (node, pick)."""
         level = self._level((operators,))
         return self._kids(level, ids * level.branches + picks, False)
-
-
-def _rows(count: int, dim: int) -> np.ndarray:
-    """An uninitialised (count, dim) complex array, in its own anonymous
-    memory map from MAP_BYTES on."""
-    size = count * dim * 16  # complex128
-    if size < MAP_BYTES:
-        return np.empty((count, dim), dtype=complex)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=complex).reshape(count, dim)
 
 
 def _branch_count(sets) -> int:

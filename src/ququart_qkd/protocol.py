@@ -318,9 +318,10 @@ def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
     low, high = (quarter(h) for h in halves(raw))
     uniforms_of = np.array([int(c != idle) for c in range(4)])  # per code
     steps = (1 + uniforms_of[low] + uniforms_of[high]).tolist()
-    chase = [start]
+    chase, word = [start], start
     for _ in range(blocks - 1):
-        chase.append(chase[-1] + steps[chase[-1]])
+        word += steps[word]
+        chase.append(word)
     starts = np.array(chase[:blocks], dtype=np.intp)
     pairs = num_rounds - first - blocks  # blocks with a second round
     firsts = low[starts]

@@ -15,11 +15,15 @@ probabilities and children under the library's local operators and
 their ``embed``-ed counterparts.  A per-round walk down the tree
 (``walk_round``) shows that the level sampler builds only the nodes a
 walk builds, and the key tree's exact leaf weights give ``predict``'s
-qber.
+qber.  A tree interns its rows by their exact bytes: no two rows are
+equal, and an attacked phase's rows are exactly the distinct states the
+per-round reference builds.
 """
 
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import (
     DIM,
     MeasurementResult,
+    OperatorStack,
     ProjectorSet,
     StateVector,
     Tree,
@@ -54,7 +59,7 @@ from ququart_qkd.protocol import (
     run_key_phase_two_party,
     run_verification_phase,
 )
-from ququart_qkd.session import _named_streams
+from ququart_qkd.session import SessionConfig, _named_streams, run_session
 
 # ---------------------------------------------------------------------------
 # reference: the per-round sampler and state-to-state hooks
@@ -630,6 +635,185 @@ def test_key_phase_level_draw_raises_on_a_zero_weight_last_branch(parties):
         rngs[party] = AboveTotal()
     with pytest.raises(RuntimeError):
         run_key_phase(spec, 3, AttackModel(), rngs)
+
+
+# ---------------------------------------------------------------------------
+# interning: one row per distinct state
+
+
+def assert_rows_distinct(tree):
+    rows = tree.amplitudes[: tree.size]
+    assert len(set(map(bytes, rows))) == tree.size
+
+
+def test_built_rows_equal_in_bytes_share_one_id():
+    # cyclic shifts of one ququart: two paths to |2>, and back to the root
+    shifts = OperatorStack([np.roll(np.eye(DIM), a, axis=0) for a in range(DIM)])
+    tree = Tree(ket(0))
+
+    def evolved(ids, picks):
+        return tree.evolved(np.array(ids), shifts, np.array(picks)).tolist()
+
+    [one] = evolved([0], [1])
+    [two] = evolved([one], [1])
+    assert tree.size == 3
+    assert evolved([0, two, 0], [2, 2, 0]) == [two, 0, 0]
+    assert tree.size == 3
+    # equal new rows within one product are one new node
+    assert evolved([0, 0, one], [3, 3, 2]) == [3, 3, 3]
+    assert tree.size == 4
+    # a measurement's normalized branch equal to the root is the root
+    comp = ProjectorSet([np.outer(e, e) for e in np.eye(DIM, dtype=complex)])
+    assert child(tree, 0, comp, 0) == 0 and child(tree, two, comp, 2) == two
+    assert tree.size == 4
+    # a row one rounding apart from the root is a node of its own, and a
+    # second level that builds the same bytes finds it
+    nudge = 1 + 2.0**-52
+    near = OperatorStack([np.eye(DIM) * nudge])
+    [apart] = tree.evolved(np.array([0]), near, np.array([0])).tolist()
+    assert apart == 4 and np.allclose(tree.amplitudes[apart], tree.amplitudes[0])
+    again = OperatorStack([np.eye(DIM) * nudge])
+    assert tree.evolved(np.array([0]), again, np.array([0])).tolist() == [apart]
+    assert tree.size == 5
+    assert_rows_distinct(tree)
+
+
+def report_grid_configs():
+    """``tools/report_grid.py``'s session configs."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_grid.py"
+    spec = importlib.util.spec_from_file_location("report_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for protocol_name, kind, targets, strength, permits, corrupt, ver, key, frac, seed in module.grid():
+        yield SessionConfig(
+            protocol=protocol_name,
+            verification_rounds=ver,
+            key_rounds=key,
+            sample_fraction=frac,
+            qber_threshold=0.6,
+            attack=AttackModel(kind, targets, strength),
+            alice_permits=permits,
+            seed=seed,
+            corrupt=corrupt,
+        )
+
+
+def test_report_grid_trees_hold_distinct_rows(monkeypatch):
+    trees = record_trees(monkeypatch)
+    attacked = 0
+    for config in report_grid_configs():
+        count = len(trees)
+        run_session(config)
+        for tree in trees[count:]:
+            assert_rows_distinct(tree)
+        attacked += config.attack.kind != "none"
+    assert attacked == 280
+    shared = [protocol._attack_free_tree(n) for n in (2, 3)]
+    for tree in shared:
+        assert any(tree is t for t in trees)
+        assert_rows_distinct(tree)
+
+
+def reference_rows(spec, rounds, model, rngs) -> list:
+    """Per phase (verification, then key), the states the per-round
+    reference builds where a phase's tree builds a row, as a dict from
+    each state's path (the operations and outcomes that led to it from
+    the root) to its bytes: every attacked state, and a party's drawn
+    branch where a later party measures.  The draws are
+    ``reference_phases``'."""
+    n = spec.party_count
+    parties = PARTY_ORDER[:n]
+    menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
+    if model.kind == "intercept-key":
+        local = key_basis().projectors
+    else:
+        local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
+    readouts = {t: ProjectorSet([embed(p, t, n) for p in local]) for t in model.targets}
+    shifts = {t: [embed(shift_matrix(a), t, n) for a in range(DIM)] for t in model.targets}
+
+    def attacked(built):
+        rng = rngs["attack"]
+        state, path = spec.state, ()
+        for t in model.targets:
+            if model.kind == "depolarize" and rng.random() >= model.strength:
+                continue
+            measured = per_call_measure_projective(state, readouts[t], rng)
+            state, path = measured.post_state, path + (("read", t, measured.outcome_index),)
+            built[path] = state.amplitudes.tobytes()
+            if model.kind == "depolarize":
+                amount = (int(rng.integers(DIM)) - measured.outcome_index) % DIM
+                state = StateVector(n, shifts[t][amount] @ state.amplitudes)
+                path += (("shift", t, amount),)
+                built[path] = state.amplitudes.tobytes()
+        return state, path
+
+    def measured(state, path, sets, built):
+        for j, projectors in enumerate(sets):
+            if projectors is None:
+                continue
+            result = per_call_measure_projective(state, projectors, rngs[parties[j]])
+            if any(later is not None for later in sets[j + 1 :]):
+                state, path = result.post_state, path + ((j, id(projectors), result.outcome_index),)
+                built[path] = state.amplitudes.tobytes()
+
+    verification, key = {}, {}
+    for _ in range(rounds):
+        state, path = attacked(verification)
+        choices = [menu[int(rngs[p].integers(len(menu)))] for p in parties]
+        sets = [dense_sign_sets(n)[pos, name] for pos, name in enumerate(choices)]
+        measured(state, path, sets, verification)
+    for _ in range(rounds):
+        measured(*attacked(key), dense_key_sets(n), key)
+    return [verification, key]
+
+
+ATTACKED_CASES = [(p, m) for p, m in CASES if m.kind != "none"]
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    ATTACKED_CASES,
+    ids=[f"{p}-{m.kind}{list(m.targets)}s{m.strength}" for p, m in ATTACKED_CASES],
+)
+def test_attacked_phases_build_no_more_rows_than_the_reference_walk(parties, model, monkeypatch):
+    spec = make_channel(parties)
+    trees = record_trees(monkeypatch)
+    rngs = _named_streams(4)
+    verification_phase(spec, 300, model, rngs)
+    run_key_phase(spec, 300, model, rngs)
+    assert len(trees) == 2
+    for tree, built in zip(trees, reference_rows(spec, 300, model, _named_streams(4))):
+        rows = set(map(bytes, tree.amplitudes[: tree.size]))
+        assert len(rows) == tree.size <= 1 + len(built)
+        # exactly the distinct states the reference reaches, the root included
+        assert rows == {spec.state.amplitudes.tobytes()} | set(built.values())
+
+
+def test_unchunked_products_equal_embedded_products(monkeypatch):
+    # a three-party tree of several hundred rows; the old products went in
+    # chunks of 64 rows for a two-branch fill and 128 rows for a build
+    # on 64 amplitudes
+    spec = make_channel(3)
+    trees = record_trees(monkeypatch)
+    verification_phase(spec, 1000, AttackModel("depolarize", (1, 2), 1.0), _named_streams(5))
+    tree = trees[0]
+    ids = np.arange(tree.size)
+    assert tree.size > 2 * 128
+    stack = _sign_projector_sets(3)[1, "sx"]  # a two-branch set
+    dense = dense_stacks(3)[stack]
+    rows = tree.amplitudes[: tree.size].copy()
+    embedded = np.stack([dense @ row for row in rows], axis=1)
+    probs = np.square(embedded.view(float)).sum(axis=-1).T
+    # a fresh one-set level: every row is filled by one product
+    assert (stack,) not in tree._levels
+    assert np.array_equal(tree.probabilities(ids, stack), probs)
+    # and every row's likelier branch is built by one product
+    picks = np.argmax(probs, axis=1)
+    kids = tree.children(ids, [stack], picks)
+    for node, (pick, kid) in enumerate(zip(picks.tolist(), kids.tolist())):
+        branch = embedded[pick, node]
+        assert np.array_equal(tree.amplitudes[kid], branch / math.sqrt(probs[node, pick]))
+    assert_rows_distinct(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ env, workloads}``; per workload, ``pairs`` holds each seed's order and the
 end-to-end metrics of ``BENCHMARK.json`` on both sides (plus the attempted
 and failed operations and the harness's verdict), and ``summary`` holds per
 metric the parent's median and quartiles, the change's median, their ratio
-(change / parent) and the number of pairs in which the change was better.
+(change / parent) and the number of pairs in which the change was better,
+plus each side's median ``attempted`` operations.  A run whose outputs fail
+the harness's checks (``correct`` false or ``failed`` above 0) stops the
+pairs with an error naming the workload, seed and side.
 An existing ``--out`` of the same parent and command keeps the workloads
 not run again.  The per-metric medians are printed as each workload finishes.
 ``perfbench/`` is run, never changed.
@@ -68,8 +71,10 @@ def export(rev: str, into: str) -> str:
     return short
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, metrics) -> tuple:
-    """One harness run in ``checkout``: its metrics and its ``env:`` line."""
+def run_once(side: str, checkout: str, workload: str, seed: int, seconds: float, metrics) -> tuple:
+    """One harness run of ``side`` in ``checkout``: its metrics and its
+    ``env:`` line.  A run whose outputs failed the harness's checks stops
+    the pairs, though the harness itself exits 0."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
@@ -77,8 +82,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, metrics) -
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"error: {workload} seed {seed} failed in {checkout}")
+        raise SystemExit(f"error: {workload} seed {seed} failed on the {side} side ({checkout})")
     summary = json.loads(lines[-1])
+    if not summary["correct"] or summary["failed"]:
+        sys.stderr.write(proc.stdout)
+        raise SystemExit(f"error: {workload} seed {seed} on the {side} side: correct "
+                         f"{summary['correct']}, {summary['failed']} failed operations")
     env = next((line.strip() for line in lines if line.strip().startswith("env:")), "")
     out = {name: summary["metrics"][name]["value"] for name in metrics}
     out.update(attempted=summary["attempted"], failed=summary["failed"], correct=summary["correct"])
@@ -86,7 +95,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, metrics) -
 
 
 def summarize(pairs: list, metrics: dict) -> dict:
-    summary = {}
+    # how many operations each side ran, against which peak_rss_mb reads:
+    # the harness keeps every output until the run ends
+    summary = {"attempted": {
+        f"{side}_median": statistics.median(p[side]["attempted"] for p in pairs)
+        for side in ("parent", "change")
+    }}
     for name, better in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
@@ -140,7 +154,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], env = run_once(checkouts[side], workload, seed, seconds, metrics)
+                    pair[side], env = run_once(side, checkouts[side], workload, seed, seconds, metrics)
                     record["env"] = env or record.get("env", "")
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
@@ -149,7 +163,11 @@ def main(argv=None) -> int:
             with open(args.out, "w") as f:
                 json.dump(record, f, indent=1)
                 f.write("\n")
-            for name, s in record["workloads"][workload]["summary"].items():
+            summary = record["workloads"][workload]["summary"]
+            print(f"  {workload} attempted: parent {summary['attempted']['parent_median']:g}, "
+                  f"change {summary['attempted']['change_median']:g}", flush=True)
+            for name in metrics:
+                s = summary[name]
                 print(f"  {workload} {name}: parent {s['parent_median']:.6g}, change "
                       f"{s['change_median']:.6g} ({s['ratio']:.3f}x), change better in "
                       f"{s['change_better_pairs']} of {len(pairs)}", flush=True)
