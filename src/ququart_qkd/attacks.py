@@ -8,16 +8,15 @@ Two semantics live side by side, on purpose:
   state, one target at a time.  Readouts and shifts are 4x4 operators
   at the target's position, built once per (kind, target); randomness
   comes from the session's seeded attack stream, and every readout and
-  shift is memoised on the tree, so sessions stay cheap and replayable.
-  A measuring attack's uniforms are one bulk draw.  Depolarize draws a
-  readout uniform and a fresh digit only where its gate uniform hits, so
-  its draws are replayed from the attack stream's raw words: the gates
-  are one column over all the words, a scan steps word offsets only, and
-  the uniforms and digits are read by indexing (``_depolarize_draws``).
-  ``make_attack_hook`` is the same code for one round, as a map from
-  state to state.  The entangle-probe's trajectory is the
-  computational readout: its probe copies the target's computational
-  digit, so reading the probe makes the same draw and the same collapse.
+  shift is memoised on the tree, so sessions stay cheap and deterministic.
+  Every draw is a bulk column with a row per round and a column per
+  target: a measuring attack's readout uniforms, and depolarize's gate
+  uniforms, readout uniforms and fresh digits, of which only a gated
+  (round, target)'s are read.  ``make_attack_hook`` is the same code
+  for one round, as a map from state to state.  The entangle-probe's
+  trajectory is the computational readout: its probe copies the
+  target's computational digit, so reading the probe makes the same draw
+  and the same collapse.
 * ``predict`` evolves the channel's density matrix through the exact
   attack channel and integrates the outcome statistics in closed form.
   It is the ground truth the Monte-Carlo sessions are validated against.
@@ -43,17 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    DIM,
-    OperatorStack,
-    ProjectorSet,
-    RawWords,
-    StateVector,
-    Tree,
-    halves,
-    quarter,
-    uniforms,
-)
+from .linalg import DIM, OperatorStack, ProjectorSet, StateVector, Tree
 
 # attacks measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -148,11 +137,11 @@ def attack_levels(
     ``ProjectorSet`` objects, and so on the same levels of the tree, whose
     tables then hold each readout and shift once.
 
-    The rounds are sampled one target at a time (``Tree``), with the same
-    draws from ``rng`` as a round-by-round run: a measuring attack draws
-    one uniform per target per round, which ``rng.random`` gives in bulk;
-    depolarize's data-dependent draws are replayed by a scan over the raw
-    words.  The entangle-probe is its computational readout (module
+    The rounds are sampled one target at a time (``Tree``).  For N rounds
+    and T targets a measuring attack draws ``rng.random((N, T))`` readout
+    uniforms; depolarize draws ``rng.random((N, T))`` gates, then as many
+    readout uniforms and then ``rng.integers(4, size=(N, T))`` fresh
+    digits.  The entangle-probe is its computational readout (module
     docstring).
     """
     _validate_targets(model, num_parties)
@@ -163,8 +152,9 @@ def attack_levels(
 
     def levels(tree, rng, num_rounds):
         ids = np.zeros(num_rounds, dtype=np.intp)
+        shape = num_rounds, len(targets)
         if model.kind != "depolarize":
-            u = rng.random(num_rounds * len(targets)).reshape(num_rounds, len(targets))
+            u = rng.random(shape)
             for j, readout in enumerate(sets):
                 level = [readout]
                 ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
@@ -173,7 +163,8 @@ def attack_levels(
         # re-prepare a uniformly random basis state in its place; averaged
         # over rounds this replaces the target's marginal with the
         # maximally mixed state
-        hit, u, fresh = _depolarize_draws(rng, num_rounds, len(targets), model.strength)
+        hit = rng.random(shape) < model.strength
+        u, fresh = rng.random(shape), rng.integers(DIM, size=shape)
         for j, (readout, shift) in enumerate(zip(sets, shifts)):
             rows = np.flatnonzero(hit[:, j])
             level = [readout]
@@ -198,52 +189,6 @@ def make_attack_hook(
         return tree.state(int(levels(tree, rng, 1)[0]))
 
     return hook
-
-
-def _depolarize_draws(rng, num_rounds: int, num_targets: int, strength: float):
-    """Depolarize's draws per (round, target), replayed from raw words:
-    whether the gate uniform fell below ``strength``, and if so the
-    readout uniform and the fresh digit, ``integers(4)``.
-
-    Every (round, target) reads a gate word; a hit then reads a uniform's
-    word and, unless a half-word is buffered, a fresh word whose low half
-    is its digit and whose high half is buffered for the next hit.  The
-    gates are one column over all the words, so the scan only steps word
-    offsets; the uniforms and digits are then read by indexing.
-    """
-    n = num_rounds * num_targets
-    words = RawWords(rng, 3 * n)
-    raw, half, buffered = words.words, words.half, words.buffered
-    gates = (uniforms(raw) < strength).tolist()
-    hits, starts = [], []  # per hit, its (round, target) and its gate's word
-    at, first = 0, int(buffered)
-    for i in range(n):
-        if gates[at]:
-            hits.append(i)
-            starts.append(at)
-            at += 3 - buffered
-            buffered = not buffered
-        else:
-            at += 1
-    # the hits alternate: one reads a fresh word's low half, the next that
-    # word's high half; a half-word buffered at the start is the first's
-    starts = np.array(starts, dtype=np.intp)
-    low, high = halves(raw[starts[first::2] + 2])
-    digits = np.empty(len(starts), dtype=np.intp)
-    digits[first::2] = quarter(low)
-    later = digits[first + 1 :: 2]
-    later[:] = quarter(high[: len(later)])
-    if first and len(starts):
-        digits[0] = quarter(half)
-    if len(high):
-        half = int(high[-1])
-    words.release(at, half, buffered)
-    columns = []
-    for values, dtype in ((True, bool), (uniforms(raw[starts + 1]), float), (digits, np.intp)):
-        column = np.zeros(n, dtype=dtype)
-        column[hits] = values
-        columns.append(column.reshape(num_rounds, num_targets))
-    return tuple(columns)
 
 
 # ---------------------------------------------------------------------------

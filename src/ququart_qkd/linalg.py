@@ -3,13 +3,13 @@
 Everything here is small and exact-friendly: states are normalized and
 live on 4**n amplitudes (n <= 4 in practice), operators are plain numpy
 matrices, and projective measurement draws from an explicit seeded
-generator so runs replay bit-for-bit.  An ``OperatorStack`` is a read-only stack of 4x4 operators
-on one ququart, named by its position, or of full-register operators at
-position 0; ``apply_at`` applies it to a batch of state rows by one
-``matmul`` over the acted-on axis, so no register operator is built
-(``embed`` builds one, for references and tests).  A measurement is a
-``ProjectorSet``: a stack whose completeness is checked once, when the set
-is built, so a draw is one stacked product and no identity sum.
+generator, so a seed fixes every result.  An ``OperatorStack`` is a
+read-only stack of 4x4 operators on one ququart, named by its position,
+or of full-register operators at position 0; ``apply_at`` applies it to
+a batch of state rows by one ``matmul`` over the acted-on axis, so no
+register operator is built.  A measurement is a ``ProjectorSet``: a
+stack whose completeness is checked once, when the set is built, so a
+draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
@@ -20,13 +20,12 @@ set) pair is computed once.  A tree may outlive its phase: attack-free
 phases on the built-in channels share one per party count for the life of
 the process (``protocol``), while attacked and corrupt-channel phases
 build their own.  A tree is sampled one level at a time for all rounds at
-once, by one inverse-CDF rule, and a level computes its missing rows in
-one product per set.  ``measure_projective`` is one row of such a level,
-by the same rule and product.  The uniforms are a stream's bulk draws, or
-``RawWords`` replays them from a PCG64 generator's raw words, so the
-draws equal per-round calls.  Input a user can reach (state shapes and
-norms, operator and local shapes, basis indices, positions) is checked by
-raising ``ValueError``, so the checks hold under ``python -O``.
+once, by one inverse-CDF rule on a column of uniforms, one per row, and a
+level computes its missing rows in one product per set.
+``measure_projective`` is one row of such a level, by the same rule and
+product.  Input a user can reach (state shapes and norms, operator
+shapes, positions) is checked by raising ``ValueError``, so the checks
+hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -59,8 +58,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        # user-reachable through ket and state_from_amplitudes: checked by
-        # raising, since python -O strips asserts
+        # user-reachable through state_from_amplitudes: checked by raising,
+        # since python -O strips asserts
         if self.num_ququarts < 1:
             raise ValueError("a state needs at least one ququart")
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -91,100 +90,9 @@ class MeasurementResult:
         assert 0.0 <= self.probability <= 1.0 + NORM_TOL
 
 
-def ket(index: int, num_ququarts: int = 1) -> StateVector:
-    """Computational basis state |index> on the given register size."""
-    if not 0 <= index < DIM**num_ququarts:
-        raise ValueError(f"basis index {index} out of range for {num_ququarts} ququarts")
-    amps = np.zeros(DIM**num_ququarts, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_ququarts, amps)
-
-
 def state_from_amplitudes(amplitudes: Sequence[complex], num_ququarts: int) -> StateVector:
     amps = np.asarray(amplitudes, dtype=complex)
     return StateVector(num_ququarts, amps / np.linalg.norm(amps))
-
-
-def tensor(a, b):
-    """Kronecker product with ``a`` as the more significant factor.
-
-    Accepts two StateVectors or two operator matrices; mixing kinds is an
-    error.  Matches the global index convention, e.g.
-    tensor(|0>, |1>) = |01> (amplitude 1 at index 1).
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.num_ququarts + b.num_ququarts, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def embed(local: np.ndarray, position: int, num_ququarts: int) -> np.ndarray:
-    """Lift a single-ququart operator to the full register.
-
-    Returns I x ... x local x ... x I with ``local`` acting on the ququart
-    at ``position`` (0 = most significant).
-    """
-    if local.shape != (DIM, DIM):
-        raise ValueError(f"a local operator must be (4, 4), got {local.shape}")
-    if not 0 <= position < num_ququarts:
-        raise ValueError(f"position {position} out of range for {num_ququarts} ququarts")
-    out = np.eye(1, dtype=complex)
-    for slot in range(num_ququarts):
-        out = np.kron(out, local if slot == position else np.eye(DIM, dtype=complex))
-    return out
-
-
-def uniforms(words):
-    """The ``random()`` value of each raw word: its top 53 bits times
-    2**-53, exactly numpy's conversion."""
-    return (words >> 11) * 2.0**-53
-
-
-def halves(words) -> tuple:
-    """The low and high 32-bit halves of each raw word."""
-    return words & 0xFFFFFFFF, words >> 32
-
-
-def quarter(half):
-    """The ``integers(4)`` value of each 32-bit half-word: its top two bits."""
-    return half >> 30
-
-
-class RawWords:
-    """The next ``count`` raw 64-bit words of a PCG64 generator, for
-    replaying its scalar draws in bulk.
-
-    numpy (2.4.6, pinned by the tests) makes ``random()`` from one full
-    word (``uniforms``) and ``integers(4)`` from one 32-bit half-word
-    (``halves``, ``quarter``): the buffered half if ``buffered``, else the
-    low half of a fresh word, whose high half becomes the buffered ``half``.  A read
-    clears ``buffered`` and leaves ``half`` as it was.  ``release`` gives
-    back the words a replay did not use and writes the half-word buffer,
-    so the generator goes on exactly as if the replayed calls had been
-    made.
-    """
-
-    def __init__(self, rng: np.random.Generator, count: int):
-        bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, np.random.PCG64):
-            raise TypeError(
-                f"replayed draws need a PCG64 generator, got {type(bit_generator).__name__}"
-            )
-        state = bit_generator.state
-        self.buffered = bool(state["has_uint32"])
-        self.half = state["uinteger"]
-        self.words = bit_generator.random_raw(count)
-        self._bit_generator = bit_generator
-
-    def release(self, used: int, half: int, buffered: bool):
-        """Rewind past the first ``used`` words and set the buffer."""
-        bit_generator = self._bit_generator
-        # advancing clears the half-word buffer, which is then written back
-        bit_generator.advance(int(used) - len(self.words))
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = int(buffered), int(half)
-        bit_generator.state = state
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,12 +9,13 @@ state one level at a time for all rounds: the attack's targets
 (``attacks.attack_levels``), then each party.  Every party measures its
 own ququart, so its projector sets are 4x4 stacks at its position,
 built once per party count.  Each (state, projector set) pair is
-measured once per tree, while every party draws from its own stream
-exactly the values a round-by-round run would draw: the key phase's are
-one bulk ``random`` per stream, the verification phase's are replayed
-from raw words.  Both phases keep their outcomes only as one int column
-per party, a row per round: verification tallies them, and the key phase
-sifts, samples, scores and keys them whole.
+measured once per tree.  Every stream draws a phase's values in bulk,
+one column per kind of draw, a row per round: a party draws its
+verification menu codes by ``integers(4, size=N)`` and then its
+uniforms by ``random(N)``, and its key-phase uniforms by ``random(N)``.
+Both phases keep their outcomes only as one int column per party, a row
+per round: verification tallies them, and the key phase sifts, samples,
+scores and keys them whole.
 
 Attack-free phases on a built-in channel (``make_channel``) measure the
 same state with the same sets in every session, so they share one tree
@@ -52,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import ProjectorSet, RawWords, Tree, halves, quarter, uniforms
+from .linalg import ProjectorSet, Tree
 
 # phases measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
@@ -235,8 +236,9 @@ def _party_positions(spec: ChannelSpec):
 
 def _distinct_streams(spec: ChannelSpec, rngs: dict):
     """The parties, after checking that no two of them or the attack share
-    a generator: a phase draws each stream's values in bulk, which equals
-    the per-round draws only when the streams are distinct."""
+    a generator: each draws its own columns, so the parties' choices and
+    outcomes are independent of each other and of the attack's only when
+    the streams are distinct."""
     parties = _party_positions(spec)
     streams = [rngs[p] for p in parties] + [rngs["attack"]]
     if len({id(s) for s in streams}) != len(streams):
@@ -291,55 +293,6 @@ def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
     return Tree(spec.state)
 
 
-def _menu_draws(rng: np.random.Generator, num_rounds: int, idle: int):
-    """One party's verification draws, replayed from raw words (``RawWords``).
-
-    Per round the party draws its menu code by ``integers(4)`` and then,
-    unless the code is ``idle`` (the identity, which measures nothing),
-    one uniform by ``random()``.  So two rounds form a block: one word
-    whose low and high halves give the two codes, then 0-2 words of
-    uniforms, as many as the codes ask for; a chase from block to block
-    finds every word.  A half-word buffered at the start is round 0's
-    code, and an odd last block leaves its high half buffered.
-
-    Returns the codes and the uniforms per round; an idle round's uniform
-    is any word's and is never read.
-    """
-    words = RawWords(rng, num_rounds + (num_rounds + 1) // 2)
-    raw, half, buffered = words.words, words.half, words.buffered
-    first = 0  # rounds before the first block: one if it reads the buffer
-    codes = np.zeros(num_rounds, dtype=np.intp)
-    at = np.zeros(num_rounds, dtype=np.intp)  # word of each round's uniform
-    if buffered and num_rounds:
-        codes[0] = quarter(half)
-        first, buffered = 1, False
-    start = int(first and codes[0] != idle)  # words round 0 used
-    blocks = (num_rounds - first + 1) // 2
-    low, high = (quarter(h) for h in halves(raw))
-    uniforms_of = np.array([int(c != idle) for c in range(4)])  # per code
-    steps = (1 + uniforms_of[low] + uniforms_of[high]).tolist()
-    chase, word = [start], start
-    for _ in range(blocks - 1):
-        word += steps[word]
-        chase.append(word)
-    starts = np.array(chase[:blocks], dtype=np.intp)
-    pairs = num_rounds - first - blocks  # blocks with a second round
-    firsts = low[starts]
-    codes[first::2] = firsts
-    codes[first + 1 :: 2] = high[starts[:pairs]]
-    at[first::2] = starts + 1
-    # the second round's uniform follows the first's, if that one measured
-    at[first + 1 :: 2] = at[first::2][:pairs] + (firsts[:pairs] != idle)
-    end = start
-    if blocks:
-        last = int(starts[-1])
-        half = int(halves(raw[last])[1])
-        buffered = pairs < blocks  # an odd last block keeps its high half
-        end = last + 1 + sum(c != idle for c in codes[first + 2 * blocks - 2 :].tolist())
-    words.release(end, half, buffered)
-    return codes, uniforms(raw[at])
-
-
 def run_verification_phase(
     spec: ChannelSpec,
     num_rounds: int,
@@ -357,9 +310,10 @@ def run_verification_phase(
 
     All rounds are sampled together, one level of the phase's branch tree
     at a time: the attack's targets, then each party (``linalg.Tree``).
-    Each stream's draws are exactly those of a round-by-round run that
-    calls ``integers`` and ``random`` per round; the party and attack
-    streams must be distinct PCG64 generators.
+    Each party draws its menu codes by ``integers(4, size=num_rounds)``
+    and then one uniform per round by ``random(num_rounds)``; an idle
+    round's uniform is drawn but never read.  The party and attack
+    streams must be distinct generators.
     """
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
@@ -369,8 +323,10 @@ def run_verification_phase(
     tree = _phase_tree(spec, attack)
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
 
-    draws = [_menu_draws(rngs[p], num_rounds, idle) for p in parties]
-    choices = [_read_only(codes) for codes, _ in draws]
+    choices, uniforms = [], []
+    for p in parties:
+        choices.append(_read_only(rngs[p].integers(len(menu), size=num_rounds)))
+        uniforms.append(rngs[p].random(num_rounds))
     # per party, the rounds in which a later party measures: only there is
     # the drawn branch's node built
     later = [np.zeros(num_rounds, dtype=bool)]
@@ -378,7 +334,7 @@ def run_verification_phase(
         later.insert(0, later[0] | (codes != idle))
     sign_sets = _sign_projector_sets(spec.party_count)
     outcomes = []
-    for j, (codes, u) in enumerate(draws):
+    for j, (codes, u) in enumerate(zip(choices, uniforms)):
         sets = [sign_sets[j, name] for name in menu]
         outcomes.append(_read_only(tree.draw(ids, sets, u, codes)))
         if j + 1 < len(parties):
@@ -466,10 +422,10 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
 
     All rounds are sampled together, one level of the phase's branch tree
     at a time: the attack's targets, then each party in the key basis
-    (``linalg.Tree``).  Each party draws one uniform per round, so its
-    stream's ``random(num_rounds)`` gives exactly the per-round draws;
-    the party and attack streams must be distinct generators.  Sifting,
-    the qber and the keys work on the outcome columns whole.
+    (``linalg.Tree``).  Each party draws one uniform per round, as one
+    ``random(num_rounds)`` from its stream; the party and attack streams
+    must be distinct generators.  Sifting, the qber and the keys work on
+    the outcome columns whole.
 
     Returns the ``KeyPhase`` fields as a dict, the reference key and the
     estimate key.
@@ -567,8 +523,8 @@ def run_key_phase_controlled(
     nothing is revealed: Bob's best guess is uniform (his marginal is
     independent of Charlie's outcome), the accuracy of that guess is
     reported, and no key material is produced.  Bob's guesses are one
-    bulk ``integers(4, size=num_rounds)``, which draws exactly the values
-    of one ``integers(4)`` per round.
+    bulk ``integers(4, size=num_rounds)`` from his stream, after his key
+    phase uniforms.
     """
     if spec.party_count != 3:
         raise ValueError("the controlled key phase needs a three-party channel")

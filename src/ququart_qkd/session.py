@@ -34,7 +34,7 @@ from .protocol import (
     run_verification_phase,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 PROTOCOL_TWO_PARTY = "two-party"
 PROTOCOL_THREE_PARTY = "three-party"

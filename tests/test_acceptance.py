@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from registers import embed
 
 from ququart_qkd.attacks import AttackModel, predict
 from ququart_qkd.channels import (
@@ -20,7 +21,7 @@ from ququart_qkd.channels import (
     three_party_channel,
     two_party_channel,
 )
-from ququart_qkd.linalg import ProjectorSet, Tree, embed
+from ququart_qkd.linalg import ProjectorSet, Tree
 from ququart_qkd.observables import key_basis
 from ququart_qkd.protocol import (
     MessageBus,
@@ -184,7 +185,7 @@ def test_criterion_6_key_marginal_statistics():
         projs = ProjectorSet([embed(p, 0, 2) for p in key_basis().projectors])
         rng = np.random.default_rng(404)
         n = 100000
-        # one tree level of n rounds: the uniforms of n per-call draws
+        # one tree level of n rounds on one bulk column of n uniforms
         outcomes = Tree(spec.state).draw(np.zeros(n, dtype=np.intp), [projs], rng.random(n))
         counts = np.bincount(outcomes, minlength=4)
         sigma = np.sqrt(0.25 * 0.75 / n)

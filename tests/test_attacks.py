@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from registers import embed
 
 from ququart_qkd import attacks
 from ququart_qkd.attacks import (
@@ -18,7 +19,7 @@ from ququart_qkd.attacks import (
     predict,
 )
 from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
-from ququart_qkd.linalg import DIM, embed, measure_projective
+from ququart_qkd.linalg import DIM, measure_projective
 from ququart_qkd.observables import key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     MessageBus,

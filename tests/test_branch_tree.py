@@ -1,15 +1,17 @@
 """The phases' branch tree against the per-round sampler it replaced.
 
-The reference below is the session path as it was before the tree: every
-round drew its choices and uniforms by per-call ``integers`` and
-``random``, measured fresh ``StateVector`` objects with a per-call
-stacked product of full-register operators built here with ``embed``,
-and the attack hooks mapped states to states.  From equal seeds the
-level-by-level verification and key phases, which apply 4x4 operators
-at a position, must give outcome columns that read as the reference's
-rounds (each round's choices, announced signs and kept flag, and the key
-outcomes), identical tallies and transcripts, and leave every named
-stream in an identical state.  Every
+The reference below is the session path as it was before the tree: it
+walks the rounds one at a time, measures fresh ``StateVector`` objects
+with a per-call stacked product of full-register operators built here
+with ``embed`` and draws each outcome by the scalar ``draw_index``, and
+the attack hooks map states to states.  Its randomness is the phases'
+own: every stream draws the same bulk columns (``attack_columns``,
+``menu_columns``), and the reference hands them out round by round.
+From equal seeds the level-by-level verification and key phases, which
+apply 4x4 operators at a position, must give outcome columns that read
+as the reference's rounds (each round's choices, announced signs and
+kept flag, and the key outcomes), identical tallies and transcripts, and
+leave every named stream in an identical state.  Every
 row of the trees that sessions grow has bit-identical branches,
 probabilities and children under the library's local operators and
 their ``embed``-ed counterparts.  A per-round walk down the tree
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from inverse_cdf import draw_index
+from registers import embed, ket
 
 from ququart_qkd import attacks, protocol
 from ququart_qkd.attacks import ATTACK_KINDS, AttackModel, attack_levels, predict
@@ -40,8 +43,6 @@ from ququart_qkd.linalg import (
     StateVector,
     Tree,
     apply_at,
-    embed,
-    ket,
     measure_projective,
 )
 from ququart_qkd.observables import check_observable, key_basis, key_bit_errors
@@ -104,13 +105,53 @@ def per_call_measure_projective(psi, projectors, rng):
     return MeasurementResult(outcome, probs[outcome], post)
 
 
-def reference_measure_round(state, projector_sets, parties, rngs):
+class Draws:
+    """Generator stub whose every ``random`` or ``integers`` call returns
+    the next of the given values, whatever it asks for: a round's share
+    of a stream's bulk columns, handed out call by call."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, *args, **kwargs):
+        return next(self.values)
+
+    integers = random
+
+
+def attack_columns(model, rng, rounds) -> list:
+    """The attack stream's bulk columns for ``rounds`` rounds, a row per
+    round and a column per target, in draw order: a measuring attack's
+    readout uniforms, or depolarize's gates, readout uniforms and fresh
+    digits; none attack-free."""
+    shape = rounds, len(model.targets)
+    if model.kind == "none":
+        return []
+    if model.kind != "depolarize":
+        return [rng.random(shape)]
+    return [rng.random(shape), rng.random(shape), rng.integers(DIM, size=shape)]
+
+
+def menu_columns(rng, rounds) -> tuple:
+    """A party's verification columns: its menu codes, then a uniform per
+    round, an idle round's unread."""
+    return rng.integers(4, size=rounds), rng.random(rounds)
+
+
+def round_of(columns, index) -> list:
+    """Row ``index`` of each column."""
+    return [column[index] for column in columns]
+
+
+def reference_measure_round(state, projector_sets, uniforms):
+    """Outcome indices of one round: each party in turn measures the state
+    its predecessors left, drawing by its uniform of the round."""
     outcomes = []
-    for projectors, party in zip(projector_sets, parties):
+    for projectors, u in zip(projector_sets, uniforms):
         if projectors is None:
             outcomes.append(0)
             continue
-        result = per_call_measure_projective(state, projectors, rngs[party])
+        result = per_call_measure_projective(state, projectors, Draws([u]))
         outcomes.append(result.outcome_index)
         state = result.post_state
     return tuple(outcomes)
@@ -124,60 +165,55 @@ def shift_matrix(amount):
 
 
 def reference_hook(model, num_parties):
-    if model.kind == "none":
-        return lambda state, rng: state
+    """The attack as a one-round map (state, the round's ``attack_columns``
+    rows) -> state: each target in turn is read out, and under depolarize
+    only where its gate hits, then re-prepared as its fresh digit."""
     if model.kind == "intercept-key":
         local = key_basis().projectors
     else:
         local = [np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)]
     sets = {t: ProjectorSet([embed(p, t, num_parties) for p in local]) for t in model.targets}
-
-    if model.kind != "depolarize":
-
-        def hook(state, rng):
-            for t in model.targets:
-                state = per_call_measure_projective(state, sets[t], rng).post_state
-            return state
-
-        return hook
-
     shifts = {t: [embed(shift_matrix(a), t, num_parties) for a in range(DIM)] for t in model.targets}
+    depolarize = model.kind == "depolarize"
 
-    def hook(state, rng):
-        for t in model.targets:
-            if rng.random() >= model.strength:
+    def hook(state, draws):
+        for j, t in enumerate(model.targets):
+            if depolarize and draws[0][j] >= model.strength:
                 continue
-            measured = per_call_measure_projective(state, sets[t], rng)
-            fresh = int(rng.integers(DIM))
-            amount = (fresh - measured.outcome_index) % DIM
-            state = StateVector(
-                state.num_ququarts, shifts[t][amount] @ measured.post_state.amplitudes
-            )
+            # the readout uniforms: depolarize's second column, else the only one
+            u = Draws([draws[int(depolarize)][j]])
+            measured = per_call_measure_projective(state, sets[t], u)
+            state = measured.post_state
+            if depolarize:
+                amount = (int(draws[2][j]) - measured.outcome_index) % DIM
+                state = StateVector(state.num_ququarts, shifts[t][amount] @ state.amplitudes)
         return state
 
     return hook
 
 
 def per_round_verification_phase(spec, rounds, model, rngs, bus):
-    """The verification phase as a loop over rounds, each drawing its
-    choices and uniforms by per-call ``integers`` and ``random``: each
-    round's (choices, announced signs, kept), the tallies and the matched
-    count, with the announcements posted to ``bus``."""
+    """The verification phase as a loop over rounds, each handed its row
+    of the streams' bulk columns: each round's (choices, announced signs,
+    kept), the tallies and the matched count, with the announcements
+    posted to ``bus``."""
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
     sign_sets = dense_sign_sets(n)
     hook = reference_hook(model, n)
+    attack = attack_columns(model, rngs["attack"], rounds)
+    columns = [menu_columns(rngs[p], rounds) for p in parties]
     expected = {c.operators: c.expected for c in spec.checks}
     tallies = {c.name: [0, 0] for c in spec.checks}
     rounds_read = []
     matched = 0
     announcements = {p: [] for p in parties}
     for index in range(rounds):
-        state = hook(spec.state, rngs["attack"])
-        choices = tuple(menu[int(rngs[p].integers(len(menu)))] for p in parties)
+        state = hook(spec.state, round_of(attack, index))
+        choices = tuple(menu[int(codes[index])] for codes, _ in columns)
         sets = [sign_sets[pos, name] for pos, name in enumerate(choices)]
-        indices = reference_measure_round(state, sets, parties, rngs)
+        indices = reference_measure_round(state, sets, [u[index] for _, u in columns])
         outcomes = tuple(-1 if k else +1 for k in indices)
         for p, name, value in zip(parties, choices, outcomes):
             announcements[p].append((index, name, value))
@@ -196,19 +232,22 @@ def per_round_verification_phase(spec, rounds, model, rngs, bus):
 
 def reference_phases(spec, rounds, model, rngs, permits):
     """The verification phase's rounds, tallies, matched count and
-    transcript, then the key outcome indices (and, without permission,
-    Bob's blind guesses)."""
+    transcript, then the key outcome indices; without permission Bob's
+    stream then draws his blind guesses."""
     bus = MessageBus()
     verify = per_round_verification_phase(spec, rounds, model, rngs, bus)
     n = spec.party_count
     hook = reference_hook(model, n)
-    parties = PARTY_ORDER[:n]
+    attack = attack_columns(model, rngs["attack"], rounds)
+    uniforms = [rngs[p].random(rounds) for p in PARTY_ORDER[:n]]
     key = [
-        reference_measure_round(hook(spec.state, rngs["attack"]), dense_key_sets(n), parties, rngs)
-        for _ in range(rounds)
+        reference_measure_round(
+            hook(spec.state, round_of(attack, index)), dense_key_sets(n), round_of(uniforms, index)
+        )
+        for index in range(rounds)
     ]
     if not permits:
-        [rngs["bob"].integers(4) for _ in range(rounds)]
+        rngs["bob"].integers(4, size=rounds)
     return verify, [m.serialize() for m in bus.transcript], key
 
 
@@ -253,15 +292,9 @@ CASES = [(2, AttackModel()), (3, AttackModel())] + [
 )
 def test_tree_walk_matches_per_round_reference(parties, model):
     spec = make_channel(parties)
-    # (seed, rounds, streams start with a buffered half-word); an odd
-    # verification phase leaves one buffered, which only Bob's blind guess
-    # without permission reads
-    for seed, rounds, buffered in ((5, 500, False), (6, 501, True), (7, 37, False), (8, 36, True)):
+    # odd round counts run the three-party key phase without permission
+    for seed, rounds in ((5, 500), (6, 501), (7, 37), (8, 36)):
         tree_rngs, ref_rngs = _named_streams(seed), _named_streams(seed)
-        if buffered:
-            for rngs in (tree_rngs, ref_rngs):
-                for rng in rngs.values():
-                    rng.integers(4)
         permits = parties == 2 or rounds % 2 == 0
         tree = tree_phases(spec, rounds, model, tree_rngs, permits)
         reference = reference_phases(spec, rounds, model, ref_rngs, permits)
@@ -437,16 +470,6 @@ def dense_stacks(num_parties):
     }
 
 
-class Uniforms:
-    """Generator stub whose ``random()`` gives the given uniforms in turn."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-
-    def random(self):
-        return next(self.values)
-
-
 def check_level(tree, ids, sets, u, codes, needed):
     """One ``draw`` and ``children`` level of ``tree`` against the scalar
     rule: per row, ``draw_index`` on the dense branch probabilities of its
@@ -465,7 +488,7 @@ def check_level(tree, ids, sets, u, codes, needed):
             continue
         branches = dense[projectors] @ tree.amplitudes[node]
         probs = np.square(branches.view(float)).sum(axis=-1).tolist()
-        k = draw_index(probs, Uniforms([u[row]]))
+        k = draw_index(probs, Draws([u[row]]))
         assert outcomes[row] == k
         if needed[row]:
             assert np.array_equal(tree.amplitudes[kids[row]], branches[k] / math.sqrt(probs[k]))
@@ -528,26 +551,34 @@ def test_level_tables_draw_by_the_scalar_rule_on_a_growing_attacked_tree():
 
 def walk_verification(tree, spec, rounds, model, rngs):
     """The verification phase's rounds as a walk down ``tree``, one round
-    at a time, each attacked by a one-row attack level from the root."""
+    at a time, each attacked by a one-row attack level from the root and
+    handed its row of the streams' bulk columns."""
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
     levels = attack_levels(model, n)
-    for _ in range(rounds):
-        node = int(levels(tree, rngs["attack"], 1)[0])
-        choices = [menu[int(rngs[p].integers(len(menu)))] for p in parties]
+    attack = attack_columns(model, rngs["attack"], rounds)
+    columns = {p: menu_columns(rngs[p], rounds) for p in parties}
+    for i in range(rounds):
+        node = int(levels(tree, Draws(c[i : i + 1] for c in attack), 1)[0])
+        choices = [menu[int(codes[i])] for codes, _ in columns.values()]
         sets = [_sign_projector_sets(n)[pos, name] for pos, name in enumerate(choices)]
-        walk_round(tree, node, sets, parties, rngs)
+        uniforms = {p: Draws([u[i : i + 1]]) for p, (_, u) in columns.items()}
+        walk_round(tree, node, sets, parties, uniforms)
 
 
 def walk_key(tree, spec, rounds, model, rngs):
     """The key phase's rounds as a walk down ``tree``, one round at a
-    time."""
+    time, each handed its row of the streams' bulk columns."""
     n = spec.party_count
+    parties = PARTY_ORDER[:n]
     levels = attack_levels(model, n)
-    for _ in range(rounds):
-        node = int(levels(tree, rngs["attack"], 1)[0])
-        walk_round(tree, node, _key_projector_sets(n), PARTY_ORDER[:n], rngs)
+    attack = attack_columns(model, rngs["attack"], rounds)
+    uniforms = {p: rngs[p].random(rounds) for p in parties}
+    for i in range(rounds):
+        node = int(levels(tree, Draws(c[i : i + 1] for c in attack), 1)[0])
+        draws = {p: Draws([u[i : i + 1]]) for p, u in uniforms.items()}
+        walk_round(tree, node, _key_projector_sets(n), parties, draws)
 
 
 def run_key_phase(spec, rounds, model, rngs):
@@ -635,6 +666,19 @@ def test_key_phase_level_draw_raises_on_a_zero_weight_last_branch(parties):
         rngs[party] = AboveTotal()
     with pytest.raises(RuntimeError):
         run_key_phase(spec, 3, AttackModel(), rngs)
+
+
+def test_level_draw_raises_on_a_zero_weight_last_branch():
+    # |0> under the computational set: a uniform of 1.0 lies above the
+    # rounded total and falls through to the zero-weight last branch
+    comp = ProjectorSet([np.outer(e, e.conj()) for e in np.eye(DIM, dtype=complex)])
+    tree = Tree(ket(0))
+    rows = np.zeros(3, dtype=np.intp)
+    for _ in range(2):
+        # a cached law must not turn the first failure into a silent hit
+        with pytest.raises(RuntimeError):
+            tree.draw(rows, [comp], np.array([0.5, 1.0, 0.25]))
+    assert tree.draw(rows, [comp], np.array([0.5, 0.0, 0.999])).tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -731,39 +775,46 @@ def reference_rows(spec, rounds, model, rngs) -> list:
     readouts = {t: ProjectorSet([embed(p, t, n) for p in local]) for t in model.targets}
     shifts = {t: [embed(shift_matrix(a), t, n) for a in range(DIM)] for t in model.targets}
 
-    def attacked(built):
-        rng = rngs["attack"]
+    depolarize = model.kind == "depolarize"
+
+    def attacked(draws, built):
         state, path = spec.state, ()
-        for t in model.targets:
-            if model.kind == "depolarize" and rng.random() >= model.strength:
+        for j, t in enumerate(model.targets):
+            if depolarize and draws[0][j] >= model.strength:
                 continue
-            measured = per_call_measure_projective(state, readouts[t], rng)
+            u = Draws([draws[int(depolarize)][j]])
+            measured = per_call_measure_projective(state, readouts[t], u)
             state, path = measured.post_state, path + (("read", t, measured.outcome_index),)
             built[path] = state.amplitudes.tobytes()
-            if model.kind == "depolarize":
-                amount = (int(rng.integers(DIM)) - measured.outcome_index) % DIM
+            if depolarize:
+                amount = (int(draws[2][j]) - measured.outcome_index) % DIM
                 state = StateVector(n, shifts[t][amount] @ state.amplitudes)
                 path += (("shift", t, amount),)
                 built[path] = state.amplitudes.tobytes()
         return state, path
 
-    def measured(state, path, sets, built):
-        for j, projectors in enumerate(sets):
+    def measured(state, path, sets, uniforms, built):
+        for j, (projectors, u) in enumerate(zip(sets, uniforms)):
             if projectors is None:
                 continue
-            result = per_call_measure_projective(state, projectors, rngs[parties[j]])
+            result = per_call_measure_projective(state, projectors, Draws([u]))
             if any(later is not None for later in sets[j + 1 :]):
                 state, path = result.post_state, path + ((j, id(projectors), result.outcome_index),)
                 built[path] = state.amplitudes.tobytes()
 
     verification, key = {}, {}
-    for _ in range(rounds):
-        state, path = attacked(verification)
-        choices = [menu[int(rngs[p].integers(len(menu)))] for p in parties]
+    attack = attack_columns(model, rngs["attack"], rounds)
+    columns = [menu_columns(rngs[p], rounds) for p in parties]
+    for index in range(rounds):
+        state, path = attacked(round_of(attack, index), verification)
+        choices = [menu[int(codes[index])] for codes, _ in columns]
         sets = [dense_sign_sets(n)[pos, name] for pos, name in enumerate(choices)]
-        measured(state, path, sets, verification)
-    for _ in range(rounds):
-        measured(*attacked(key), dense_key_sets(n), key)
+        measured(state, path, sets, [u[index] for _, u in columns], verification)
+    attack = attack_columns(model, rngs["attack"], rounds)
+    uniforms = [rngs[p].random(rounds) for p in parties]
+    for index in range(rounds):
+        state, path = attacked(round_of(attack, index), key)
+        measured(state, path, dense_key_sets(n), round_of(uniforms, index), key)
     return [verification, key]
 
 

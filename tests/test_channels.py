@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from registers import tensor
 
 from ququart_qkd.channels import (
     ChannelCheck,
@@ -18,7 +19,6 @@ from ququart_qkd.channels import (
     three_party_channel,
     two_party_channel,
 )
-from ququart_qkd.linalg import tensor
 from ququart_qkd.observables import check_observable, key_basis
 
 HALF_ROOT2 = 1.0 / (2.0 * np.sqrt(2.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from inverse_cdf import draw_index
+from registers import embed, ket, tensor
 
 from ququart_qkd.linalg import (
     COMPLETENESS_TOL,
@@ -10,10 +11,7 @@ from ququart_qkd.linalg import (
     StateVector,
     Tree,
     apply_at,
-    embed,
-    ket,
     measure_projective,
-    tensor,
 )
 from ququart_qkd.observables import check_observable, key_basis
 from ququart_qkd.channels import three_party_channel, two_party_channel
@@ -177,7 +175,7 @@ def test_key_marginal_frequencies_match_binomial_model():
     projs = ProjectorSet([embed(p, 0, 2) for p in key_basis().projectors])
     rng = np.random.default_rng(2024)
     n = 20000
-    # one tree level of n rounds: the uniforms of n per-call draws
+    # one tree level of n rounds on one bulk column of n uniforms
     outcomes = Tree(spec.state).draw(np.zeros(n, dtype=np.intp), [projs], rng.random(n))
     counts = np.bincount(outcomes, minlength=4)
     sigma = np.sqrt(0.25 * 0.75 / n)

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from registers import tensor
 
-from ququart_qkd.linalg import DIM, tensor
+from ququart_qkd.linalg import DIM
 from ququart_qkd.observables import (
     KEY_LABELS,
     OBSERVABLE_NAMES,

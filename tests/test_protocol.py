@@ -24,6 +24,7 @@ from ququart_qkd.protocol import (
     run_verification_phase,
     sift_key,
 )
+from ququart_qkd.session import _named_streams
 
 NONE = AttackModel()
 IRC_BOB = AttackModel("intercept-computational", targets=(1,))
@@ -274,13 +275,38 @@ def test_key_phases_reject_full_sampling(run_phase, spec, permits):
         run_phase(spec, 10, 1.0, 0.0, *permits, NONE, streams(20), MessageBus())
 
 
+def test_shared_streams_are_rejected():
+    # parties draw independently of each other and of the attack only from
+    # distinct streams
+    phases = (
+        lambda rngs: run_verification_phase(make_channel(2), 10, AttackModel(), rngs, MessageBus()),
+        lambda rngs: run_key_phase_two_party(
+            make_channel(2), 10, 0.1, 0.0, AttackModel(), rngs, MessageBus()
+        ),
+        lambda rngs: run_key_phase_controlled(
+            make_channel(3), 10, 0.1, 0.0, True, AttackModel(), rngs, MessageBus()
+        ),
+    )
+    for phase in phases:
+        for a, b in (("alice", "bob"), ("bob", "attack")):
+            rngs = _named_streams(0)
+            rngs[b] = rngs[a]
+            with pytest.raises(ValueError):
+                phase(rngs)
+    rngs = _named_streams(0)
+    rngs["charlie"] = rngs["attack"]
+    with pytest.raises(ValueError):
+        phases[2](rngs)
+
+
 def test_round_and_sample_checks_survive_optimized_mode():
     # python -O strips asserts; these checks must raise ValueError anyway
     script = (
         "import numpy as np\n"
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
-        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply_at, embed, ket,\n"
+        "from registers import embed, ket\n"
+        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply_at,\n"
         "    measure_projective, state_from_amplitudes)\n"
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
@@ -330,10 +356,11 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "        continue\n"
         "    raise SystemExit(f'accepted {name}')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (here.parent / "src", here)))
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
@@ -426,6 +453,73 @@ def test_phase_runs_are_reproducible():
     assert columns(run(42)) == columns(run(42))
     assert run(42).alice_key == run(42).alice_key
     assert columns(run(42)) != columns(run(43))
+
+
+def documented_attack_draws(model, rng, rounds):
+    """The attack stream's bulk calls for one phase: N x T readout
+    uniforms for a measuring attack; N x T gates, readout uniforms and
+    fresh digits for depolarize; none attack-free."""
+    shape = rounds, len(model.targets)
+    if model.kind == "depolarize":
+        rng.random(shape)
+        rng.random(shape)
+        rng.integers(4, size=shape)
+    elif model.kind != "none":
+        rng.random(shape)
+
+
+ADVANCE_PHASES = ("verification", "two-party key", "controlled key", "blind guess")
+
+
+@pytest.mark.parametrize("phase", ADVANCE_PHASES)
+@pytest.mark.parametrize(
+    "kind,strength",
+    [
+        ("none", 0.0),
+        ("intercept-computational", 0.0),
+        ("intercept-key", 0.0),
+        ("entangle-probe", 0.0),
+        ("depolarize", 0.4),
+    ],
+)
+def test_streams_advance_by_the_documented_bulk_draws(phase, kind, strength):
+    # every named stream ends where a twin ends after the documented bulk
+    # calls, so a phase of N rounds draws 2N values per party in
+    # verification, N per party in a key phase and N more for Bob's blind
+    # guess, N x T for a measuring attack on T targets and 3N x T for
+    # depolarize
+    parties = 2 if phase == "two-party key" else 3
+    spec = make_channel(parties)
+    targets = (1,) if parties == 2 else (1, 2)
+    model = NONE if kind == "none" else AttackModel(kind, targets, strength)
+    for rounds in (0, 1, 37):
+        rngs, twins = streams(31), streams(31)
+        names = PARTY_ORDER[:parties]
+        if phase == "verification":
+            summary = run_verification_phase(spec, rounds, model, rngs, MessageBus())
+            documented_attack_draws(model, twins["attack"], rounds)
+            for p, choices in zip(names, summary.choices):
+                assert np.array_equal(choices, twins[p].integers(4, size=rounds))
+                twins[p].random(rounds)
+        else:
+            bus = MessageBus()
+            if phase == "two-party key":
+                run_key_phase_two_party(spec, rounds, 0.25, 1.0, model, rngs, bus)
+            else:
+                permits = phase == "controlled key"
+                result = run_key_phase_controlled(
+                    spec, rounds, 0.25, 1.0, permits, model, rngs, bus
+                )
+            documented_attack_draws(model, twins["attack"], rounds)
+            for p in names:
+                twins[p].random(rounds)
+            if phase == "blind guess":
+                hits = np.count_nonzero(twins["bob"].integers(4, size=rounds) == result.outcomes[2])
+                assert result.deduction_accuracy == (hits / rounds if rounds else 0.0)
+            elif round(0.25 * rounds):
+                twins["public"].choice(rounds, size=round(0.25 * rounds), replace=False)
+        for name in rngs:
+            assert rngs[name].bit_generator.state == twins[name].bit_generator.state, (name, rounds)
 
 
 def test_outcome_composition_example():

@@ -270,7 +270,7 @@ def test_report_round_trips_through_the_flat_format():
     parsed = parse_flat(format_report(report))
     assert list(parsed) == [k for k, _ in items]
     assert parsed == dict(items)
-    assert parsed["schema_version"] == "2"
+    assert parsed["schema_version"] == "3"
     assert parsed["outcome"] == OUTCOME_ESTABLISHED
     assert parsed["config.seed"] == 7
 

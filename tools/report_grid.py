@@ -9,11 +9,9 @@ and 1-key-round edge rows run attack-free after 60 verification rounds
 and under every attack after none, so attacked key phases meet their
 empty and single-round cases.  One row per attack runs 1000
 verification rounds, so its branch tree grows to hundreds of nodes and
-its tables and amplitude array grow several times.  An odd verification
-round count leaves
-each party's generator holding a buffered half-word, which only the
-three-party blind guess reads.  Two checkouts that print the same lines
-produce byte-identical reports, config for config:
+its tables and amplitude array grow several times.  Verification and
+key round counts are both odd and even.  Two checkouts that print the
+same lines produce byte-identical reports, config for config:
 
     diff <(python3 tools/report_grid.py --src old/src) \\
          <(python3 tools/report_grid.py --src src)
