@@ -156,8 +156,7 @@ def attack_levels(
         if model.kind != "depolarize":
             u = rng.random(shape)
             for j, readout in enumerate(sets):
-                level = [readout]
-                ids = tree.children(ids, level, tree.draw(ids, level, u[:, j]))
+                ids = tree.descend(ids, [readout], u[:, j])[1]
             return ids
         # decouple a gated target by a computational readout, then
         # re-prepare a uniformly random basis state in its place; averaged
@@ -167,9 +166,7 @@ def attack_levels(
         u, fresh = rng.random(shape), rng.integers(DIM, size=shape)
         for j, (readout, shift) in enumerate(zip(sets, shifts)):
             rows = np.flatnonzero(hit[:, j])
-            level = [readout]
-            outcomes = tree.draw(ids[rows], level, u[rows, j])
-            measured = tree.children(ids[rows], level, outcomes)
+            outcomes, measured = tree.descend(ids[rows], [readout], u[rows, j])
             ids[rows] = tree.evolved(measured, shift, (fresh[rows, j] - outcomes) % DIM)
         return ids
 

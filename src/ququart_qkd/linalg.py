@@ -5,11 +5,13 @@ live on 4**n amplitudes (n <= 4 in practice), operators are plain numpy
 matrices, and projective measurement draws from an explicit seeded
 generator, so a seed fixes every result.  An ``OperatorStack`` is a
 read-only stack of 4x4 operators on one ququart, named by its position,
-or of full-register operators at position 0; ``apply_at`` applies it to
-a batch of state rows by one ``matmul`` over the acted-on axis, so no
-register operator is built.  A measurement is a ``ProjectorSet``: a
-stack whose completeness is checked once, when the set is built, so a
-draw is one stacked product and no identity sum.
+or of full-register operators at position 0.  ``apply_stacked`` applies
+all of a stack's k operators to a batch of state rows by one ``matmul``
+of the stack folded into a (k*4, 4) operator, and ``apply_at`` one
+operator per row; both contract only the acted-on axis, so no register
+operator is built, and both give the same bytes.  A measurement is a
+``ProjectorSet``: a stack whose completeness is checked once, when the
+set is built, so a draw is one stacked product and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
@@ -20,12 +22,13 @@ set) pair is computed once.  A tree may outlive its phase: attack-free
 phases on the built-in channels share one per party count for the life of
 the process (``protocol``), while attacked and corrupt-channel phases
 build their own.  A tree is sampled one level at a time for all rounds at
-once, by one inverse-CDF rule on a column of uniforms, one per row, and a
-level computes its missing rows in one product per set.
-``measure_projective`` is one row of such a level, by the same rule and
-product.  Input a user can reach (state shapes and norms, operator
-shapes, positions) is checked by raising ``ValueError``, so the checks
-hold under ``python -O``.
+once, by one inverse-CDF rule on a column of uniforms, one per row.  A
+level computes its missing rows by one stacked product per set
+(``apply_stacked``), and the call that draws from them cuts each drawn
+child from the same product (``Tree.descend``).  ``measure_projective``
+is one row of such a level, by the same rule and product.  Input a user
+can reach (state shapes and norms, operator shapes, positions) is checked
+by raising ``ValueError``, so the checks hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -133,14 +136,36 @@ def apply_at(stack: np.ndarray, position: int, rows: np.ndarray) -> np.ndarray:
     """A (..., d, d) operator stack acting at ``position`` on (..., n) state
     rows, leading axes broadcast.  Each row is viewed as a (4**position, d,
     rest) array, so one ``matmul`` contracts the acted-on axis and no
-    register operator is built."""
+    register operator is built.  A tree builds by it the rows no fill of
+    the same call computed: evolved rows and children of rows filled
+    earlier (``Tree._build``)."""
     d, n = stack.shape[-1], rows.shape[-1]
+    before, after = _around(position, d, n)
+    out = np.matmul(stack[..., None, :, :], rows.reshape(*rows.shape[:-1], before, d, after))
+    return out.reshape(*out.shape[:-3], n)
+
+
+def apply_stacked(stack: np.ndarray, position: int, rows: np.ndarray) -> np.ndarray:
+    """Every operator of a (k, d, d) stack acting at ``position`` on each
+    of (m, n) state rows, as an (m, k, n) array of branches.  The stack is
+    folded into one (k*d, d) operator, so each row slice costs one
+    ``matmul`` for all k operators; each entry is the same sum of products
+    as ``apply_at``'s, so the bytes are equal."""
+    k, d = stack.shape[:2]
+    m, n = rows.shape
+    before, after = _around(position, d, n)
+    out = np.matmul(stack.reshape(k * d, d), rows.reshape(m, before, d, after))
+    return out.reshape(m, before, k, d, after).swapaxes(1, 2).reshape(m, k, n)
+
+
+def _around(position: int, d: int, n: int) -> tuple:
+    """The sizes of the axes before and after a (d, d) operator's at
+    ``position`` in a row of n amplitudes."""
     before = DIM**position
     after = n // (before * d)
     if before * d * after != n:
         raise ValueError(f"a ({d}, {d}) operator at position {position} does not act on dimension {n}")
-    out = np.matmul(stack[..., None, :, :], rows.reshape(*rows.shape[:-1], before, d, after))
-    return out.reshape(*out.shape[:-3], n)
+    return before, after
 
 
 def measure_projective(
@@ -161,7 +186,7 @@ def measure_projective(
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors)
-    branches = apply_at(projectors.stack, projectors.position, psi.amplitudes)
+    branches = apply_stacked(projectors.stack, projectors.position, psi.amplitudes[None])[0]
     # the squared real and imaginary parts of each branch, summed
     law = np.square(branches.view(float)).sum(axis=-1)[None]
     k = int(_inverse_cdf(law, np.cumsum(law[:, :-1], axis=1), _ONE_ROW, rng.random(1))[0])
@@ -193,7 +218,9 @@ def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
 class _Level:
     """One level's tables (``Tree``), a row per key ``node * width + code``:
     branch probabilities (NaN until filled), their cumulative law below the
-    last branch, and child ids (-1 until built); grown from ``old``."""
+    last branch, and child ids (-1 until built); grown from ``old``.  A row
+    is filled from its set's stacked product, and a child is cut from that
+    product when the same call draws it, else built by ``apply_at``."""
 
     def __init__(self, sets: tuple, nodes: int, old=None):
         self.sets, self.width, self.branches = sets, len(sets), _branch_count(sets)
@@ -211,17 +238,20 @@ class Tree:
 
     Nodes are the rows of one amplitude array (``amplitudes[:size]``),
     named by their row index; row 0 is the root.  Rows are rounds, each at
-    a node.  A level is the tuple of sets one ``draw``, ``children`` or
-    ``evolved`` call uses (a party's menu of sign sets, a key set, an
+    a node.  A level is the tuple of sets one ``draw``, ``descend``,
+    ``children`` or ``evolved`` call uses (a party's menu of sign sets, a key set, an
     attack readout, a shift stack), picked per row by a code (``sets[0]``
     without codes); they have equal branch counts.  A None set is the
     identity slot: it reads outcome 0 and keeps the node.  Per level the
     tree keeps a (node x code) table of branch probabilities and their
     cumulative law, filled once per row, and a (node x code x branch)
     table of child ids, the identity slot's being its node (``_Level``).
-    So a call on filled rows is a gather.  The missing rows and children
-    that some row reaches are computed in one product per set
-    (``apply_at``), so the tree never holds more rows than a walk of the
+    So a call on filled rows is a gather.  The missing rows that some row
+    reaches are computed in one stacked product per set (``_fill``), and
+    ``descend`` cuts each drawn child from that product, over the square
+    root of the probability the draw used; only evolved rows and children
+    of rows filled in an earlier call are built by a product of their own
+    (``_build``).  So the tree never holds more rows than a walk of the
     same rounds builds; a built row equal in bytes to an existing node
     reuses its id, so no two rows are equal and a node may have several
     parents.
@@ -236,7 +266,10 @@ class Tree:
         self._levels = {}  # tuple of sets -> _Level
 
     def state(self, node: int) -> StateVector:
-        """The normalized state of a node; the root is the one given."""
+        """The normalized state of a node; the root is the one given.  An
+        id outside ``[0, size)`` raises IndexError."""
+        if not 0 <= node < self.size:
+            raise IndexError(f"no node {node} in a tree of {self.size} nodes")
         if node == 0:
             return self.root
         return StateVector(self.root.num_ququarts, self.amplitudes[node].copy())
@@ -252,11 +285,15 @@ class Tree:
 
     def _fill(self, level: _Level, keys):
         """Fill the level's rows of ``keys`` that are not yet filled: a
-        set's from batched products, the identity slot's as a sure outcome
-        0 whose child is the node itself."""
+        set's from one stacked product (``apply_stacked``), the identity
+        slot's as a sure outcome 0 whose child is the node itself.  Returns
+        the branches it computed, per code: (the code's filled keys,
+        ascending; their (key, branch, amplitude) array), from which the
+        same call's children are cut."""
         missing = keys[np.isnan(level.probs[:, 0].take(keys))]
+        fresh = {}
         if not len(missing):
-            return
+            return fresh
         # distinct and sorted; np.unique would import numpy.ma on first use
         missing = np.flatnonzero(np.bincount(missing))
         nodes, codes = np.divmod(missing, level.width)
@@ -268,12 +305,12 @@ class Tree:
                 level.probs[rows, 0] = 1.0
                 level.kids[rows] = at[:, None]
                 continue
-            branches = apply_at(projectors.stack[:, None], projectors.position, self.amplitudes[at])
-            # the squared real and imaginary parts of each branch, summed;
-            # squared in place, since the branches are not kept
-            parts = branches.view(float)
-            level.probs[rows] = np.square(parts, out=parts).sum(axis=-1).T
+            branches = apply_stacked(projectors.stack, projectors.position, self.amplitudes[at])
+            # the squared real and imaginary parts of each branch, summed
+            level.probs[rows] = np.square(branches.view(float)).sum(axis=-1)
+            fresh[code] = rows, branches
         level.cdf[missing] = np.cumsum(level.probs[missing, :-1], axis=1)
+        return fresh
 
     def probabilities(self, ids, projectors: ProjectorSet) -> np.ndarray:
         """|P_k psi|^2 for every branch of each id's node, a row per id."""
@@ -281,11 +318,13 @@ class Tree:
         self._fill(level, ids)
         return level.probs[ids]
 
-    def _kids(self, level: _Level, slots, normalized: bool, needed=None) -> np.ndarray:
+    def _kids(self, level: _Level, slots, normalized: bool, needed, fresh: dict) -> np.ndarray:
         """Child id of each slot ``key * branches + pick``: the set's
         ``stack[pick]`` applied to the key's node, over the branch's norm
-        if ``normalized``.  Missing children are built where the boolean
-        mask ``needed`` (all, if None) says, and read -1 elsewhere."""
+        if ``normalized`` (the key filled).  Missing children are built
+        where the boolean mask ``needed`` (all, if None) says, and read -1
+        elsewhere; ``fresh`` holds the branches the call's fill computed
+        (``_fill``, ``_rows``)."""
         kids = level.kids.ravel()
         found = kids.take(slots)
         unbuilt = found < 0
@@ -294,25 +333,43 @@ class Tree:
         if not unbuilt.any():
             return found
         build = np.flatnonzero(np.bincount(slots[unbuilt]))
-        if normalized:
-            # a row not yet drawn from; filling resolves any identity slot
-            self._fill(level, build // level.branches)
-            build = build[kids[build] < 0]
-        nodes, codes = np.divmod(build // level.branches, level.width)
+        keys, picks = np.divmod(build, level.branches)
+        codes = keys % level.width
         for code in np.flatnonzero(np.bincount(codes)).tolist():
-            these = build[codes == code]
-            norms = np.sqrt(level.probs.ravel()[these]) if normalized else None
-            kids[these] = self._build(level.sets[code], nodes[codes == code], these % level.branches, norms)
+            at = codes == code
+            these = build[at]
+            rows = self._rows(level.sets[code], keys[at], picks[at], level.width, fresh.get(code))
+            if normalized:
+                # the same product as that branch's probability, so the same bits
+                rows /= np.sqrt(level.probs.ravel()[these])[:, None]
+            kids[these] = self._intern(rows)
         return kids.take(slots)
 
-    def _build(self, ops: OperatorStack, nodes, picks, norms) -> np.ndarray:
-        """Node ids of ``ops.stack[pick]`` applied to each node's state,
-        over ``norms`` if given: a row whose exact bytes already belong to
-        a node is that node, and the others are appended once each."""
-        rows = apply_at(ops.stack[picks], ops.position, self.amplitudes[nodes])
-        if norms is not None:
-            # the same product as that branch's probability, so the same bits
-            rows /= norms[:, None]
+    def _rows(self, ops: OperatorStack, keys, picks, width: int, fresh) -> np.ndarray:
+        """``ops.stack[pick]`` applied to each key's node: cut from
+        ``fresh``, this call's (filled keys, branches) of the set
+        (``_fill``), where it holds the key, and built by ``_build``
+        elsewhere."""
+        if fresh is None:
+            return self._build(ops, keys // width, picks)
+        filled, branches = fresh
+        at = np.minimum(np.searchsorted(filled, keys), len(filled) - 1)
+        cut = filled[at] == keys
+        if cut.all():
+            return branches[at, picks]
+        rows = np.empty((len(keys), branches.shape[2]), dtype=complex)
+        rows[cut] = branches[at[cut], picks[cut]]
+        rows[~cut] = self._build(ops, keys[~cut] // width, picks[~cut])
+        return rows
+
+    def _build(self, ops: OperatorStack, nodes, picks) -> np.ndarray:
+        """``ops.stack[pick]`` applied to each node's state, by one
+        ``apply_at`` product."""
+        return apply_at(ops.stack[picks], ops.position, self.amplitudes[nodes])
+
+    def _intern(self, rows) -> np.ndarray:
+        """Node ids of built rows: a row whose exact bytes already belong
+        to a node is that node, and the others are appended once each."""
         index, start = self._index, self.size
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
         ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
@@ -326,31 +383,50 @@ class Tree:
         self.size = end
         return ids
 
+    def _drawn(self, ids, sets, u, codes):
+        """The level, keys, fresh branches (``_fill``) and outcomes of a
+        ``draw``."""
+        level = self._level(sets)
+        keys = ids if codes is None else ids * level.width + codes
+        fresh = self._fill(level, keys)
+        return level, keys, fresh, _inverse_cdf(level.probs, level.cdf, keys, u)
+
     def draw(self, ids, sets, u, codes=None) -> np.ndarray:
         """Outcome index per row from its uniform ``u`` (``_inverse_cdf``):
         a row that drew a zero-probability branch raises RuntimeError,
         however often its node was measured before."""
         if not len(ids):
             return np.zeros(0, dtype=np.intp)
-        level = self._level(sets)
-        keys = ids if codes is None else ids * level.width + codes
-        self._fill(level, keys)
-        return _inverse_cdf(level.probs, level.cdf, keys, u)
+        return self._drawn(ids, sets, u, codes)[3]
+
+    def descend(self, ids, sets, u, codes=None, needed=None) -> tuple:
+        """``draw``'s outcome per row, and the node id of its drawn
+        outcome's post-measurement state: the drawn branch over the square
+        root of the probability the draw used.  A branch this call's fill
+        computed is cut from that product; the others are built once, by
+        ``_build``.  Rows outside the boolean mask ``needed`` keep their
+        node, and their children are not built."""
+        if not len(ids):
+            return np.zeros(0, dtype=np.intp), ids
+        level, keys, fresh, outcomes = self._drawn(ids, sets, u, codes)
+        kids = self._kids(level, keys * level.branches + outcomes, True, needed, fresh)
+        return outcomes, (kids if needed is None else np.where(needed, kids, ids))
 
     def children(self, ids, sets, outcomes, codes=None, needed=None) -> np.ndarray:
-        """Node id per row of its drawn outcome's post-measurement state.
-        Rows outside the boolean mask ``needed`` keep their node, and
-        their children are not built."""
+        """Node id per row of the post-measurement state of a given
+        outcome, as ``descend`` builds it.  Rows outside the boolean mask
+        ``needed`` keep their node, and their children are not built."""
         level = self._level(sets)
         keys = ids if codes is None else ids * level.width + codes
-        kids = self._kids(level, keys * level.branches + outcomes, True, needed)
+        fresh = self._fill(level, keys if needed is None else keys[needed])
+        kids = self._kids(level, keys * level.branches + outcomes, True, needed, fresh)
         return kids if needed is None else np.where(needed, kids, ids)
 
     def evolved(self, ids, operators: OperatorStack, picks) -> np.ndarray:
         """Node id per row of ``operators.stack[pick]`` applied to its node's
         state, which must stay normalized; built once per (node, pick)."""
         level = self._level((operators,))
-        return self._kids(level, ids * level.branches + picks, False)
+        return self._kids(level, ids * level.branches + picks, False, None, {})
 
 
 def _branch_count(sets) -> int:

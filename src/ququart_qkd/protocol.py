@@ -336,9 +336,11 @@ def run_verification_phase(
     outcomes = []
     for j, (codes, u) in enumerate(zip(choices, uniforms)):
         sets = [sign_sets[j, name] for name in menu]
-        outcomes.append(_read_only(tree.draw(ids, sets, u, codes)))
         if j + 1 < len(parties):
-            ids = tree.children(ids, sets, outcomes[j], codes, later[j])
+            drawn, ids = tree.descend(ids, sets, u, codes, later[j])
+        else:
+            drawn = tree.draw(ids, sets, u, codes)
+        outcomes.append(_read_only(drawn))
 
     # rounds are tallied per joint choice, a base-4 number; the outcome
     # product is -1 exactly when an odd number of outcomes is 1 (the
@@ -439,10 +441,12 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
-        level = [projectors]
-        columns.append(_read_only(tree.draw(ids, level, rngs[parties[j]].random(num_rounds))))
+        level, u = [projectors], rngs[parties[j]].random(num_rounds)
         if j + 1 < len(parties):
-            ids = tree.children(ids, level, columns[j])
+            drawn, ids = tree.descend(ids, level, u)
+        else:
+            drawn = tree.draw(ids, level, u)
+        columns.append(_read_only(drawn))
     sample = _read_only(np.zeros(0, dtype=np.intp))
     if reveal is not None:
         requester, revealers, control = reveal

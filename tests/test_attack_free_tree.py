@@ -7,8 +7,9 @@ oracle memo, already holds: the reports of a fresh process, where every
 phase samples a tree of its own and every oracle is predicted anew, equal
 those of a process in which attacked and attack-free sessions of both
 channels ran first.  The shared trees stop growing at a bound that
-follows from the menus, and attacked or corrupt-channel sessions, which
-build their own trees, leave them as they are.
+follows from the menus; once there, an attack-free session only reads
+their tables and makes no product.  Attacked or corrupt-channel
+sessions, which build their own trees, leave them as they are.
 """
 
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ququart_qkd import protocol
+from ququart_qkd import linalg, protocol
 from ququart_qkd.attacks import ATTACK_KINDS, AttackModel
 from ququart_qkd.observables import key_basis
 from ququart_qkd.protocol import SIGNS, THREE_PARTY_MENU, TWO_PARTY_MENU
@@ -88,7 +89,7 @@ CONFIGS = [
 # samples a new tree of its own and nothing is shared
 FRESH_SCRIPT = """
 import json
-from ququart_qkd import protocol
+from ququart_qkd import linalg, protocol
 from ququart_qkd.attacks import AttackModel
 from ququart_qkd.session import SessionConfig, format_report, run_session
 protocol._phase_tree = lambda spec, attack: protocol.Tree(spec.state)
@@ -215,3 +216,24 @@ def test_attacked_and_corrupt_sessions_leave_the_shared_trees_alone():
     after = [tree_tables(t) for t in trees]
     assert after == before
     assert trees == [protocol._attack_free_tree(n) for n in (2, 3)]
+
+
+def test_saturated_shared_trees_make_no_product(monkeypatch):
+    # warmed by long sessions until every (node, set) pair and child a
+    # session can reach is in the tables
+    for name in PROTOCOLS.values():
+        for seed in (50, 51):
+            run_session(SessionConfig(name, 3000, 3000, seed=seed))
+    trees = [protocol._attack_free_tree(n) for n in PROTOCOLS]
+    before = [tree_tables(t) for t in trees]
+
+    def no_product(*args):
+        raise AssertionError("a product on a saturated shared tree")
+
+    monkeypatch.setattr(linalg, "apply_stacked", no_product)
+    monkeypatch.setattr(linalg, "apply_at", no_product)
+    for name in PROTOCOLS.values():
+        for seed in range(60, 64):
+            run_session(SessionConfig(name, 500, 500, seed=seed))
+    run_session(SessionConfig("three-party", 500, 500, alice_permits=False, seed=64))
+    assert [tree_tables(t) for t in trees] == before

@@ -43,6 +43,7 @@ from ququart_qkd.linalg import (
     StateVector,
     Tree,
     apply_at,
+    apply_stacked,
     measure_projective,
 )
 from ququart_qkd.observables import check_observable, key_basis, key_bit_errors
@@ -378,11 +379,16 @@ def test_local_products_equal_embedded_products_on_session_trees(parties, model,
         rows = tree.amplitudes[: tree.size]
         ids = np.arange(tree.size)
         for stack in stacks:
-            # (k, rows, 4**n) under both operators; the embedded stack acts on
-            # one state at a time, as the session path once did
-            local = apply_at(stack.stack[:, None], stack.position, rows)
+            for position in range(parties):
+                # (k, rows, 4**n) under the local products and the embedded
+                # stack, which acts on one state at a time, as the session
+                # path once did; the tree's own product is apply_stacked's
+                at = np.array([embed(m, position, parties) for m in stack.stack])
+                embedded = np.stack([at @ row for row in rows], axis=1)
+                assert np.array_equal(apply_at(stack.stack[:, None], position, rows), embedded)
+                stacked = apply_stacked(stack.stack, position, rows)
+                assert np.array_equal(stacked, embedded.swapaxes(0, 1))
             embedded = np.stack([dense[stack] @ row for row in rows], axis=1)
-            assert np.array_equal(local, embedded)
             if isinstance(stack, ProjectorSet):
                 probs = np.square(embedded.view(float)).sum(axis=-1).T
                 assert np.array_equal(tree.probabilities(ids, stack), probs)
@@ -439,6 +445,19 @@ def walk_round(tree, node, projector_sets, parties, rngs) -> tuple:
     return tuple(outcomes)
 
 
+def test_state_of_an_id_outside_the_tree_raises_index_error():
+    tree = Tree(make_channel(2).state)
+    # the amplitude array has room beyond its one node
+    for node in (1, -1, len(tree.amplitudes)):
+        with pytest.raises(IndexError, match=f"no node {node} "):
+            tree.state(node)
+    assert tree.state(0) is tree.root
+    [kid] = tree.children(np.array([0]), [_key_projector_sets(2)[0]], np.array([0])).tolist()
+    assert tree.state(kid).num_ququarts == 2
+    with pytest.raises(IndexError):
+        tree.state(kid + 1)
+
+
 def test_children_are_memoised_and_built_only_when_measured_again():
     spec = make_channel(2)
     key_sets = _key_projector_sets(2)
@@ -471,14 +490,13 @@ def dense_stacks(num_parties):
 
 
 def check_level(tree, ids, sets, u, codes, needed):
-    """One ``draw`` and ``children`` level of ``tree`` against the scalar
+    """One ``descend`` level of ``tree`` against the scalar
     rule: per row, ``draw_index`` on the dense branch probabilities of its
     node's state, the identity slot reading outcome 0 and keeping its
     node.  A needed row's child holds the drawn branch by the dense
     product, normalized; any other row keeps its node.  Returns the
     children."""
-    outcomes = tree.draw(ids, sets, u, codes)
-    kids = tree.children(ids, sets, outcomes, codes, needed)
+    outcomes, kids = tree.descend(ids, sets, u, codes, needed)
     dense = dense_stacks(tree.root.num_ququarts)
     picks = np.zeros(len(ids), dtype=np.intp) if codes is None else codes
     for row, (node, code) in enumerate(zip(ids.tolist(), picks.tolist())):
@@ -547,6 +565,67 @@ def test_level_tables_draw_by_the_scalar_rule_on_a_growing_attacked_tree():
         size = tree.size
         check_party_levels(tree, ids, rng, as_phases=False)
         assert tree.size > size
+
+
+def built_slots(tree, sets) -> tuple:
+    """The keys of a level's filled rows and the slots of its built
+    children, as sets; both empty before the level's first call."""
+    level = tree._levels.get(tuple(sets))
+    if level is None:
+        return set(), set()
+    filled = np.flatnonzero(~np.isnan(level.probs[:, 0]))
+    return set(filled.tolist()), set(np.flatnonzero(level.kids.ravel() >= 0).tolist())
+
+
+def check_descent(tree, ids, sets, u, codes, build, calls) -> tuple:
+    """One ``descend`` level of ``tree``: every drawn child holds
+    ``_build``'s product for its (node, set, pick) over the square root of
+    the drawn probability, and ``_build`` (counted in ``calls``) made
+    exactly the new children of rows filled before the call; the others
+    were cut from the fill's branches.  Returns the children and the
+    counts of children built and cut."""
+    filled, done = built_slots(tree, sets)
+    calls.clear()
+    outcomes, kids = tree.descend(ids, sets, u, codes)
+    level = tree._levels[tuple(sets)]
+    codes = np.zeros(len(ids), dtype=np.intp) if codes is None else codes
+    new = set()
+    for node, code, k, kid in zip(ids.tolist(), codes.tolist(), outcomes.tolist(), kids.tolist()):
+        projectors, key = sets[code], node * len(sets) + code
+        if projectors is None:
+            assert (k, kid) == (0, node)
+            continue
+        product = build(tree, projectors, np.array([node]), np.array([k]))[0]
+        assert np.array_equal(tree.amplitudes[kid], product / math.sqrt(level.probs[key, k]))
+        if key * level.branches + k not in done:
+            new.add((key, k))
+    rebuilt = sum(key in filled for key, _ in new)
+    assert sum(calls) == rebuilt
+    return kids, rebuilt, len(new) - rebuilt
+
+
+def test_drawn_children_are_cut_from_the_fill_on_a_growing_attacked_tree(monkeypatch):
+    build, calls = Tree._build, []
+
+    def counted(tree, ops, nodes, picks):
+        calls.append(len(nodes))
+        return build(tree, ops, nodes, picks)
+
+    monkeypatch.setattr(Tree, "_build", counted)
+    tree = Tree(make_channel(3).state)
+    rng = np.random.default_rng(4)
+    totals = np.zeros(2, dtype=int)  # children built, children cut
+    for rounds in (40, 300):
+        ids = np.zeros(rounds, dtype=np.intp)
+        levels = [([attacks._attack_operators("intercept-key", t)[0]], None) for t in (1, 2)]
+        codes = rng.integers(len(THREE_PARTY_MENU), size=(3, rounds))
+        for j in range(3):
+            levels.append(([_sign_projector_sets(3)[j, name] for name in THREE_PARTY_MENU], codes[j]))
+        for sets, level_codes in levels:
+            ids, *counts = check_descent(tree, ids, sets, rng.random(rounds), level_codes, build, calls)
+            totals += counts
+    # the second pass meets rows the first one filled
+    assert totals.min() > 0, totals
 
 
 def walk_verification(tree, spec, rounds, model, rngs):
