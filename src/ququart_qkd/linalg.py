@@ -5,13 +5,18 @@ live on 4**n amplitudes (n <= 4 in practice), operators are plain numpy
 matrices, and projective measurement draws from an explicit seeded
 generator, so a seed fixes every result.  An ``OperatorStack`` is a
 read-only stack of 4x4 operators on one ququart, named by its position,
-or of full-register operators at position 0.  ``apply_stacked`` applies
-all of a stack's k operators to a batch of state rows by one ``matmul``
-of the stack folded into a (k*4, 4) operator, and ``apply_at`` one
-operator per row; both contract only the acted-on axis, so no register
-operator is built, and both give the same bytes.  A measurement is a
-``ProjectorSet``: a stack whose completeness is checked once, when the
-set is built, so a draw is one stacked product and no identity sum.
+or of full-register operators at position 0.  ``apply_stacked`` is the
+one product of an operator and a state: it applies all of a stack's k
+operators to a batch of state rows by one ``matmul`` against the stack
+folded into a (k*4, 4) operator, contracting only the acted-on axis, so
+no register operator is built.  Every operator a session applies has
+entries in {0, +/-1/2, +/-1} with at most two nonzeros per row
+(``observables.key_basis``), so each product entry is one rounding of
+exact terms, whatever order the product sums them in: a branch cut from
+one product and the same branch built by another have the same bytes.
+A measurement is a ``ProjectorSet``: a stack whose completeness is
+checked once, when the set is built, so a draw is one stacked product
+and no identity sum.
 
 A protocol phase measures the same few states with the same few sets
 thousands of times, so it samples a branch tree (``Tree``): its nodes are
@@ -26,9 +31,10 @@ once, by one inverse-CDF rule on a column of uniforms, one per row.  A
 level computes its missing rows by one stacked product per set
 (``apply_stacked``), and the call that draws from them cuts each drawn
 child from the same product (``Tree.descend``).  ``measure_projective``
-is one row of such a level, by the same rule and product.  Input a user
-can reach (state shapes and norms, operator shapes, positions) is checked
-by raising ``ValueError``, so the checks hold under ``python -O``.
+is a one-row tree, so the tree is the one place that computes a branch
+law or a post-measurement state.  Input a user can reach (state shapes
+and norms, operator shapes, positions) is checked by raising
+``ValueError``, so the checks hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -103,8 +109,8 @@ class OperatorStack:
     """A read-only (k, d, d) complex stack of operators on the ququart at
     ``position`` (d = 4), or on a whole register (position 0, d its
     dimension).  Its shape is checked once, here, by raising ValueError,
-    so it holds under ``python -O``; ``apply_at`` checks that a register
-    holds it."""
+    so it holds under ``python -O``; ``apply_stacked`` checks that a
+    register holds it."""
 
     stack: np.ndarray
     position: int = 0
@@ -132,40 +138,22 @@ class ProjectorSet(OperatorStack):
             raise ValueError("projectors do not sum to identity")
 
 
-def apply_at(stack: np.ndarray, position: int, rows: np.ndarray) -> np.ndarray:
-    """A (..., d, d) operator stack acting at ``position`` on (..., n) state
-    rows, leading axes broadcast.  Each row is viewed as a (4**position, d,
-    rest) array, so one ``matmul`` contracts the acted-on axis and no
-    register operator is built.  A tree builds by it the rows no fill of
-    the same call computed: evolved rows and children of rows filled
-    earlier (``Tree._build``)."""
-    d, n = stack.shape[-1], rows.shape[-1]
-    before, after = _around(position, d, n)
-    out = np.matmul(stack[..., None, :, :], rows.reshape(*rows.shape[:-1], before, d, after))
-    return out.reshape(*out.shape[:-3], n)
-
-
 def apply_stacked(stack: np.ndarray, position: int, rows: np.ndarray) -> np.ndarray:
     """Every operator of a (k, d, d) stack acting at ``position`` on each
-    of (m, n) state rows, as an (m, k, n) array of branches.  The stack is
-    folded into one (k*d, d) operator, so each row slice costs one
-    ``matmul`` for all k operators; each entry is the same sum of products
-    as ``apply_at``'s, so the bytes are equal."""
+    of (m, n) state rows, as an (m, k, n) array of branches.  The acted-on
+    axis is moved last and the stack folded into one (k*d, d) operator,
+    so one ``matmul`` against its transpose covers every row and slice.
+    A stack that does not act on n amplitudes at ``position`` raises
+    ValueError."""
     k, d = stack.shape[:2]
     m, n = rows.shape
-    before, after = _around(position, d, n)
-    out = np.matmul(stack.reshape(k * d, d), rows.reshape(m, before, d, after))
-    return out.reshape(m, before, k, d, after).swapaxes(1, 2).reshape(m, k, n)
-
-
-def _around(position: int, d: int, n: int) -> tuple:
-    """The sizes of the axes before and after a (d, d) operator's at
-    ``position`` in a row of n amplitudes."""
     before = DIM**position
     after = n // (before * d)
     if before * d * after != n:
         raise ValueError(f"a ({d}, {d}) operator at position {position} does not act on dimension {n}")
-    return before, after
+    moved = rows.reshape(m, before, d, after).swapaxes(2, 3).reshape(-1, d)
+    out = moved @ stack.reshape(k * d, d).T
+    return out.reshape(m, before, after, k, d).transpose(0, 3, 1, 4, 2).reshape(m, k, n)
 
 
 def measure_projective(
@@ -175,27 +163,20 @@ def measure_projective(
 ) -> MeasurementResult:
     """Sample one outcome of a complete projective measurement.
 
-    A one-row tree level, by ``Tree.draw``'s inverse-CDF rule on the
-    tree's product (``apply_at``): outcome k is drawn with probability
-    |P_k psi|^2 on a single uniform draw, so the sequence of results is a
-    pure function of the generator state, and the drawn branch,
-    normalized, is the post-measurement state.  No ``Tree`` is built,
-    since a one-off measurement never reuses its tables.  Completeness is
-    checked once per ``ProjectorSet``; a plain sequence of projectors is
-    wrapped, and so checked, on every call.
+    A one-row ``Tree`` rooted at ``psi``, drawn by ``Tree.descend``:
+    outcome k is drawn with probability |P_k psi|^2 on a single uniform
+    draw, so the sequence of results is a pure function of the generator
+    state, and the drawn branch, normalized, is the post-measurement
+    state.  Completeness is checked once per ``ProjectorSet``; a plain
+    sequence of projectors is wrapped, and so checked, on every call.
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors)
-    branches = apply_stacked(projectors.stack, projectors.position, psi.amplitudes[None])[0]
-    # the squared real and imaginary parts of each branch, summed
-    law = np.square(branches.view(float)).sum(axis=-1)[None]
-    k = int(_inverse_cdf(law, np.cumsum(law[:, :-1], axis=1), _ONE_ROW, rng.random(1))[0])
-    p = float(law[0, k])
-    return MeasurementResult(k, p, StateVector(psi.num_ququarts, branches[k] / math.sqrt(p)))
-
-
-_ONE_ROW = np.zeros(1, dtype=np.intp)
-_ONE_ROW.setflags(write=False)
+    tree, root = Tree(psi), np.zeros(1, dtype=np.intp)
+    outcomes, kids = tree.descend(root, [projectors], rng.random(1))
+    k = int(outcomes[0])
+    p = float(tree.probabilities(root, projectors)[0, k])
+    return MeasurementResult(k, p, tree.state(int(kids[0])))
 
 
 def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
@@ -220,7 +201,8 @@ class _Level:
     branch probabilities (NaN until filled), their cumulative law below the
     last branch, and child ids (-1 until built); grown from ``old``.  A row
     is filled from its set's stacked product, and a child is cut from that
-    product when the same call draws it, else built by ``apply_at``."""
+    product when the same call draws it, else built by the same product
+    (``Tree._build``)."""
 
     def __init__(self, sets: tuple, nodes: int, old=None):
         self.sets, self.width, self.branches = sets, len(sets), _branch_count(sets)
@@ -239,22 +221,22 @@ class Tree:
     Nodes are the rows of one amplitude array (``amplitudes[:size]``),
     named by their row index; row 0 is the root.  Rows are rounds, each at
     a node.  A level is the tuple of sets one ``draw``, ``descend``,
-    ``children`` or ``evolved`` call uses (a party's menu of sign sets, a key set, an
-    attack readout, a shift stack), picked per row by a code (``sets[0]``
-    without codes); they have equal branch counts.  A None set is the
-    identity slot: it reads outcome 0 and keeps the node.  Per level the
-    tree keeps a (node x code) table of branch probabilities and their
-    cumulative law, filled once per row, and a (node x code x branch)
-    table of child ids, the identity slot's being its node (``_Level``).
-    So a call on filled rows is a gather.  The missing rows that some row
-    reaches are computed in one stacked product per set (``_fill``), and
-    ``descend`` cuts each drawn child from that product, over the square
-    root of the probability the draw used; only evolved rows and children
-    of rows filled in an earlier call are built by a product of their own
-    (``_build``).  So the tree never holds more rows than a walk of the
-    same rounds builds; a built row equal in bytes to an existing node
-    reuses its id, so no two rows are equal and a node may have several
-    parents.
+    ``children`` or ``evolved`` call uses (a party's menu of sign sets, a
+    key set, an attack readout, a shift stack), picked per row by a code
+    (``sets[0]`` without codes); they have equal branch counts.  A None
+    set is the identity slot: it reads outcome 0 and keeps the node.  Per
+    level the tree keeps a (node x code) table of branch probabilities and
+    their cumulative law, filled once per row, and a (node x code x
+    branch) table of child ids, the identity slot's being its node
+    (``_Level``).  So a call on filled rows is a gather.  The missing rows
+    that some row reaches are computed in one stacked product per set
+    (``_fill``), and ``descend`` cuts each drawn child from that product,
+    over the square root of the probability the draw used; only evolved
+    rows and children of rows filled in an earlier call take a product of
+    their own (``_build``).  Every row is an ``apply_stacked`` branch.  So
+    the tree never holds more rows than a walk of the same rounds builds;
+    a built row equal in bytes to an existing node reuses its id, so no
+    two rows are equal and a node may have several parents.
     """
 
     def __init__(self, root: StateVector):
@@ -363,9 +345,10 @@ class Tree:
         return rows
 
     def _build(self, ops: OperatorStack, nodes, picks) -> np.ndarray:
-        """``ops.stack[pick]`` applied to each node's state, by one
-        ``apply_at`` product."""
-        return apply_at(ops.stack[picks], ops.position, self.amplitudes[nodes])
+        """``ops.stack[pick]`` applied to each node's state: its pick's
+        branch of one ``apply_stacked`` product."""
+        branches = apply_stacked(ops.stack, ops.position, self.amplitudes[nodes])
+        return branches[np.arange(len(nodes)), picks]
 
     def _intern(self, rows) -> np.ndarray:
         """Node ids of built rows: a row whose exact bytes already belong

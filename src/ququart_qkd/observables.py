@@ -169,16 +169,15 @@ class KeyBasis:
 def key_basis() -> KeyBasis:
     """The four key-measurement vectors in their fixed order, built once;
     every vector and projector is read-only because all callers share
-    them."""
+    them.  Each projector is w w^T / 2 over its vector's +/-1 signs w, so
+    its halves are exact, where the rounded vectors' outer product gives
+    0.4999999999999999; exact operators make a product's bytes independent
+    of its summation order (``linalg``)."""
     s = 1.0 / np.sqrt(2.0)
     e = np.eye(DIM, dtype=complex)
-    vectors = (
-        s * (e[0] + e[3]),  # phi+
-        s * (e[0] - e[3]),  # phi-
-        s * (e[1] + e[2]),  # psi+
-        s * (e[1] - e[2]),  # psi-
-    )
-    projectors = tuple(np.outer(v, v.conj()) for v in vectors)
+    signs = (e[0] + e[3], e[0] - e[3], e[1] + e[2], e[1] - e[2])  # phi+, phi-, psi+, psi-
+    vectors = tuple(s * w for w in signs)
+    projectors = tuple(np.outer(w, w) / 2 for w in signs)
     for array in vectors + projectors:
         array.setflags(write=False)
     return KeyBasis(vectors, projectors)

@@ -1,9 +1,10 @@
 """Basis kets, Kronecker products and embedded register operators, kept
 as the tests' helpers.
 
-The library applies 4x4 operators at a ququart position (``apply_at``)
-and never builds a full-register operator; the tests build them here, so
-that products by the embedded operators are an independent check.
+The library applies 4x4 operators at a ququart position
+(``apply_stacked``) and never builds a full-register operator; the tests
+build them here, so that products by the embedded operators are an
+independent check.
 """
 
 import numpy as np

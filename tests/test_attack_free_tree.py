@@ -231,7 +231,6 @@ def test_saturated_shared_trees_make_no_product(monkeypatch):
         raise AssertionError("a product on a saturated shared tree")
 
     monkeypatch.setattr(linalg, "apply_stacked", no_product)
-    monkeypatch.setattr(linalg, "apply_at", no_product)
     for name in PROTOCOLS.values():
         for seed in range(60, 64):
             run_session(SessionConfig(name, 500, 500, seed=seed))

@@ -37,12 +37,12 @@ from ququart_qkd.attacks import ATTACK_KINDS, AttackModel, attack_levels, predic
 from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import (
     DIM,
+    NORM_TOL,
     MeasurementResult,
     OperatorStack,
     ProjectorSet,
     StateVector,
     Tree,
-    apply_at,
     apply_stacked,
     measure_projective,
 )
@@ -345,6 +345,18 @@ def test_cached_session_operators_are_read_only_local_stacks(parties):
     assert [id(s) for s in built_in_stacks(parties)] == [id(s) for s in stacks]
 
 
+@pytest.mark.parametrize("parties", [2, 3])
+def test_session_operators_are_exact_with_two_nonzeros_per_row(parties):
+    # each product entry is then one rounding of exact terms, so a
+    # product's bytes do not depend on the order it sums them in
+    for stack in built_in_stacks(parties):
+        assert np.isin(stack.stack, (0.0, 0.5, -0.5, 1.0, -1.0)).all()
+        assert np.count_nonzero(stack.stack, axis=2).max() <= 2
+    kb = key_basis()
+    for vector, projector in zip(kb.vectors, kb.projectors):
+        assert np.max(np.abs(projector - np.outer(vector, vector.conj()))) < NORM_TOL
+
+
 def record_trees(monkeypatch) -> list:
     """Every tree the phases build from now on, in build order.  The
     attack-free trees are emptied first, so that an attack-free phase
@@ -380,14 +392,12 @@ def test_local_products_equal_embedded_products_on_session_trees(parties, model,
         ids = np.arange(tree.size)
         for stack in stacks:
             for position in range(parties):
-                # (k, rows, 4**n) under the local products and the embedded
+                # (rows, k, 4**n) under the local product and the embedded
                 # stack, which acts on one state at a time, as the session
-                # path once did; the tree's own product is apply_stacked's
+                # path once did
                 at = np.array([embed(m, position, parties) for m in stack.stack])
-                embedded = np.stack([at @ row for row in rows], axis=1)
-                assert np.array_equal(apply_at(stack.stack[:, None], position, rows), embedded)
-                stacked = apply_stacked(stack.stack, position, rows)
-                assert np.array_equal(stacked, embedded.swapaxes(0, 1))
+                embedded = np.stack([at @ row for row in rows])
+                assert np.array_equal(apply_stacked(stack.stack, position, rows), embedded)
             embedded = np.stack([dense[stack] @ row for row in rows], axis=1)
             if isinstance(stack, ProjectorSet):
                 probs = np.square(embedded.view(float)).sum(axis=-1).T
@@ -699,10 +709,10 @@ def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, phase, wal
 
 
 class AboveTotal:
-    """Generator stub whose uniforms, 1.0, lie above any rounded total."""
+    """Generator stub whose uniforms, 2.0, lie above any rounded total."""
 
     def random(self, size=None):
-        return 1.0 if size is None else np.ones(size)
+        return 2.0 if size is None else np.full(size, 2.0)
 
 
 def test_zero_probability_branch_raises_on_every_draw():
@@ -736,9 +746,10 @@ def test_zero_probability_branch_raises_on_every_draw():
 
 @pytest.mark.parametrize("parties", [2, 3])
 def test_key_phase_level_draw_raises_on_a_zero_weight_last_branch(parties):
-    # a uniform of 1.0 reads the last key outcome, psi-; after Alice's
+    # a uniform of 2.0 reads the last key outcome, psi-; after Alice's
     # (and Bob's) psi- the last party's outcome is pinned to phi+, so its
-    # uniform of 1.0 falls through to a zero-weight last branch
+    # uniform of 2.0 falls through to a zero-weight last branch (the pinned
+    # law's rounded total may lie above 1.0)
     spec = make_channel(parties)
     rngs = _named_streams(0)
     for party in PARTY_ORDER[:parties]:

@@ -10,7 +10,7 @@ from ququart_qkd.linalg import (
     ProjectorSet,
     StateVector,
     Tree,
-    apply_at,
+    apply_stacked,
     measure_projective,
 )
 from ququart_qkd.observables import check_observable, key_basis
@@ -83,16 +83,16 @@ def test_tensor_is_associative():
 
 
 def test_apply_identity_and_dimension_check():
-    psi = ket(2, 1)
-    out = apply_at(np.eye(DIM, dtype=complex), 0, psi.amplitudes)
-    np.testing.assert_array_equal(out, psi.amplitudes)
-    pair = ket(6, 2).amplitudes
+    identity = np.eye(DIM, dtype=complex)[None]
+    rows = ket(2, 1).amplitudes[None]
+    np.testing.assert_array_equal(apply_stacked(identity, 0, rows), rows[:, None])
+    pairs = np.stack([ket(6, 2).amplitudes, ket(9, 2).amplitudes])
     for position in (0, 1):
-        np.testing.assert_array_equal(apply_at(np.eye(DIM, dtype=complex), position, pair), pair)
+        np.testing.assert_array_equal(apply_stacked(identity, position, pairs), pairs[:, None])
     with pytest.raises(ValueError):
-        apply_at(np.eye(16, dtype=complex), 0, psi.amplitudes)
+        apply_stacked(np.eye(16, dtype=complex)[None], 0, rows)
     with pytest.raises(ValueError):
-        apply_at(np.eye(DIM, dtype=complex), 1, psi.amplitudes)
+        apply_stacked(identity, 1, rows)
 
 
 def test_embed_positions():

@@ -306,7 +306,7 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "from ququart_qkd.attacks import AttackModel\n"
         "from ququart_qkd.channels import three_party_channel, two_party_channel\n"
         "from registers import embed, ket\n"
-        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply_at,\n"
+        "from ququart_qkd.linalg import (OperatorStack, ProjectorSet, apply_stacked,\n"
         "    measure_projective, state_from_amplitudes)\n"
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
@@ -339,8 +339,8 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "    'embed a 2x2 local operator': lambda: embed(np.eye(2), 0, 2),\n"
         "    'a register stack at position 1': lambda: ProjectorSet([np.eye(16)], 1),\n"
         "    'a stack at position -1': lambda: OperatorStack([np.eye(4)], -1),\n"
-        "    'a stack at position 2 of 2': lambda: apply_at(\n"
-        "        np.eye(4)[None], 2, ket(0, 2).amplitudes),\n"
+        "    'a stack at position 2 of 2': lambda: apply_stacked(\n"
+        "        np.eye(4)[None], 2, ket(0, 2).amplitudes[None]),\n"
         "    'measure at position 2 of 2': lambda: measure_projective(\n"
         "        ket(0, 2), ProjectorSet([np.eye(4)], 2), _named_streams(0)['alice']),\n"
         "    'observable of shape 2x2': lambda: Observable('bad', np.eye(2)),\n"
