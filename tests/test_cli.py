@@ -207,6 +207,21 @@ def test_report_write_failure_names_the_path(capsys, repeat):
     assert err.startswith("error: cannot write report to /nonexistent/run.report")
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 72.8 TiB for an array"])
+def test_run_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message):
+    # a round count past the machine's memory passes the config check and
+    # fails at allocation; no large array is allocated here
+    def out_of_memory(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_session", out_of_memory)
+    code, out, err = run_cli(capsys, "run", "--key-rounds", "10000000000000")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def reports_by_outcome():
     """One real report per outcome: an attack-free two-party session, a
