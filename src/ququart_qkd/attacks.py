@@ -3,8 +3,9 @@
 Two semantics live side by side, on purpose:
 
 * ``attack_levels`` samples an attack on pure-state trajectories inside
-  a simulated session: it takes every round of a phase from the root of
-  its branch tree (``linalg.Tree``) to the node of that round's attacked
+  a simulated session: it draws the attack's columns for every round of
+  a phase, and then walks given rounds from the root of the phase's
+  branch tree (``linalg.Tree``) to the node of each round's attacked
   state, one target at a time.  Readouts and shifts are 4x4 operators
   at the target's position, built once per (kind, target); randomness
   comes from the session's seeded attack stream, and every readout and
@@ -130,14 +131,20 @@ def _attack_operators(kind: str, target: int) -> tuple:
 
 def attack_levels(
     model: AttackModel, num_parties: int
-) -> Callable[[Tree, np.random.Generator, int], np.ndarray]:
-    """The attack as a map (tree, rng, num_rounds) -> node ids of that many
-    attacked copies of the tree's root state.  Its operators are built
-    once per (kind, target), so that every call measures on the same
-    ``ProjectorSet`` objects, and so on the same levels of the tree, whose
-    tables then hold each readout and shift once.
+) -> Callable[[np.random.Generator, int], Callable[[Tree, np.ndarray], np.ndarray]]:
+    """The attack as a map (rng, num_rounds) -> walk.  The call draws the
+    attack's bulk columns for that many rounds from ``rng``; ``walk(tree,
+    rows)`` gives the node ids of the attacked copies of the tree's root
+    state in the rounds ``rows`` (an index array), read from those
+    columns.  A round's node depends only on its row of the columns and
+    the bytes of the nodes it passes, so rows walked apart, in any order
+    and on any tree rooted at that state, reach the nodes one walk of
+    them all reaches.  Its operators are built once per (kind, target),
+    so that every walk measures on the same ``ProjectorSet`` objects, and
+    so on the same levels of the tree, whose tables then hold each
+    readout and shift once.
 
-    The rounds are sampled one target at a time (``Tree``).  For N rounds
+    The rows are walked one target at a time (``Tree``).  For N rounds
     and T targets a measuring attack draws ``rng.random((N, T))`` readout
     uniforms; depolarize draws ``rng.random((N, T))`` gates, then as many
     readout uniforms and then ``rng.integers(4, size=(N, T))`` fresh
@@ -146,44 +153,50 @@ def attack_levels(
     """
     _validate_targets(model, num_parties)
     if model.kind == "none":
-        return lambda tree, rng, num_rounds: np.zeros(num_rounds, dtype=np.intp)
+        return lambda rng, num_rounds: lambda tree, rows: np.zeros(len(rows), dtype=np.intp)
     targets = model.targets
     sets, shifts = zip(*(_attack_operators(model.kind, t) for t in targets))
+    depolarize = model.kind == "depolarize"
 
-    def levels(tree, rng, num_rounds):
-        ids = np.zeros(num_rounds, dtype=np.intp)
+    def draw(rng, num_rounds):
         shape = num_rounds, len(targets)
-        if model.kind != "depolarize":
-            u = rng.random(shape)
-            for j, readout in enumerate(sets):
-                ids = tree.descend(ids, [readout], u[:, j])[1]
-            return ids
-        # decouple a gated target by a computational readout, then
-        # re-prepare a uniformly random basis state in its place; averaged
-        # over rounds this replaces the target's marginal with the
-        # maximally mixed state
-        hit = rng.random(shape) < model.strength
-        u, fresh = rng.random(shape), rng.integers(DIM, size=shape)
-        for j, (readout, shift) in enumerate(zip(sets, shifts)):
-            rows = np.flatnonzero(hit[:, j])
-            outcomes, measured = tree.descend(ids[rows], [readout], u[rows, j])
-            ids[rows] = tree.evolved(measured, shift, (fresh[rows, j] - outcomes) % DIM)
-        return ids
+        hit = rng.random(shape) < model.strength if depolarize else None
+        u = rng.random(shape)
+        fresh = rng.integers(DIM, size=shape) if depolarize else None
 
-    return levels
+        def walk(tree, rows):
+            ids = np.zeros(len(rows), dtype=np.intp)
+            for j, (readout, shift) in enumerate(zip(sets, shifts)):
+                if hit is None:
+                    ids = tree.descend(ids, [readout], u[rows, j])[1]
+                    continue
+                # decouple a gated target by a computational readout, then
+                # re-prepare a uniformly random basis state in its place;
+                # averaged over rounds this replaces the target's marginal
+                # with the maximally mixed state
+                gated = np.flatnonzero(hit[rows, j])
+                at = rows[gated]
+                outcomes, ids[gated] = tree.descend(ids[gated], [readout], u[at, j])
+                ids[gated] = tree.evolved(ids[gated], shift, (fresh[at, j] - outcomes) % DIM)
+            return ids
+
+        return walk
+
+    return draw
 
 
 def make_attack_hook(
     model: AttackModel, num_parties: int
 ) -> Callable[[StateVector, np.random.Generator], StateVector]:
-    """The attack as a one-round map from state to state: the hook samples
-    one row of ``attack_levels`` on a tree rooted at the state it is given
-    and returns the attacked state (the given one, if untouched)."""
+    """The attack as a one-round map from state to state: the hook draws
+    one round of ``attack_levels`` and walks it on a tree rooted at the
+    state it is given, returning the attacked state (the given one, if
+    untouched)."""
     levels = attack_levels(model, num_parties)
 
     def hook(state, rng):
         tree = Tree(state)
-        return tree.state(int(levels(tree, rng, 1)[0]))
+        return tree.state(int(levels(rng, 1)(tree, np.zeros(1, dtype=np.intp))[0]))
 
     return hook
 

@@ -15,7 +15,13 @@ verification menu codes by ``integers(4, size=N)`` and then its
 uniforms by ``random(N)``, and its key-phase uniforms by ``random(N)``.
 Both phases keep their outcomes only as one int column per party, a row
 per round: verification tallies them, and the key phase sifts, samples,
-scores and keys them whole.
+scores and keys them whole.  The key phase walks every round down its
+tree at once.  Verification makes all its draws first; the menu codes
+alone say which rounds match a check, and only those are walked then.
+The discarded rounds, which no tally reads (12 of 16 joint choices for
+two parties, 60 of 64 for three), are walked by the same walk on the
+first read of the summary's ``outcomes``, from the draws already made,
+so they read as they would have read then; a session never reads them.
 
 Attack-free phases on a built-in channel (``make_channel``) measure the
 same state with the same sets in every session, so they share one tree
@@ -31,9 +37,10 @@ process one session at a time).
 
 A phase posts each per-round announcement (the operator announcements,
 the control reveal and the sample reveals) as a message holding the
-read-only columns it announces; the message builds its payload once, on
-the first read of ``payload`` or ``serialize()``.  A session only counts
-its messages, so it builds none of these.
+read-only columns it announces, or the verification summary whose
+columns it announces; the message builds its payload once, on the first
+read of ``payload`` or ``serialize()``.  A session only counts its
+messages, so it builds none of these.
 
 Verification phase: every party picks a check observable at random from
 its menu and measures it; announcements are compared against the channel's
@@ -186,17 +193,37 @@ class VerificationSummary:
     """A verification phase's outcome, held as read-only columns: per
     party, the menu code of its choice and its outcome index in every
     round, and per round whether it matched a check; a round that matched
-    none is discarded."""
+    none is discarded.
+
+    The phase walks only the matched rounds, whose outcomes give the
+    tallies.  ``outcomes`` holds every round's: its first read walks the
+    discarded rounds by ``walk`` (a map from rows to their outcome
+    columns: ``_walk`` on the phase's tree and draws), and each later
+    read returns the same columns.  A session never reads them, so it
+    never walks a discarded round."""
 
     menu: tuple
     choices: tuple  # per party, (rounds,) menu codes
-    outcomes: tuple  # per party, (rounds,) outcome indices: SIGNS[k] is announced
     kept: np.ndarray  # (rounds,) matched a check
+    kept_outcomes: tuple  # per party, (matched,) outcome indices of the kept rounds
     passed: bool
     tallies: dict  # check name -> CheckTally, in channel check order
     matched: int
     discarded: int
     vacuous: bool
+    walk: Callable[[np.ndarray], list] = field(repr=False)
+
+    @functools.cached_property
+    def outcomes(self) -> tuple:
+        """Per party, (rounds,) outcome indices: SIGNS[k] is announced."""
+        discarded = np.flatnonzero(~self.kept)
+        columns = []
+        for kept, drawn in zip(self.kept_outcomes, self.walk(discarded)):
+            column = np.empty(self.rounds, dtype=np.intp)
+            column[self.kept] = kept
+            column[discarded] = drawn
+            columns.append(_read_only(column))
+        return tuple(columns)
 
     @property
     def rounds(self) -> int:
@@ -212,10 +239,11 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _announcements(menu: tuple, codes: np.ndarray, column: np.ndarray) -> dict:
-    """An operator announcement's payload: per round, its index, the
-    party's choice by name and its announced sign."""
-    names = map(menu.__getitem__, codes.tolist())
+def _announcements(summary: VerificationSummary, j: int) -> dict:
+    """Party ``j``'s operator announcement payload: per round, its index,
+    the party's choice by name and its announced sign."""
+    codes, column = summary.choices[j], summary.outcomes[j]
+    names = map(summary.menu.__getitem__, codes.tolist())
     signs = map(SIGNS.__getitem__, column.tolist())
     return {"rounds": list(zip(range(len(codes)), names, signs))}
 
@@ -293,6 +321,28 @@ def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
     return Tree(spec.state)
 
 
+def _walk(tree, attacked, levels, rows) -> list:
+    """Outcome indices of the verification rounds ``rows`` (an index
+    array), a column per party: each round's attacked copy of the tree's
+    root (``attacked(tree, rows)``, an ``attacks.attack_levels`` walk),
+    then each party's level in turn.  A level is (sets, uniforms, codes,
+    later): the party's menu of sets, and columns with a row per round of
+    the phase: its uniforms, its codes into its menu, and whether a later
+    party measures, where alone the drawn branch's node is built.  The
+    last party only draws.  A round's outcomes depend only on its rows of
+    the columns and the bytes of the nodes it passes, so rows walked
+    apart read as one walk of them all."""
+    ids = attacked(tree, rows)
+    columns = []
+    for j, (sets, u, codes, later) in enumerate(levels):
+        if j + 1 < len(levels):
+            drawn, ids = tree.descend(ids, sets, u[rows], codes[rows], later[rows])
+        else:
+            drawn = tree.draw(ids, sets, u[rows], codes[rows])
+        columns.append(drawn)
+    return columns
+
+
 def run_verification_phase(
     spec: ChannelSpec,
     num_rounds: int,
@@ -308,12 +358,17 @@ def run_verification_phase(
     state.  pass means zero violations among matched rounds; zero matched
     rounds passes vacuously and is flagged.
 
-    All rounds are sampled together, one level of the phase's branch tree
-    at a time: the attack's targets, then each party (``linalg.Tree``).
-    Each party draws its menu codes by ``integers(4, size=num_rounds)``
-    and then one uniform per round by ``random(num_rounds)``; an idle
-    round's uniform is drawn but never read.  The party and attack
-    streams must be distinct generators.
+    Every draw is made first: the attack's columns
+    (``attacks.attack_levels``), then per party its menu codes by
+    ``integers(4, size=num_rounds)`` and one uniform per round by
+    ``random(num_rounds)``; an idle round's uniform is drawn but never
+    read.  The party and attack streams must be distinct generators.  The
+    codes alone say which rounds match a check, and only those rounds are
+    walked down the phase's branch tree now, one level at a time for all
+    of them: the attack's targets, then each party (``_walk``).  The
+    tallies come from them alone.  The discarded rounds are walked by the
+    same walk when the summary's ``outcomes`` are first read, and read as
+    they would have read now.
     """
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
@@ -321,7 +376,7 @@ def run_verification_phase(
     menu = _menu(spec.party_count)
     idle = menu.index("id") if "id" in menu else -1
     tree = _phase_tree(spec, attack)
-    ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
+    attacked = attack_levels(attack, spec.party_count)(rngs["attack"], num_rounds)
 
     choices, uniforms = [], []
     for p in parties:
@@ -333,57 +388,63 @@ def run_verification_phase(
     for codes in choices[:0:-1]:
         later.insert(0, later[0] | (codes != idle))
     sign_sets = _sign_projector_sets(spec.party_count)
-    outcomes = []
-    for j, (codes, u) in enumerate(zip(choices, uniforms)):
-        sets = [sign_sets[j, name] for name in menu]
-        if j + 1 < len(parties):
-            drawn, ids = tree.descend(ids, sets, u, codes, later[j])
-        else:
-            drawn = tree.draw(ids, sets, u, codes)
-        outcomes.append(_read_only(drawn))
+    levels = [
+        ([sign_sets[j, name] for name in menu], u, codes, mask)
+        for j, (codes, u, mask) in enumerate(zip(choices, uniforms, later))
+    ]
 
-    # rounds are tallied per joint choice, a base-4 number; the outcome
-    # product is -1 exactly when an odd number of outcomes is 1 (the
-    # identity reads 0)
+    # rounds are tallied per joint choice, a base-4 number
     def joint(codes):
         return functools.reduce(lambda acc, code: acc * len(menu) + code, codes)
 
-    choice = joint(choices)
-    odd = functools.reduce(np.bitwise_xor, outcomes)
     size = len(menu) ** len(parties)
-    counts = np.bincount(choice, minlength=size).tolist()
-    odd_counts = np.bincount(choice, weights=odd, minlength=size).tolist()
+    # per check, its joint choice, or None for a choice no party can make
+    check_codes = [
+        joint([menu.index(name) for name in check.operators])
+        if set(check.operators) <= set(menu)
+        else None
+        for check in spec.checks
+    ]
     listed = np.zeros(size, dtype=bool)
+    listed[[code for code in check_codes if code is not None]] = True
+    choice = joint(choices)
+    kept = _read_only(listed[choice])
+    matched = np.flatnonzero(kept)
+
+    # the outcome product is -1 exactly when an odd number of outcomes is
+    # 1 (the identity reads 0)
+    kept_outcomes = tuple(map(_read_only, _walk(tree, attacked, levels, matched)))
+    odd = functools.reduce(np.bitwise_xor, kept_outcomes)
+    kept_choice = choice[matched]
+    counts = np.bincount(kept_choice, minlength=size).tolist()
+    odd_counts = np.bincount(kept_choice, weights=odd, minlength=size).tolist()
     tallies = {}
-    for check in spec.checks:
-        if not set(check.operators) <= set(menu):
-            tallies[check.name] = CheckTally(0, 0)  # a choice no party can make
+    for check, code in zip(spec.checks, check_codes):
+        if code is None:
+            tallies[check.name] = CheckTally(0, 0)
             continue
-        code = joint([menu.index(name) for name in check.operators])
         rounds, odd_rounds = counts[code], int(odd_counts[code])
         violations = odd_rounds if check.expected == 1 else rounds - odd_rounds
         tallies[check.name] = CheckTally(rounds, violations)
-        listed[code] = True
-    kept = _read_only(listed[choice])
-    matched = sum(n for n, hit in zip(counts, listed.tolist()) if hit)
-
-    # batch announcement at end of phase; per-round would be equivalent
-    for p, codes, column in zip(parties, choices, outcomes):
-        payload = functools.partial(_announcements, menu, codes, column)
-        bus.post(ClassicalMessage(p, "operator-announcement", payload))
 
     violations = sum(t.violations for t in tallies.values())
-    return VerificationSummary(
+    summary = VerificationSummary(
         menu=menu,
         choices=tuple(choices),
-        outcomes=tuple(outcomes),
         kept=kept,
+        kept_outcomes=kept_outcomes,
         passed=violations == 0,
         tallies=tallies,
-        matched=matched,
-        discarded=num_rounds - matched,
-        vacuous=matched == 0,
+        matched=len(matched),
+        discarded=num_rounds - len(matched),
+        vacuous=len(matched) == 0,
+        walk=functools.partial(_walk, tree, attacked, levels),
     )
+    # batch announcement at end of phase; per-round would be equivalent
+    for j, p in enumerate(parties):
+        payload = functools.partial(_announcements, summary, j)
+        bus.post(ClassicalMessage(p, "operator-announcement", payload))
+    return summary
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +499,9 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
         raise ValueError("num_rounds must be >= 0")
     parties = _distinct_streams(spec, rngs)
     tree = _phase_tree(spec, attack)
-    ids = attack_levels(attack, spec.party_count)(tree, rngs["attack"], num_rounds)
+    draw = attack_levels(attack, spec.party_count)
+    # the attack's columns live only while every round is walked
+    ids = draw(rngs["attack"], num_rounds)(tree, np.arange(num_rounds))
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
         level, u = [projectors], rngs[parties[j]].random(num_rounds)

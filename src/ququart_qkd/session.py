@@ -44,7 +44,12 @@ OUTCOME_ABORT_VERIFY = "aborted-verification"
 OUTCOME_ABORT_QBER = "aborted-qber"
 OUTCOME_NO_PERMISSION = "no-permission"
 
-MAX_ROUNDS = int(np.iinfo(np.intp).max)
+# A phase holds a few columns with a row per round.  Measured peak above
+# the imported library: at most ~101 B per round in any phase of either
+# protocol, under any attack (README, "Round counts and memory").  With
+# 128 B per round, the cap keeps a session's peak within 4 GiB.
+PEAK_BYTES_PER_ROUND = 128
+MAX_ROUNDS = (4 << 30) // PEAK_BYTES_PER_ROUND
 
 TARGET_NAMES = {1: "bob", 2: "charlie"}
 TARGET_POSITIONS = {"bob": 1, "charlie": 2}
@@ -76,7 +81,6 @@ class SessionConfig:
             raise ConfigError(f"unknown protocol: {self.protocol!r}")
         if self.verification_rounds < 0 or self.key_rounds < 0:
             raise ConfigError("round counts must be >= 0")
-        # a phase holds a column per party with a row per round
         if max(self.verification_rounds, self.key_rounds) > MAX_ROUNDS:
             raise ConfigError(f"round counts must be at most {MAX_ROUNDS}")
         if not 0.0 <= self.sample_fraction < 1.0:

@@ -19,7 +19,9 @@ their ``embed``-ed counterparts.  A per-round walk down the tree
 walk builds, and the key tree's exact leaf weights give ``predict``'s
 qber.  A tree interns its rows by their exact bytes: no two rows are
 equal, and an attacked phase's rows are exactly the distinct states the
-per-round reference builds.
+per-round reference builds.  Verification walks only its matched rounds
+until its ``outcomes`` are read, so a tree compared with the reference
+holds a subset of its rows before that read and all of them after it.
 """
 
 import functools
@@ -638,6 +640,9 @@ def test_drawn_children_are_cut_from_the_fill_on_a_growing_attacked_tree(monkeyp
     assert totals.min() > 0, totals
 
 
+ROOT_ROW = np.zeros(1, dtype=np.intp)  # the one round an attack walk is handed
+
+
 def walk_verification(tree, spec, rounds, model, rngs):
     """The verification phase's rounds as a walk down ``tree``, one round
     at a time, each attacked by a one-row attack level from the root and
@@ -649,7 +654,7 @@ def walk_verification(tree, spec, rounds, model, rngs):
     attack = attack_columns(model, rngs["attack"], rounds)
     columns = {p: menu_columns(rngs[p], rounds) for p in parties}
     for i in range(rounds):
-        node = int(levels(tree, Draws(c[i : i + 1] for c in attack), 1)[0])
+        node = int(levels(Draws(c[i : i + 1] for c in attack), 1)(tree, ROOT_ROW)[0])
         choices = [menu[int(codes[i])] for codes, _ in columns.values()]
         sets = [_sign_projector_sets(n)[pos, name] for pos, name in enumerate(choices)]
         uniforms = {p: Draws([u[i : i + 1]]) for p, (_, u) in columns.items()}
@@ -665,7 +670,7 @@ def walk_key(tree, spec, rounds, model, rngs):
     attack = attack_columns(model, rngs["attack"], rounds)
     uniforms = {p: rngs[p].random(rounds) for p in parties}
     for i in range(rounds):
-        node = int(levels(tree, Draws(c[i : i + 1] for c in attack), 1)[0])
+        node = int(levels(Draws(c[i : i + 1] for c in attack), 1)(tree, ROOT_ROW)[0])
         draws = {p: Draws([u[i : i + 1]]) for p, u in uniforms.items()}
         walk_round(tree, node, _key_projector_sets(n), parties, draws)
 
@@ -698,10 +703,14 @@ LEVEL_MODELS = [
 def test_level_sampler_builds_the_nodes_a_walk_builds(parties, model, phase, walk, monkeypatch):
     spec = make_channel(parties)
     trees = record_trees(monkeypatch)
-    phase(spec, 300, model, _named_streams(3))
+    result = phase(spec, 300, model, _named_streams(3))
     assert len(trees) == 1
     walked = Tree(spec.state)
     walk(walked, spec, 300, model, _named_streams(3))
+    if phase is verification_phase:
+        # the matched rounds alone, until the discarded ones are read
+        assert row_bytes(trees[0]) <= row_bytes(walked)
+        result.outcomes
     assert trees[0].size == walked.size
     # the same states, built in another order
     rows = [sorted(map(bytes, t.amplitudes[: t.size])) for t in (trees[0], walked)]
@@ -773,6 +782,10 @@ def test_level_draw_raises_on_a_zero_weight_last_branch():
 
 # ---------------------------------------------------------------------------
 # interning: one row per distinct state
+
+
+def row_bytes(tree) -> set:
+    return set(map(bytes, tree.amplitudes[: tree.size]))
 
 
 def assert_rows_distinct(tree):
@@ -920,11 +933,17 @@ def test_attacked_phases_build_no_more_rows_than_the_reference_walk(parties, mod
     spec = make_channel(parties)
     trees = record_trees(monkeypatch)
     rngs = _named_streams(4)
-    verification_phase(spec, 300, model, rngs)
+    summary = verification_phase(spec, 300, model, rngs)
     run_key_phase(spec, 300, model, rngs)
     assert len(trees) == 2
-    for tree, built in zip(trees, reference_rows(spec, 300, model, _named_streams(4))):
-        rows = set(map(bytes, tree.amplitudes[: tree.size]))
+    references = reference_rows(spec, 300, model, _named_streams(4))
+    # the verification tree holds the matched rounds' rows until the
+    # discarded rounds are read
+    root = {spec.state.amplitudes.tobytes()}
+    assert row_bytes(trees[0]) <= root | set(references[0].values())
+    summary.outcomes
+    for tree, built in zip(trees, references):
+        rows = row_bytes(tree)
         assert len(rows) == tree.size <= 1 + len(built)
         # exactly the distinct states the reference reaches, the root included
         assert rows == {spec.state.amplitudes.tobytes()} | set(built.values())
@@ -936,7 +955,8 @@ def test_unchunked_products_equal_embedded_products(monkeypatch):
     # on 64 amplitudes
     spec = make_channel(3)
     trees = record_trees(monkeypatch)
-    verification_phase(spec, 1000, AttackModel("depolarize", (1, 2), 1.0), _named_streams(5))
+    # the discarded rounds' rows too
+    verification_phase(spec, 1000, AttackModel("depolarize", (1, 2), 1.0), _named_streams(5)).outcomes
     tree = trees[0]
     ids = np.arange(tree.size)
     assert tree.size > 2 * 128
@@ -1019,3 +1039,105 @@ def test_key_tree_leaf_weights_give_the_predicted_qber(parties, model):
     assert sum(weight for weight, _ in leaves) == pytest.approx(1.0, abs=1e-12)
     qber = sum(weight * key_bit_errors(outcomes) for weight, outcomes in leaves) / 2
     assert abs(qber - predict(model, spec).qber) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# verification walks the matched rounds, and the discarded ones on first read
+
+
+def count_walked_rows(monkeypatch) -> list:
+    """(method, rows) of every ``Tree.descend`` and ``Tree.draw`` call from
+    now on.  A phase's last party only draws, so the draws' rows are the
+    rounds a phase walked."""
+    calls = []
+    for name in ("descend", "draw"):
+
+        def counted(tree, ids, *args, _name=name, _method=getattr(Tree, name), **kwargs):
+            calls.append((_name, len(ids)))
+            return _method(tree, ids, *args, **kwargs)
+
+        monkeypatch.setattr(Tree, name, counted)
+    return calls
+
+
+def read_signs(outcomes) -> list:
+    """Each round's announced signs."""
+    return list(zip(*(map(SIGNS.__getitem__, column.tolist()) for column in outcomes)))
+
+
+DEFERRED_CASES = [
+    (2, AttackModel()),
+    (3, AttackModel()),
+    (2, AttackModel("intercept-key", (1,))),
+    (3, AttackModel("entangle-probe", (2,))),
+    (3, AttackModel("depolarize", (1, 2), 0.3)),
+]
+
+
+@pytest.mark.parametrize(
+    "parties,model",
+    DEFERRED_CASES,
+    ids=[f"{p}-{m.kind}{list(m.targets)}" for p, m in DEFERRED_CASES],
+)
+def test_verification_walks_matched_rounds_and_the_rest_on_first_read(parties, model, monkeypatch):
+    spec = make_channel(parties)
+    trees = record_trees(monkeypatch)
+    calls = count_walked_rows(monkeypatch)
+    summary = verification_phase(spec, 301, model, _named_streams(9))
+    assert 0 < summary.matched < summary.rounds == 301
+    # no call saw a discarded round, and the last party drew the matched ones
+    assert max(rows for _, rows in calls) == summary.matched
+    assert [rows for name, rows in calls if name == "draw"] == [summary.matched]
+    root = {spec.state.amplitudes.tobytes()}
+    reached = root | set(reference_rows(spec, 301, model, _named_streams(9))[0].values())
+    assert row_bytes(trees[0]) <= reached
+
+    calls.clear()
+    outcomes = summary.outcomes
+    assert [rows for name, rows in calls if name == "draw"] == [summary.discarded]
+    reference = per_round_verification_phase(spec, 301, model, _named_streams(9), MessageBus())
+    assert read_signs(outcomes) == [signs for _, signs, _ in reference[0]]
+    assert row_bytes(trees[0]) == reached
+    for column, kept in zip(outcomes, summary.kept_outcomes):
+        assert not column.flags.writeable
+        assert np.array_equal(column[summary.kept], kept)
+
+    calls.clear()
+    assert summary.outcomes is outcomes
+    assert calls == []
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_a_late_read_on_the_grown_shared_tree_gives_the_same_columns(parties):
+    spec = make_channel(parties)
+    protocol._attack_free_tree.cache_clear()
+    summary = verification_phase(spec, 400, AttackModel(), _named_streams(11))
+    tree = protocol._attack_free_tree(parties)
+    size = tree.size
+    protocol_name = "two-party" if parties == 2 else "three-party"
+    for seed in range(3):
+        config = SessionConfig(protocol=protocol_name, verification_rounds=200, key_rounds=200, seed=seed)
+        assert run_session(config).outcome == "key-established"
+    assert tree.size > size
+    reference = per_round_verification_phase(spec, 400, AttackModel(), _named_streams(11), MessageBus())
+    assert read_signs(summary.outcomes) == [signs for _, signs, _ in reference[0]]
+
+
+SESSION_CASES = [
+    SessionConfig(protocol="two-party", verification_rounds=200, key_rounds=150, seed=3),
+    SessionConfig(protocol="three-party", verification_rounds=400, key_rounds=150, seed=3),
+    SessionConfig(protocol="three-party", verification_rounds=400, key_rounds=150, seed=3, alice_permits=False),
+    SessionConfig(
+        protocol="three-party", verification_rounds=400, seed=3, attack=AttackModel("intercept-key", (1, 2))
+    ),
+]
+
+
+@pytest.mark.parametrize("config", SESSION_CASES, ids=["2", "3", "3-withheld", "3-attacked"])
+def test_a_session_walks_only_its_matched_verification_rounds(config, monkeypatch):
+    calls = count_walked_rows(monkeypatch)
+    report = run_session(config)
+    assert report.verify["discarded"] > 0
+    walked = [report.verify["matched"]] + ([config.key_rounds] if report.key["rounds"] else [])
+    assert [rows for name, rows in calls if name == "draw"] == walked
+    assert (config.attack.kind == "none") == (report.outcome != "aborted-verification")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ququart_qkd import cli
+from ququart_qkd import cli, session
 from ququart_qkd.cli import main
 from ququart_qkd.session import (
     OUTCOME_ABORT_VERIFY,
@@ -209,16 +209,28 @@ def test_report_write_failure_names_the_path(capsys, repeat):
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 72.8 TiB for an array"])
 def test_run_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message):
-    # a round count past the machine's memory passes the config check and
-    # fails at allocation; no large array is allocated here
+    # a round count within the cap passes the config check and, on a
+    # machine with less memory, fails at allocation; no large array is
+    # allocated here
     def out_of_memory(config):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "run_session", out_of_memory)
-    code, out, err = run_cli(capsys, "run", "--key-rounds", "10000000000000")
+    code, out, err = run_cli(capsys, "run", "--key-rounds", str(session.MAX_ROUNDS))
     assert code == 1
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--verification-rounds", "--key-rounds"])
+def test_run_past_the_round_cap_is_a_one_line_error(capsys, monkeypatch, flag):
+    # rejected by the config check, before any session runs
+    monkeypatch.setattr(cli, "run_session", None)
+    code, out, err = run_cli(capsys, "run", flag, str(session.MAX_ROUNDS + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"config error: round counts must be at most {session.MAX_ROUNDS}\n"
     assert "Traceback" not in err
 
 

@@ -50,7 +50,10 @@ def test_config_validation():
         SessionConfig(verification_rounds=-1)
     with pytest.raises(ConfigError):
         SessionConfig(key_rounds=-5)
-    limit = int(np.iinfo(np.intp).max)  # the largest index numpy takes
+    # the documented cap: the measured peak bytes per round, rounded up,
+    # keep a session within 4 GiB
+    limit = session.MAX_ROUNDS
+    assert limit == 2**25 and limit * session.PEAK_BYTES_PER_ROUND == 4 << 30
     for key in ("verification_rounds", "key_rounds"):
         SessionConfig(**{key: limit})
         with pytest.raises(ConfigError):
