@@ -406,7 +406,9 @@ def run_verification_phase(
         for check in spec.checks
     ]
     listed = np.zeros(size, dtype=bool)
-    listed[[code for code in check_codes if code is not None]] = True
+    for code in check_codes:
+        if code is not None:
+            listed[code] = True
     choice = joint(choices)
     kept = _read_only(listed[choice])
     matched = np.flatnonzero(kept)
