@@ -25,8 +25,11 @@ Two semantics live side by side, on purpose:
   ququart's row and column axes of rho viewed as a (4,)*2n tensor; no
   full-register operator is built.  Its qber applies the same sifting
   rule as the sessions (``observables.sift``) to the key-basis joint
-  distribution.  The n-fold key rotation and the table of key-bit errors
-  per outcome tuple are constants, built once per party count; the
+  distribution.  A channel whose amplitudes have an exactly zero
+  imaginary part (every built-in and corrupted channel) is evolved in
+  real float64 arithmetic; any other in complex.  The n-fold key
+  rotation (real), the stacked transposed check matrices and the table
+  of key-bit errors per outcome tuple are constants, built once; the
   density matrix and its statistics are computed afresh on every call.
 
 Targets are in-transit ququart positions: in a round, position 1 travels
@@ -47,7 +50,7 @@ from .linalg import DIM, OperatorStack, ProjectorSet, StateVector, Tree
 
 # attacks measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
-from .channels import ChannelSpec
+from .channels import ChannelSpec, real_amplitudes
 from .observables import key_basis, key_bit_errors
 
 ATTACK_KINDS = (
@@ -221,11 +224,21 @@ def _delta(t: int, n: int) -> np.ndarray:
 @functools.cache
 def _key_rotations(num_parties: int) -> np.ndarray:
     """The n-fold tensor power of the key rotation U, whose columns are the
-    key vectors (U^dagger maps to key-basis coordinates); built once per
-    party count and shared read-only."""
-    u = functools.reduce(np.kron, [np.column_stack(key_basis().vectors)] * num_parties)
+    key vectors (U^dagger = U^T maps to key-basis coordinates).  The key
+    vectors are real, so U is float64; built once per party count and
+    shared read-only."""
+    u = functools.reduce(np.kron, [np.column_stack(key_basis().vectors).real] * num_parties)
     u.setflags(write=False)
     return u
+
+
+@functools.cache
+def _transposed_checks(checks: tuple) -> np.ndarray:
+    """The checks' joint matrices, transposed, as one (k, d, d) stack;
+    built once per check list and shared read-only."""
+    stack = np.array([check.joint_matrix().T for check in checks])
+    stack.setflags(write=False)
+    return stack
 
 
 @functools.cache
@@ -283,19 +296,30 @@ def predict(model: AttackModel, spec: ChannelSpec) -> AttackPrediction:
     expected share of key bits in error, sum(joint * key_bit_errors) / 2,
     over the key-basis joint distribution diag(U^dagger rho' U), U the
     n-fold tensor power of the key rotation.
+
+    When the channel's amplitudes have an exactly zero imaginary part,
+    rho' is built and evolved in float64, and the key-basis distribution
+    is a real product; otherwise all of it is complex.  Either way the
+    trace and the check overlaps are summed as complex numbers: numpy
+    adds complex and real arrays in different pairwise orders, and the
+    oracle's pinned bytes (``tools/report_grid.py --oracle``) are those of
+    the complex sums.  The real path changes no output bit there; real
+    sums would change the last bits of 285 of its 844 predict cases.
     """
     n = spec.party_count
-    psi = spec.state.amplitudes
+    psi = real_amplitudes(spec)
     rho = attack_channel(model, np.outer(psi, psi.conj()), n)
 
-    total = np.trace(rho).real
-    violation = {}
-    for check in spec.checks:
-        overlap = np.sum(rho * check.joint_matrix().T).real
-        violation[check.name] = _probability((total - check.expected * overlap) / 2.0)
+    # summed as complex numbers on both paths (docstring)
+    total = np.trace(rho, dtype=complex).real
+    overlaps = np.sum(rho * _transposed_checks(spec.checks), axis=(1, 2), dtype=complex).real
+    violation = {
+        check.name: _probability((total - check.expected * overlap) / 2.0)
+        for check, overlap in zip(spec.checks, overlaps.tolist())
+    }
 
     u = _key_rotations(n)
-    joint = np.sum(u.conj() * (rho @ u), axis=0).real.reshape((DIM,) * n)
+    joint = np.sum(u * (rho @ u), axis=0).real.reshape((DIM,) * n)
     # one left-to-right float sum in np.ndindex order, the order the
     # per-index sum(joint[idx] * key_bit_errors(idx)) adds in, so the
     # qber keeps its bits

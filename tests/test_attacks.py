@@ -18,8 +18,14 @@ from ququart_qkd.attacks import (
     make_attack_hook,
     predict,
 )
-from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
-from ququart_qkd.linalg import DIM, measure_projective
+from ququart_qkd.channels import (
+    ChannelSpec,
+    corrupt_channel,
+    make_channel,
+    three_party_channel,
+    two_party_channel,
+)
+from ququart_qkd.linalg import DIM, measure_projective, state_from_amplitudes
 from ququart_qkd.observables import key_basis, key_bit_errors
 from ququart_qkd.protocol import (
     MessageBus,
@@ -425,9 +431,64 @@ def test_oracle_constants_are_built_once_and_read_only(parties):
     assert weights.shape == (DIM,) * parties
     for idx in np.ndindex(weights.shape):
         assert weights[idx] == key_bit_errors(idx)
-    for array in (rotation, weights):
+    checks = make_channel(parties).checks
+    transposed = attacks._transposed_checks(checks)
+    assert attacks._transposed_checks(checks) is transposed
+    assert rotation.dtype == transposed.dtype == np.float64
+    for check, matrix in zip(checks, transposed):
+        assert np.array_equal(matrix, check.joint_matrix().T)
+    for array in (rotation, weights, transposed):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 2.0
+
+
+def with_amplitudes(spec, amplitudes):
+    return ChannelSpec(spec.party_count, state_from_amplitudes(amplitudes, spec.party_count), spec.checks)
+
+
+def oracle_dtypes(monkeypatch):
+    """Patch attack_channel to record the dtype of each rho it is given."""
+    seen = []
+    real = attacks.attack_channel
+
+    def recorded(model, rho, num_parties):
+        seen.append(rho.dtype)
+        return real(model, rho, num_parties)
+
+    monkeypatch.setattr(attacks, "attack_channel", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+def test_a_global_phase_takes_the_complex_path_and_predicts_the_same(parties, corrupt, monkeypatch):
+    spec = make_channel(parties)
+    if corrupt:
+        spec = corrupt_channel(spec)
+    seen = oracle_dtypes(monkeypatch)
+    for theta in (0.3, np.pi / 2, 2.0):
+        phased = with_amplitudes(spec, np.exp(1j * theta) * spec.state.amplitudes)
+        for model in (m for p, m in ORACLE_GRID if p == parties):
+            seen.clear()
+            want = predict(model, spec)
+            got = predict(model, phased)
+            assert seen == [np.float64, np.complex128]
+            for name, value in want.violation.items():
+                assert abs(got.violation[name] - value) <= 1e-14, (theta, model, name)
+            assert abs(got.qber - want.qber) <= 1e-14, (theta, model)
+
+
+def test_the_real_path_needs_an_exactly_zero_imaginary_part(monkeypatch):
+    seen = oracle_dtypes(monkeypatch)
+    for parties in (2, 3):
+        spec = make_channel(parties)
+        amplitudes = np.array(spec.state.amplitudes)
+        amplitudes[amplitudes.nonzero()[0][0]] += 1e-300j
+        predict(AttackModel(), spec)
+        predict(AttackModel(), with_amplitudes(spec, amplitudes))
+        # a real state handed over as complex with zero imaginary parts is real
+        predict(AttackModel(), with_amplitudes(spec, spec.state.amplitudes.astype(complex)))
+    assert seen == [np.float64, np.complex128, np.float64] * 2
 
 
 def test_predict_without_attack_is_silent():

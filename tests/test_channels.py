@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from registers import tensor
 
+from ququart_qkd import channels
 from ququart_qkd.channels import (
     ChannelCheck,
     ChannelSpec,
@@ -15,10 +16,12 @@ from ququart_qkd.channels import (
     constraint_matrices,
     corrupt_channel,
     make_channel,
+    real_amplitudes,
     stabilized_subspace,
     three_party_channel,
     two_party_channel,
 )
+from ququart_qkd.linalg import state_from_amplitudes
 from ququart_qkd.observables import check_observable, key_basis
 
 HALF_ROOT2 = 1.0 / (2.0 * np.sqrt(2.0))
@@ -367,6 +370,145 @@ def test_subspace_checks_survive_optimized_mode():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def bad_dims():
+    """(dim, constraints) pairs that stabilized_subspace must reject: dim is
+    not a power of 4.  Without the up-front check, the contradictory
+    constraints gave dimension 0 and the empty lists a nonempty kernel
+    that failed in StateVector."""
+    def flip(dim):
+        op = np.diag([1.0] + [-1.0] * (dim - 1))
+        return [(op, 1), (op, -1)]
+
+    return [
+        (2, flip(2)),
+        (6, flip(6)),
+        (8, flip(8)),
+        (8, []),
+        (32, []),
+        (1, []),
+        (0, []),
+        (-4, []),
+        (16.0, []),
+        (True, []),
+    ]
+
+
+@pytest.mark.parametrize(
+    "dim,constraints", bad_dims(), ids=[f"{d!r}-{len(c)}" for d, c in bad_dims()]
+)
+def test_subspace_rejects_a_dim_that_is_not_a_power_of_four(dim, constraints):
+    with pytest.raises(ValueError, match="power of 4"):
+        stabilized_subspace(constraints, dim)
+
+
+def test_subspace_dim_check_survives_optimized_mode():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_channels import bad_dims\n"
+        "from ququart_qkd.channels import stabilized_subspace\n"
+        "for dim, constraints in bad_dims():\n"
+        "    try:\n"
+        "        stabilized_subspace(constraints, dim)\n"
+        "    except ValueError as error:\n"
+        "        if 'power of 4' in str(error):\n"
+        "            continue\n"
+        "        raise SystemExit(f'dim {dim!r}: {error}')\n"
+        "    raise SystemExit(f'accepted dim {dim!r}')\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def dense_kernel(constraints, dim):
+    """Independent reference for the block solve: one dense Hermitian
+    eigensolve of the whole penalty sum (I - expected*O)/2; returns the
+    kernel's dimension and its projector."""
+    penalty = np.zeros((dim, dim), dtype=complex)
+    for op, expected in constraints:
+        penalty += (np.eye(dim) - expected * op) / 2
+    values, vectors = np.linalg.eigh(penalty)
+    kernel = vectors[:, values < 1e-8]
+    return kernel.shape[1], kernel @ kernel.conj().T
+
+
+def assert_matches_dense_kernel(constraints, dim):
+    cert = stabilized_subspace(constraints, dim)
+    dimension, projector = dense_kernel(constraints, dim)
+    assert cert.dimension == dimension
+    basis = np.array([v.amplitudes for v in cert.basis]).reshape(-1, dim)
+    assert np.max(np.abs(basis.T @ basis.conj() - projector)) < 1e-12
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_block_solve_matches_a_dense_eigensolve_on_every_check_subset(parties):
+    spec = make_channel(parties)
+    checks = constraint_matrices(spec)
+    for r in range(len(checks) + 1):
+        for subset in itertools.combinations(checks, r):
+            as_complex = [(op.astype(complex), expected) for op, expected in subset]
+            for constraints in (list(subset), as_complex):
+                assert_matches_dense_kernel(constraints, spec.state.dim)
+
+
+@pytest.mark.parametrize(
+    "parties,shapes",
+    [(2, [(4, 4), (8, 2), (8, 2), (4, 4), (4, 4)]), (3, [(8, 8), (16, 4), (8, 8), (16, 4), (16, 4)])],
+)
+def test_check_sets_split_into_blocks_kept_per_pattern(parties, shapes):
+    # the full check set, then each drop-one set
+    for subset, shape in zip(check_sets(make_channel(parties)), shapes):
+        ops = np.array([op for op, _ in subset])
+        blocks = channels._blocks(ops)
+        assert [idx.shape for idx in blocks] == [shape]
+        assert channels._blocks(-ops) is blocks  # the same pattern, the same blocks
+        with pytest.raises(ValueError):
+            blocks[0][0, 0] = 1
+
+
+def householder(v):
+    """I - 2 v v^dagger: a Hermitian involution for a unit vector v."""
+    v = v / np.linalg.norm(v)
+    return np.eye(len(v)) - 2 * np.outer(v, v.conj())
+
+
+def test_block_solve_of_a_fully_coupled_involution():
+    rng = np.random.default_rng(2301)
+    for v in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):
+        reflection = householder(v)
+        assert [idx.shape for idx in channels._blocks(reflection[None])] == [(1, 16)]
+        for expected, dimension in ((+1, 15), (-1, 1)):
+            constraints = [(reflection, expected)]
+            assert stabilized_subspace(constraints, 16).dimension == dimension
+            assert_matches_dense_kernel(constraints, 16)
+        # coupled to the two-party checks: one block, solved as a whole
+        assert_matches_dense_kernel([(reflection, 1)] + constraint_matrices(two_party_channel()), 16)
+
+
+def test_block_solve_of_a_direct_sum_of_unequal_blocks():
+    # reflections on blocks of 1, 3, 4 and 8 indices, scattered over the 16
+    # indices by a permutation, so blocks of several sizes are solved apart
+    rng = np.random.default_rng(2302)
+    sizes = (1, 3, 4, 8)
+    perm = rng.permutation(16)
+    first, second = np.zeros((16, 16)), np.zeros((16, 16))
+    start = 0
+    for size in sizes:
+        idx = perm[start : start + size]
+        first[np.ix_(idx, idx)] = householder(rng.normal(size=size))
+        second[np.ix_(idx, idx)] = householder(rng.normal(size=size)) if size > 1 else 1.0
+        start += size
+    groups = channels._blocks(np.array([first, second]))
+    assert [idx.shape for idx in groups] == [(1, 1), (1, 3), (1, 4), (1, 8)]
+    assert sorted(np.concatenate([idx.ravel() for idx in groups])) == list(range(16))
+    for constraints in ([(first, 1)], [(first, -1)], [(first, 1), (second, 1)], [(first, 1), (second, -1)]):
+        for cast in (lambda op: op, lambda op: op.astype(complex)):
+            assert_matches_dense_kernel([(cast(op), e) for op, e in constraints], 16)
+    # the listing order is fixed: two solves give the same basis, bit for bit
+    once, twice = (stabilized_subspace([(first, 1), (second, 1)], 16) for _ in range(2))
+    assert [v.amplitudes.tobytes() for v in once.basis] == [v.amplitudes.tobytes() for v in twice.basis]
+
+
 @pytest.mark.parametrize("parties", [2, 3])
 def test_real_and_complex_constraints_give_the_same_certificate(parties):
     # the built-in checks are real and take the real symmetric solver; the
@@ -382,6 +524,20 @@ def test_real_and_complex_constraints_give_the_same_certificate(parties):
         b = np.column_stack([v.amplitudes for v in real.basis])
         c = np.column_stack([v.amplitudes for v in cplx.basis])
         assert np.linalg.norm(b @ b.conj().T - c @ c.conj().T) < 1e-12
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_residuals_of_a_phased_channel_match_the_real_channel(parties):
+    # a global phase makes the amplitudes complex, so the residuals take
+    # the complex path; their values must not move
+    for spec in (make_channel(parties), corrupt_channel(make_channel(parties))):
+        phased = ChannelSpec(
+            parties, state_from_amplitudes(np.exp(0.4j) * spec.state.amplitudes, parties), spec.checks
+        )
+        assert real_amplitudes(spec).dtype == np.float64
+        assert real_amplitudes(phased).dtype == np.complex128
+        want, got = check_residuals(spec), check_residuals(phased)
+        assert all(abs(got[name] - want[name]) <= 1e-14 for name in want)
 
 
 def test_constraint_matrices_returns_a_new_list_per_call():
