@@ -49,8 +49,9 @@ class ChannelCheck:
         if not all(isinstance(n, str) for n in self.operators):
             raise ValueError(f"check operators must be observable names, got {self.operators!r}")
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
+        """The operator names joined by "_", built on the first read."""
         return "_".join(self.operators)
 
     def joint_matrix(self) -> np.ndarray:

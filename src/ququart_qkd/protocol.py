@@ -15,7 +15,12 @@ verification menu codes by ``integers(4, size=N)`` and then its
 uniforms by ``random(N)``, and its key-phase uniforms by ``random(N)``.
 Both phases keep their outcomes only as one int column per party, a row
 per round: verification tallies them, and the key phase sifts, samples,
-scores and keys them whole.  The key phase walks every round down its
+scores and keys them whole.  What verification reads of its party count
+and check list (the menu, each check's joint choice, the table of listed
+joint choices and each party's level of sign sets) is a read-only plan,
+built once per (party count, check tuple) and shared by the built-in and
+corrupt channels.  Attack-free phases draw nothing from the attack
+stream and never read it.  The key phase walks every round down its
 tree at once.  Verification makes all its draws first; the menu codes
 alone say which rounds match a check, and only those are walked then.
 The discarded rounds, which no tally reads (12 of 16 joint choices for
@@ -164,11 +169,20 @@ class SiftedKey:
         return np.array_equal(self.column, other.column)
 
 
+# the (parity, phase) bits of each key-basis outcome index, a row per index
+_KEY_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+_KEY_BITS.setflags(write=False)
+
+
 def sift_key(indices) -> SiftedKey:
     """Serialize key-basis outcome indices to bits in round order, parity
-    (``index >> 1``) then phase (``index & 1``)."""
+    (``index >> 1``) then phase (``index & 1``), gathered from the
+    read-only (4, 2) table ``_KEY_BITS``; an index outside 0..3 raises
+    ValueError."""
     indices = np.asarray(indices, dtype=np.intp)
-    return SiftedKey(np.stack((indices >> 1, indices & 1), axis=-1).ravel())
+    if (indices >> 2).any():
+        raise ValueError("key-basis outcome indices lie in 0..3")
+    return SiftedKey(_KEY_BITS.take(indices, axis=0).ravel())
 
 
 def compare_keys(a: SiftedKey, b: SiftedKey) -> list:
@@ -266,16 +280,40 @@ def _distinct_streams(spec: ChannelSpec, rngs: dict):
     """The parties, after checking that no two of them or the attack share
     a generator: each draws its own columns, so the parties' choices and
     outcomes are independent of each other and of the attack's only when
-    the streams are distinct."""
+    the streams are distinct.  An attack stream not in ``rngs`` is left
+    out: a session builds each stream on its first read, and a stream
+    not yet built is shared with no party."""
     parties = _party_positions(spec)
-    streams = [rngs[p] for p in parties] + [rngs["attack"]]
+    streams = [rngs[p] for p in parties]
+    if "attack" in rngs:
+        streams.append(rngs["attack"])
     if len({id(s) for s in streams}) != len(streams):
         raise ValueError("the party and attack streams must be distinct generators")
     return parties
 
 
+def _attacked(attack: AttackModel, party_count: int, rngs: dict, num_rounds: int):
+    """The attack's walk of ``num_rounds`` rounds (``attacks.attack_levels``),
+    its columns drawn from the attack stream, or None attack-free: then
+    nothing is drawn, the attack stream is not read, and every round
+    starts at the tree's root."""
+    if attack.kind == "none":
+        return None
+    return attack_levels(attack, party_count)(rngs["attack"], num_rounds)
+
+
 def _menu(party_count: int):
     return TWO_PARTY_MENU if party_count == 2 else THREE_PARTY_MENU
+
+
+def _joint(width: int, codes):
+    """The joint choice of the parties' menu codes, a base-``width``
+    number with the first party's code most significant: of ints, or of
+    equal-length int columns, one per party."""
+    joint = codes[0]
+    for column in codes[1:]:
+        joint = joint * width + column
+    return joint
 
 
 @functools.cache
@@ -321,24 +359,75 @@ def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
     return Tree(spec.state)
 
 
-def _walk(tree, attacked, levels, rows) -> list:
+@dataclass(frozen=True, eq=False)
+class _VerificationPlan:
+    """What a verification phase reads of its party count and check list:
+    the menu, the menu code of the identity (-1 without one), per check
+    its joint choice (``_joint``, or None for a choice no party can
+    make), per joint choice whether a check lists it, and per party its
+    menu of sign sets, the level it measures on.  Built once per (party
+    count, check tuple) and shared read-only."""
+
+    menu: tuple
+    idle: int
+    check_codes: tuple
+    listed: np.ndarray  # (len(menu) ** party count,) bool
+    sign_levels: tuple  # per party, its menu's sign sets in menu order
+
+
+# plans kept: one per built-in party count, and room for custom check lists
+VERIFICATION_PLANS = 16
+
+
+@functools.lru_cache(maxsize=VERIFICATION_PLANS)
+def _verification_plan(party_count: int, checks: tuple) -> _VerificationPlan:
+    """The plan of ``party_count`` parties and the check list ``checks``:
+    the built-in and corrupt channels of a party count share one."""
+    menu = _menu(party_count)
+    code = {name: k for k, name in enumerate(menu)}
+    check_codes = tuple(
+        _joint(len(menu), [code[name] for name in check.operators])
+        if code.keys() >= set(check.operators)
+        else None
+        for check in checks
+    )
+    listed = np.zeros(len(menu) ** party_count, dtype=bool)
+    listed[[c for c in check_codes if c is not None]] = True
+    sign_sets = _sign_projector_sets(party_count)
+    return _VerificationPlan(
+        menu=menu,
+        idle=code.get("id", -1),
+        check_codes=check_codes,
+        listed=_read_only(listed),
+        sign_levels=tuple(tuple(sign_sets[j, name] for name in menu) for j in range(party_count)),
+    )
+
+
+def _walk(tree, attacked, plan, uniforms, codes, rows) -> list:
     """Outcome indices of the verification rounds ``rows`` (an index
     array), a column per party: each round's attacked copy of the tree's
-    root (``attacked(tree, rows)``, an ``attacks.attack_levels`` walk),
-    then each party's level in turn.  A level is (sets, uniforms, codes,
-    later): the party's menu of sets, and columns with a row per round of
-    the phase: its uniforms, its codes into its menu, and whether a later
-    party measures, where alone the drawn branch's node is built.  The
-    last party only draws.  A round's outcomes depend only on its rows of
-    the columns and the bytes of the nodes it passes, so rows walked
+    root (``attacked(tree, rows)``, an ``attacks.attack_levels`` walk, or
+    the root itself when ``attacked`` is None), then each party on its
+    level of ``plan.sign_levels`` in turn.  ``uniforms`` and ``codes``
+    hold the phase's draws, a row per party and a column per round: its
+    uniforms and its codes into its menu.  Both are gathered once for
+    the rows.  A party's drawn branch's node is built only in the rows
+    where a later party measures (its code is not ``plan.idle``); the
+    last party only draws.  A round's outcomes depend only on its rows
+    of the columns and the bytes of the nodes it passes, so rows walked
     apart read as one walk of them all."""
-    ids = attacked(tree, rows)
+    ids = np.zeros(len(rows), dtype=np.intp) if attacked is None else attacked(tree, rows)
+    u, codes = uniforms.take(rows, axis=1), codes.take(rows, axis=1)
+    # row j: whether a party after party j measures
+    later = codes[1:] != plan.idle
+    for j in range(len(later) - 2, -1, -1):
+        later[j] |= later[j + 1]
     columns = []
-    for j, (sets, u, codes, later) in enumerate(levels):
-        if j + 1 < len(levels):
-            drawn, ids = tree.descend(ids, sets, u[rows], codes[rows], later[rows])
+    for j, sets in enumerate(plan.sign_levels):
+        if j < len(later):
+            drawn, ids = tree.descend(ids, sets, u[j], codes[j], later[j])
         else:
-            drawn = tree.draw(ids, sets, u[rows], codes[rows])
+            drawn = tree.draw(ids, sets, u[j], codes[j])
         columns.append(drawn)
     return columns
 
@@ -359,80 +448,62 @@ def run_verification_phase(
     rounds passes vacuously and is flagged.
 
     Every draw is made first: the attack's columns
-    (``attacks.attack_levels``), then per party its menu codes by
+    (``attacks.attack_levels``; attack-free, none, and the attack stream
+    is not read), then per party its menu codes by
     ``integers(4, size=num_rounds)`` and one uniform per round by
     ``random(num_rounds)``; an idle round's uniform is drawn but never
     read.  The party and attack streams must be distinct generators.  The
-    codes alone say which rounds match a check, and only those rounds are
-    walked down the phase's branch tree now, one level at a time for all
-    of them: the attack's targets, then each party (``_walk``).  The
-    tallies come from them alone.  The discarded rounds are walked by the
-    same walk when the summary's ``outcomes`` are first read, and read as
-    they would have read now.
+    codes alone say which rounds match a check (the joint choice, by
+    column arithmetic, against the plan's ``listed`` table), and only
+    those rounds are walked down the phase's branch tree now, one level
+    at a time for all of them: the attack's targets, then each party
+    (``_walk``).  The tallies come from them alone.  The discarded rounds
+    are walked by the same walk when the summary's ``outcomes`` are first
+    read, and read as they would have read now.  The menu, the check
+    codes, the listed table and the parties' levels are the plan of the
+    party count and check list (``_verification_plan``), built once.
     """
     if num_rounds < 0:
         raise ValueError("num_rounds must be >= 0")
     parties = _distinct_streams(spec, rngs)
-    menu = _menu(spec.party_count)
-    idle = menu.index("id") if "id" in menu else -1
+    plan = _verification_plan(spec.party_count, spec.checks)
+    width = len(plan.menu)
     tree = _phase_tree(spec, attack)
-    attacked = attack_levels(attack, spec.party_count)(rngs["attack"], num_rounds)
+    attacked = _attacked(attack, spec.party_count, rngs, num_rounds)
 
-    choices, uniforms = [], []
-    for p in parties:
-        choices.append(_read_only(rngs[p].integers(len(menu), size=num_rounds)))
-        uniforms.append(rngs[p].random(num_rounds))
-    # per party, the rounds in which a later party measures: only there is
-    # the drawn branch's node built
-    later = [np.zeros(num_rounds, dtype=bool)]
-    for codes in choices[:0:-1]:
-        later.insert(0, later[0] | (codes != idle))
-    sign_sets = _sign_projector_sets(spec.party_count)
-    levels = [
-        ([sign_sets[j, name] for name in menu], u, codes, mask)
-        for j, (codes, u, mask) in enumerate(zip(choices, uniforms, later))
-    ]
+    codes = np.empty((len(parties), num_rounds), dtype=np.int64)
+    uniforms = np.empty((len(parties), num_rounds))
+    for j, p in enumerate(parties):
+        codes[j] = rngs[p].integers(width, size=num_rounds)
+        uniforms[j] = rngs[p].random(num_rounds)
+    choices = tuple(_read_only(codes))
 
-    # rounds are tallied per joint choice, a base-4 number
-    def joint(codes):
-        return functools.reduce(lambda acc, code: acc * len(menu) + code, codes)
-
-    size = len(menu) ** len(parties)
-    # per check, its joint choice, or None for a choice no party can make
-    check_codes = [
-        joint([menu.index(name) for name in check.operators])
-        if set(check.operators) <= set(menu)
-        else None
-        for check in spec.checks
-    ]
-    listed = np.zeros(size, dtype=bool)
-    for code in check_codes:
-        if code is not None:
-            listed[code] = True
-    choice = joint(choices)
-    kept = _read_only(listed[choice])
-    matched = np.flatnonzero(kept)
+    # rounds are tallied per joint choice
+    choice = _joint(width, choices)
+    kept = _read_only(plan.listed[choice])
+    matched = kept.nonzero()[0]
 
     # the outcome product is -1 exactly when an odd number of outcomes is
     # 1 (the identity reads 0)
-    kept_outcomes = tuple(map(_read_only, _walk(tree, attacked, levels, matched)))
-    odd = functools.reduce(np.bitwise_xor, kept_outcomes)
-    kept_choice = choice[matched]
-    counts = np.bincount(kept_choice, minlength=size).tolist()
-    odd_counts = np.bincount(kept_choice, weights=odd, minlength=size).tolist()
+    kept_outcomes = tuple(map(_read_only, _walk(tree, attacked, plan, uniforms, codes, matched)))
+    odd = kept_outcomes[0]
+    for column in kept_outcomes[1:]:
+        odd = odd ^ column
+    # per joint choice, its matched rounds with an even and an odd product
+    counts = np.bincount(2 * choice[matched] + odd, minlength=2 * len(plan.listed)).tolist()
     tallies = {}
-    for check, code in zip(spec.checks, check_codes):
+    for check, code in zip(spec.checks, plan.check_codes):
         if code is None:
             tallies[check.name] = CheckTally(0, 0)
             continue
-        rounds, odd_rounds = counts[code], int(odd_counts[code])
-        violations = odd_rounds if check.expected == 1 else rounds - odd_rounds
-        tallies[check.name] = CheckTally(rounds, violations)
+        even_rounds, odd_rounds = counts[2 * code], counts[2 * code + 1]
+        violations = odd_rounds if check.expected == 1 else even_rounds
+        tallies[check.name] = CheckTally(even_rounds + odd_rounds, violations)
 
     violations = sum(t.violations for t in tallies.values())
     summary = VerificationSummary(
-        menu=menu,
-        choices=tuple(choices),
+        menu=plan.menu,
+        choices=choices,
         kept=kept,
         kept_outcomes=kept_outcomes,
         passed=violations == 0,
@@ -440,7 +511,7 @@ def run_verification_phase(
         matched=len(matched),
         discarded=num_rounds - len(matched),
         vacuous=len(matched) == 0,
-        walk=functools.partial(_walk, tree, attacked, levels),
+        walk=functools.partial(_walk, tree, attacked, plan, uniforms, codes),
     )
     # batch announcement at end of phase; per-round would be equivalent
     for j, p in enumerate(parties):
@@ -464,8 +535,9 @@ class KeyPhase:
     def rounds(self) -> int:
         return len(self.consumed)
 
-    @property
+    @functools.cached_property
     def sampled(self) -> int:
+        """The rounds the sample consumed, counted on the first read."""
         return int(np.count_nonzero(self.consumed))
 
     @property
@@ -489,8 +561,9 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     at a time: the attack's targets, then each party in the key basis
     (``linalg.Tree``).  Each party draws one uniform per round, as one
     ``random(num_rounds)`` from its stream; the party and attack streams
-    must be distinct generators.  Sifting, the qber and the keys work on
-    the outcome columns whole.
+    must be distinct generators.  Attack-free, every round starts at the
+    root and the attack stream is not read.  Sifting, the qber and the
+    keys work on the outcome columns whole.
 
     Returns the ``KeyPhase`` fields as a dict, the reference key and the
     estimate key.
@@ -501,12 +574,15 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
         raise ValueError("num_rounds must be >= 0")
     parties = _distinct_streams(spec, rngs)
     tree = _phase_tree(spec, attack)
-    draw = attack_levels(attack, spec.party_count)
     # the attack's columns live only while every round is walked
-    ids = draw(rngs["attack"], num_rounds)(tree, np.arange(num_rounds))
+    attacked = _attacked(attack, spec.party_count, rngs, num_rounds)
+    if attacked is None:
+        ids = np.zeros(num_rounds, dtype=np.intp)
+    else:
+        ids = attacked(tree, np.arange(num_rounds))
     columns = []
     for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
-        level, u = [projectors], rngs[parties[j]].random(num_rounds)
+        level, u = (projectors,), rngs[parties[j]].random(num_rounds)
         if j + 1 < len(parties):
             drawn, ids = tree.descend(ids, level, u)
         else:
@@ -531,7 +607,8 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     consumed = np.zeros(num_rounds, dtype=bool)
     consumed[sample] = True
     consumed.setflags(write=False)
-    reference, estimate = (sift_key(column[~consumed]) for column in sift(columns))
+    unsampled = ~consumed
+    reference, estimate = (sift_key(column[unsampled]) for column in sift(columns))
     phase = dict(outcomes=tuple(columns), consumed=consumed, qber=qber)
     return dict(phase, passed=qber <= qber_threshold), reference, estimate
 

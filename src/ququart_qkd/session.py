@@ -9,7 +9,10 @@ artifacts.  Empirical frequencies are printed next to the exact oracle's
 predictions with binomial z-scores.  On a built-in channel the oracle is
 a pure function of the attack model and the party count, so
 ``run_session`` keeps it in a bounded memo; a corrupt-channel session
-calls ``predict`` afresh.
+calls ``predict`` afresh.  Each role's generator stream is built on its
+first read (``_NamedStreams``), so a session builds only the streams it
+draws from, and each report value is formatted by its exact type's entry
+in a table.
 """
 
 from __future__ import annotations
@@ -119,11 +122,34 @@ class SessionReport:
         )
 
 
+# the roles that draw, each from its own stream, in spawn order
+STREAM_ROLES = (ALICE, BOB, CHARLIE, "attack", "public")
+_SPAWN_KEYS = {role: (i,) for i, role in enumerate(STREAM_ROLES)}
+
+
+class _NamedStreams(dict):
+    """Independent per-role generator streams derived from one seed, as a
+    dict from role to ``Generator`` that builds a role's stream on its
+    first read: the i-th role's is seeded by ``SeedSequence(seed,
+    spawn_key=(i,))``, which is ``SeedSequence(seed).spawn(5)[i]``.  A
+    role never read is never built and is not in the dict, so a stream a
+    session never draws from costs nothing; an unknown role is a
+    KeyError."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, role):
+        child = np.random.SeedSequence(self.seed, spawn_key=_SPAWN_KEYS[role])
+        stream = self[role] = np.random.Generator(np.random.PCG64(child))
+        return stream
+
+
 def _named_streams(seed: int) -> dict:
-    """Independent per-role generator streams derived from one seed."""
-    roles = (ALICE, BOB, CHARLIE, "attack", "public")
-    children = np.random.SeedSequence(seed).spawn(len(roles))
-    return {role: np.random.Generator(np.random.PCG64(ss)) for role, ss in zip(roles, children)}
+    """Independent per-role generator streams derived from one seed, each
+    built on its first read (``_NamedStreams``)."""
+    return _NamedStreams(seed)
 
 
 def _z_score(freq: float, p: float, trials: int) -> float:
@@ -245,14 +271,17 @@ def _verify_block(spec: ChannelSpec, summary, oracle) -> dict:
         "pass": summary.passed,
     }
     for check in spec.checks:
-        tally = summary.tallies[check.name]
-        p = oracle.violation[check.name]
-        block[f"check.{check.name}.expected"] = check.expected
-        block[f"check.{check.name}.rounds"] = tally.rounds
-        block[f"check.{check.name}.violations"] = tally.violations
-        block[f"check.{check.name}.frequency"] = tally.frequency
-        block[f"check.{check.name}.oracle"] = p
-        block[f"check.{check.name}.z"] = _z_score(tally.frequency, p, tally.rounds)
+        name = check.name
+        tally = summary.tallies[name]
+        p = oracle.violation[name]
+        frequency = tally.frequency
+        prefix = f"check.{name}."
+        block[prefix + "expected"] = check.expected
+        block[prefix + "rounds"] = tally.rounds
+        block[prefix + "violations"] = tally.violations
+        block[prefix + "frequency"] = frequency
+        block[prefix + "oracle"] = p
+        block[prefix + "z"] = _z_score(frequency, p, tally.rounds)
     return block
 
 
@@ -292,16 +321,31 @@ def _key_block(phase, oracle, outcome, keys: dict, extra: dict) -> dict:
 # flat key = value text format (reports and config files)
 
 
+def _format_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _format_str(value: str) -> str:
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+# the formatter of each exact type a report holds; ``format_value``'s
+# isinstance chain gives the same text for these and handles the rest
+_FORMATTERS = {bool: _format_bool, int: int.__repr__, float: float.__repr__, str: _format_str}
+
+
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    formatter = _FORMATTERS.get(type(value))
+    if formatter is not None:
+        return formatter(value)
+    # bool has no subclasses, so a bool never gets here
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _format_str(value)
     raise TypeError(f"unsupported report value type: {type(value).__name__}")
 
 
@@ -321,8 +365,10 @@ def parse_value(text: str):
 
 
 def format_flat(items) -> str:
-    """Serialize ordered (key, value) pairs as flat assignment lines."""
-    return "".join(f"{k} = {format_value(v)}\n" for k, v in items)
+    """Serialize ordered (key, value) pairs as flat assignment lines, each
+    value by its exact type's formatter, or by ``format_value``."""
+    formatter = _FORMATTERS.get
+    return "".join([f"{k} = {formatter(type(v), format_value)(v)}\n" for k, v in items])
 
 
 def parse_flat(text: str) -> dict:

@@ -6,11 +6,14 @@ failed the checks must stop the pairs with an error naming the workload,
 the seed and the side, and the summary must carry each side's median
 ``attempted`` operations.  With ``--ops N`` each side also calls its own
 checkout's ``run_workload(W, S, 0, 0, min_ops=N)`` once per seed, and its
-``peak_rss_mb`` is summarized as ``ops_peak_rss_mb``.
+``peak_rss_mb`` is summarized as ``ops_peak_rss_mb``.  The change side
+runs from a copy of the working tree's tracked and untracked, not ignored,
+files, as the parent side runs from an export of its commit.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,8 @@ def test_ops_runs_each_side_once_per_seed_and_summarizes_its_peak(tmp_path, monk
         return {"ops_peak_rss_mb": 40.0 if side == "parent" else 38.0 + seed, "ops_attempted": ops}
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "abc1234")
+    snapshots = []
+    monkeypatch.setattr(bench_pairs, "snapshot", snapshots.append)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "run_ops", run_ops)
     out = tmp_path / "bench.json"
@@ -124,8 +129,10 @@ def test_ops_runs_each_side_once_per_seed_and_summarizes_its_peak(tmp_path, monk
         ("parent", 1, 64), ("change", 1, 64), ("change", 2, 64), ("parent", 2, 64),
         ("parent", 3, 64), ("change", 3, 64),
     ]
-    assert {checkout for side, checkout, _, _ in calls if side == "change"} == {bench_pairs.ROOT}
-    assert bench_pairs.ROOT not in {checkout for side, checkout, _, _ in calls if side == "parent"}
+    # each side runs from its own copy, neither from this checkout
+    assert {checkout for side, checkout, _, _ in calls if side == "change"} == set(snapshots)
+    assert bench_pairs.ROOT not in {checkout for _, checkout, _, _ in calls}
+    assert len({checkout for _, checkout, _, _ in calls}) == 2
     workload = json.loads(out.read_text())["workloads"]["eavesdrop"]
     assert workload["ops"] == 64
     assert workload["pairs"][0]["change"]["ops_attempted"] == 64
@@ -147,3 +154,32 @@ def test_ops_must_be_positive(capsys):
         bench_pairs.main(["--parent", "HEAD", "--workload", "eavesdrop", "--seeds", "1", "--out", "x.json",
                           "--ops", "0"])
     assert "--ops must be at least 1" in capsys.readouterr().err
+
+
+def git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                   check=True, capture_output=True)
+
+
+def test_snapshot_copies_the_working_tree_but_not_ignored_files(tmp_path):
+    root, into = tmp_path / "repo", tmp_path / "copy"
+    (root / "src" / "pkg").mkdir(parents=True)
+    into.mkdir()
+    (root / ".gitignore").write_text("__pycache__/\n*.log\n")
+    (root / "src" / "pkg" / "mod.py").write_text("committed\n")
+    (root / "gone.py").write_text("deleted after the commit\n")
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    (root / "src" / "pkg" / "mod.py").write_text("edited\n")
+    (root / "gone.py").unlink()
+    (root / "src" / "pkg" / "new.py").write_text("untracked\n")
+    (root / "src" / "pkg" / "__pycache__").mkdir()
+    (root / "src" / "pkg" / "__pycache__" / "mod.pyc").write_text("cache")
+    (root / "run.log").write_text("ignored")
+
+    assert bench_pairs.snapshot(str(into), str(root)) == 3
+    files = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/pkg/mod.py", "src/pkg/new.py"]
+    # the files as they are on disk, not as committed
+    assert (into / "src" / "pkg" / "mod.py").read_text() == "edited\n"

@@ -6,6 +6,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ququart_qkd import cli, session
@@ -44,6 +45,44 @@ def test_verify_channel_single_protocol(capsys):
     assert code == 0
     assert "two_party" not in out
     assert "three_party.residual.sx_sx_sx = 0.0" in out
+
+
+# verify-channel's whole stdout for both protocols.  The certificate's
+# residual and overlap are printed with repr, so their last digits follow
+# the eigensolve of the numpy (and LAPACK) they were recorded with.
+VERIFY_CHANNEL_RECORDED_WITH_NUMPY = "2.4.6"
+VERIFY_CHANNEL_STDOUT = {
+    "two-party": (
+        "two_party.residual.sx_sx = 0.0\n"
+        "two_party.residual.ux_ux = 0.0\n"
+        "two_party.residual.sz_sz = 0.0\n"
+        "two_party.residual.uz_uz = 0.0\n"
+        "two_party.subspace.dimension = 1\n"
+        "two_party.subspace.residual = 1.7554167342883506e-16\n"
+        "two_party.subspace.overlap = 1.0\n"
+    ),
+    "three-party": (
+        "three_party.residual.sx_sx_sx = 0.0\n"
+        "three_party.residual.oz_oz_oz = 0.0\n"
+        "three_party.residual.ex_ex_id = 0.0\n"
+        "three_party.residual.id_ex_ex = 0.0\n"
+        "three_party.subspace.dimension = 1\n"
+        "three_party.subspace.residual = 2.3551386880256624e-16\n"
+        "three_party.subspace.overlap = 0.9999999999999998\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", [None, "two-party", "three-party"])
+def test_verify_channel_prints_the_pinned_digits(capsys, protocol):
+    argv = ["verify-channel"] + (["--protocol", protocol] if protocol else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    expected = VERIFY_CHANNEL_STDOUT[protocol] if protocol else "".join(VERIFY_CHANNEL_STDOUT.values())
+    assert out == expected, (
+        f"verify-channel printed other digits; the pinned ones were recorded with "
+        f"numpy {VERIFY_CHANNEL_RECORDED_WITH_NUMPY} (this is numpy {np.__version__})"
+    )
 
 
 def test_verify_channel_corrupt_is_a_detected_failure(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +10,14 @@ import pytest
 
 from ququart_qkd import protocol
 from ququart_qkd.attacks import AttackModel
-from ququart_qkd.channels import make_channel, three_party_channel, two_party_channel
+from ququart_qkd.channels import (
+    ChannelCheck,
+    ChannelSpec,
+    corrupt_channel,
+    make_channel,
+    three_party_channel,
+    two_party_channel,
+)
 from ququart_qkd.observables import KEY_LABELS, outcome_from_index, sift
 from ququart_qkd.protocol import (
     PARTY_ORDER,
@@ -87,6 +96,75 @@ def test_sift_key_bit_order():
     assert bits == tuple(b for o in outcomes for b in (o.parity_bit, o.phase_bit))
     assert sift_key([]).bits == ()
     assert sift_key(np.arange(4)).bits == (0, 0, 0, 1, 1, 0, 1, 1)
+
+
+def stacked_sift_key(indices) -> SiftedKey:
+    """``sift_key`` as parity and phase columns stacked per round."""
+    indices = np.asarray(indices, dtype=np.intp)
+    return SiftedKey(np.stack((indices >> 1, indices & 1), axis=-1).ravel())
+
+
+def test_sift_key_equals_the_stacked_bit_form():
+    rng = np.random.default_rng(5)
+    columns = [np.arange(4), np.arange(4)[::-1], np.zeros(0, dtype=np.intp), [], rng.integers(4, size=999)]
+    columns += [np.full(7, k) for k in range(4)]
+    for column in columns:
+        key = sift_key(column)
+        assert key == stacked_sift_key(column)
+        assert key.column.dtype == np.uint8 and not key.column.flags.writeable
+    for bad in ([4], [0, -1], [2**40]):
+        with pytest.raises(ValueError):
+            sift_key(bad)
+    # the table is shared, so it cannot be written
+    with pytest.raises(ValueError):
+        protocol._KEY_BITS[0, 0] = 1
+
+
+def reduced_joint(width, codes):
+    """The joint choice as a fold over the parties' codes."""
+    return functools.reduce(lambda acc, code: acc * width + code, codes)
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_verification_plan_is_shared_and_read_only(parties):
+    spec = make_channel(parties)
+    plan = protocol._verification_plan(parties, spec.checks)
+    assert protocol._verification_plan(parties, corrupt_channel(spec).checks) is plan
+    assert not plan.listed.flags.writeable
+    with pytest.raises(ValueError):
+        plan.listed[0] = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.idle = 0
+    assert isinstance(plan.check_codes, tuple) and isinstance(plan.sign_levels, tuple)
+    assert all(isinstance(level, tuple) for level in plan.sign_levels)
+    # the joint choices, listed table and levels the phase used to build per call
+    menu = TWO_PARTY_MENU if parties == 2 else THREE_PARTY_MENU
+    codes = [reduced_joint(len(menu), [menu.index(n) for n in c.operators]) for c in spec.checks]
+    assert list(plan.check_codes) == codes
+    assert np.flatnonzero(plan.listed).tolist() == sorted(codes)
+    assert plan.menu == menu and plan.idle == (menu.index("id") if "id" in menu else -1)
+    sign_sets = protocol._sign_projector_sets(parties)
+    assert plan.sign_levels == tuple(tuple(sign_sets[j, n] for n in menu) for j in range(parties))
+    choices = [np.random.default_rng(j).integers(len(menu), size=50) for j in range(parties)]
+    assert np.array_equal(protocol._joint(len(menu), choices), reduced_joint(len(menu), choices))
+
+
+def test_a_custom_check_list_gets_its_own_plan():
+    spec = make_channel(2)
+    checks = (spec.checks[2], spec.checks[0], ChannelCheck(("sx", "id"), +1))
+    custom = ChannelSpec(2, spec.state, checks)
+    plan = protocol._verification_plan(2, checks)
+    assert plan is not protocol._verification_plan(2, spec.checks)
+    # ("sx", "id") is no joint choice of the two-party menu
+    assert plan.check_codes == (10, 0, None)
+    summary = run_verification_phase(custom, 400, NONE, streams(3), MessageBus())
+    assert list(summary.tallies) == ["sz_sz", "sx_sx", "sx_id"]
+    assert summary.tallies["sx_id"].rounds == 0
+    full = run_verification_phase(spec, 400, NONE, streams(3), MessageBus())
+    for name in ("sz_sz", "sx_sx"):
+        assert summary.tallies[name] == full.tallies[name]
+    # the rounds of the dropped checks are discarded
+    assert summary.matched == full.tallies["sz_sz"].rounds + full.tallies["sx_sx"].rounds
 
 
 def test_compare_keys_reports_positions():

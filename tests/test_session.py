@@ -480,3 +480,93 @@ def test_predict_recomputes_on_every_call(monkeypatch):
     predictions = [repr(attacks.predict(model, spec)) for _ in range(3)]
     assert len(calls) == 3
     assert len(set(predictions)) == 1
+
+
+# ---------------------------------------------------------------------------
+# streams built on first use, and table formatting
+
+
+def spawned_streams(seed):
+    children = np.random.SeedSequence(seed).spawn(len(session.STREAM_ROLES))
+    return {role: np.random.Generator(np.random.PCG64(ss)) for role, ss in zip(session.STREAM_ROLES, children)}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_streams_built_on_first_read_equal_the_spawned_streams(seed):
+    rng = np.random.default_rng(seed % 1000)
+    orders = [session.STREAM_ROLES[::-1]] + [
+        tuple(map(str, rng.permutation(session.STREAM_ROLES))) for _ in range(6)
+    ]
+    for order in orders:
+        streams, spawned = session._named_streams(seed), spawned_streams(seed)
+        for i, role in enumerate(order):
+            assert set(streams) == set(order[:i]), "a role was built before its first read"
+            stream = streams[role]
+            assert streams[role] is stream
+            assert stream.bit_generator.state == spawned[role].bit_generator.state, (order, role)
+            assert (stream.random(3) == spawned[role].random(3)).all()
+    with pytest.raises(KeyError):
+        session._named_streams(seed)["eve"]
+
+
+def built_streams(monkeypatch, config):
+    """The roles whose streams ``run_session(config)`` built."""
+    made = []
+
+    def recorded(seed):
+        made.append(session._NamedStreams(seed))
+        return made[-1]
+
+    monkeypatch.setattr(session, "_named_streams", recorded)
+    run_session(config)
+    (streams,) = made
+    return set(streams)
+
+
+def test_a_session_builds_only_the_streams_it_draws_from(monkeypatch):
+    # attack-free phases never read the attack stream, a two-party session
+    # never reads charlie's, and without permission nothing is sampled
+    assert built_streams(monkeypatch, two_party_config()) == {"alice", "bob", "public"}
+    assert built_streams(monkeypatch, three_party_config()) == {"alice", "bob", "charlie", "public"}
+    config = three_party_config(alice_permits=False)
+    assert built_streams(monkeypatch, config) == {"alice", "bob", "charlie"}
+    config = two_party_config(attack=AttackModel(IRC, (1,)), verification_rounds=40)
+    assert built_streams(monkeypatch, config) == {"alice", "bob", "attack"}
+
+
+def isinstance_chain(value) -> str:
+    """``format_value`` as an isinstance chain alone."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, str):
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    raise TypeError(f"unsupported report value type: {type(value).__name__}")
+
+
+FORMAT_VALUES = [
+    True, False, 0, -3, 2**70, np.int64(-7), np.int32(5), np.uint8(200),
+    0.0, -0.0, 0.1, 1e-300, math.inf, -math.inf, 2.5e16,
+    np.float64(0.1), np.float64(-2.0), np.float64(math.inf),
+    "", "plain", 'say "hi"', "back\\slash", '\\"',
+]
+
+
+@pytest.mark.parametrize("value", FORMAT_VALUES, ids=[f"{type(v).__name__}-{v!r}" for v in FORMAT_VALUES])
+def test_table_formatting_equals_the_isinstance_chain(value):
+    assert session.format_value(value) == isinstance_chain(value)
+    assert format_flat([("k", value)]) == f"k = {isinstance_chain(value)}\n"
+
+
+@pytest.mark.parametrize("value", [None, np.bool_(True), [1], 1j, np.float32(0.5)])
+def test_unsupported_report_values_raise_type_error(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        isinstance_chain(value)
+    with pytest.raises(TypeError, match=type(value).__name__):
+        session.format_value(value)
+    with pytest.raises(TypeError, match=type(value).__name__):
+        format_flat([("k", value)])

@@ -4,10 +4,13 @@
     python3 tools/bench_pairs.py --parent REV --workload eavesdrop \\
         --seeds 17101-17106 --out BENCH_17_eavesdrop.json
 
-exports the committed files of ``REV`` into a temporary directory and, per
+exports the committed files of ``REV`` into a temporary directory, copies
+this checkout's working tree (its tracked files as they are on disk, and
+its untracked files that git does not ignore) into another, and, per
 seed, runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-once in that copy and once in this checkout's working tree, each side from
-its own sources.  The workload names and the run length ``T`` are
+once in each copy, each side from its own sources.  Both sides run from a
+fresh copy of plain files with no build outputs or caches, so they differ
+only in code.  The workload names and the run length ``T`` are
 ``BENCHMARK.json``'s ``workloads`` and ``run_seconds``.  An odd seed runs
 the parent first, an even seed the change, so neither side always runs on
 a warmer machine.  ``--workload`` may be given more than once.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -86,6 +90,27 @@ def export(rev: str, into: str) -> str:
     if archive.wait():
         raise SystemExit(f"error: git archive {short} failed")
     return short
+
+
+def snapshot(into: str, root: str = ROOT) -> int:
+    """Copy the working tree of the checkout at ``root`` under ``into``:
+    its tracked files as they are on disk (a tracked file deleted there is
+    left out) and its untracked files that git does not ignore.  Returns
+    the number of files copied."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout.decode().split("\0")
+    copied = 0
+    for name in sorted(set(filter(None, listed))):
+        source = os.path.join(root, name)
+        if not os.path.isfile(source):
+            continue
+        target = os.path.join(into, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
+        copied += 1
+    return copied
 
 
 def harness(side: str, checkout: str, workload: str, seed: int, command: list, timeout: float) -> tuple:
@@ -165,11 +190,15 @@ def main(argv=None) -> int:
     summarized = dict(metrics, ops_peak_rss_mb="lower") if args.ops else metrics
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
     # a terminated run unwinds like an interrupted one: the running harness
-    # is killed and the parent's copy removed
+    # is killed and both copies removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_dir:
+    with (
+        tempfile.TemporaryDirectory(prefix="bench_pairs_") as parent_dir,
+        tempfile.TemporaryDirectory(prefix="bench_pairs_change_") as change_dir,
+    ):
         parent = export(args.parent, parent_dir)
+        snapshot(change_dir)
         record = {}
         if os.path.exists(args.out):
             with open(args.out) as f:
@@ -185,7 +214,7 @@ def main(argv=None) -> int:
             machine=f"{os.cpu_count()}-core machine; times scaled to the base clock by the harness",
         )
         record.setdefault("workloads", {})
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        checkouts = {"parent": parent_dir, "change": change_dir}
         for workload in args.workload:
             pairs = []
             for seed in args.seeds:
