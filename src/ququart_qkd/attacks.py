@@ -80,6 +80,10 @@ class AttackModel:
         # user-reachable input: checked by raising, since python -O strips asserts
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind!r}")
+        if isinstance(self.strength, bool) or not isinstance(self.strength, (int, float)):
+            raise ValueError(f"strength must be a number, got {self.strength!r}")
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.targets):
+            raise ValueError(f"targets must be ints, got {self.targets!r}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("strength must lie in [0, 1]")
         if self.kind == "none":

@@ -7,6 +7,9 @@ Three subcommands mirror the library's three jobs:
                      certificates for the built-in channels
 * ``predict``        print the exact oracle for an attack, no simulation
 
+The session flags of ``run`` and ``predict`` store under the keys of
+``session.CONFIG_KEYS`` and override a config file's values of the same keys.
+
 Exit codes: 0 key established (or informational success), 2 aborted
 (verification or qber, or a failed channel verification), 3 no
 permission, 1 usage/config error.
@@ -20,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .attacks import predict
+from .attacks import ATTACK_KINDS, predict
 from .channels import (
     check_residuals,
     constraint_matrices,
@@ -29,12 +32,14 @@ from .channels import (
     stabilized_subspace,
 )
 from .session import (
+    CONFIG_KEYS,
+    PROTOCOLS,
+    TARGET_POSITIONS,
     ConfigError,
     OUTCOME_ABORT_QBER,
     OUTCOME_ABORT_VERIFY,
     OUTCOME_ESTABLISHED,
     OUTCOME_NO_PERMISSION,
-    PROTOCOL_THREE_PARTY,
     PROTOCOL_TWO_PARTY,
     config_from_mapping,
     emit_report,
@@ -56,31 +61,32 @@ RESIDUAL_PASS = 1e-12
 
 def _add_session_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.add_argument("--protocol", choices=[PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY])
+    parser.add_argument("--protocol", choices=PROTOCOLS)
     parser.add_argument("--verification-rounds", type=int, dest="verification_rounds")
     parser.add_argument("--key-rounds", type=int, dest="key_rounds")
     parser.add_argument("--sample-fraction", type=float, dest="sample_fraction")
     parser.add_argument("--qber-threshold", type=float, dest="qber_threshold")
-    parser.add_argument(
-        "--attack",
-        choices=["none", "intercept-computational", "intercept-key", "entangle-probe", "depolarize"],
-    )
+    parser.add_argument("--attack", choices=ATTACK_KINDS)
     parser.add_argument(
         "--attack-target",
         action="append",
         dest="attack_targets",
-        choices=["bob", "charlie"],
+        choices=TARGET_POSITIONS,
         help="in-transit particle to attack; repeatable (default: bob)",
     )
     parser.add_argument("--attack-strength", type=float, dest="attack_strength")
     parser.add_argument(
         "--no-permission",
-        action="store_true",
+        action="store_const",
+        const=False,
+        dest="alice_permits",
         help="controller withholds her outcomes (three-party only)",
     )
     parser.add_argument(
         "--corrupt-channel",
-        action="store_true",
+        action="store_const",
+        const=True,
+        dest="corrupt",
         help="flip one channel amplitude sign (negative control)",
     )
     parser.add_argument("--seed", type=int)
@@ -88,6 +94,7 @@ def _add_session_flags(parser: argparse.ArgumentParser):
 
 
 def _mapping_from_args(args: argparse.Namespace) -> dict:
+    """The config file's pairs, overridden by each session flag given (not None)."""
     mapping = {}
     if args.config:
         with open(args.config, encoding="ascii") as fh:
@@ -95,25 +102,10 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
                 mapping.update(parse_flat(fh.read()))
             except ValueError as exc:  # a bad line, value or byte
                 raise ConfigError(f"{args.config}: {exc}") from exc
-    overrides = {
-        "protocol": args.protocol,
-        "verification_rounds": args.verification_rounds,
-        "key_rounds": args.key_rounds,
-        "sample_fraction": args.sample_fraction,
-        "qber_threshold": args.qber_threshold,
-        "attack": args.attack,
-        "attack_targets": ",".join(args.attack_targets) if args.attack_targets else None,
-        "attack_strength": args.attack_strength,
-        "seed": args.seed,
-        "report": args.report,
-    }
-    for key, value in overrides.items():
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
-            mapping[key] = value
-    if args.no_permission:
-        mapping["alice_permits"] = False
-    if args.corrupt_channel:
-        mapping["corrupt"] = True
+            mapping[key] = ",".join(value) if key == "attack_targets" else value
     return mapping
 
 
@@ -162,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_channel(args: argparse.Namespace) -> int:
-    protocols = [args.protocol] if args.protocol else [PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY]
+    protocols = [args.protocol] if args.protocol else PROTOCOLS
     ok = True
     for protocol in protocols:
         spec = make_channel(2 if protocol == PROTOCOL_TWO_PARTY else 3)
@@ -189,9 +181,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    mapping = _mapping_from_args(args)
-    mapping.setdefault("attack", "none")
-    config = config_from_mapping(mapping)
+    config = config_from_mapping(_mapping_from_args(args))
     spec = make_channel(config.party_count)
     if config.corrupt:
         spec = corrupt_channel(spec)
@@ -231,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify-channel", help="residuals and uniqueness certificates")
-    verify_p.add_argument("--protocol", choices=[PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY])
+    verify_p.add_argument("--protocol", choices=PROTOCOLS)
     verify_p.add_argument("--corrupt", action="store_true", help="negative control")
     verify_p.set_defaults(func=_cmd_verify_channel)
 

@@ -13,6 +13,10 @@ calls ``predict`` afresh.  Each role's generator stream is built on its
 first read (``_NamedStreams``), so a session builds only the streams it
 draws from, and each report value is formatted by its exact type's entry
 in a table.
+
+A session's inputs are the flat keys of ``CONFIG_KEYS``, shared by config
+files and CLI flags; ``SessionConfig`` holds their defaults and checks
+every field's type and value on construction, on the library path too.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ SCHEMA_VERSION = "3"
 
 PROTOCOL_TWO_PARTY = "two-party"
 PROTOCOL_THREE_PARTY = "three-party"
+PROTOCOLS = (PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY)
 
 OUTCOME_ESTABLISHED = "key-established"
 OUTCOME_ABORT_VERIFY = "aborted-verification"
@@ -54,8 +59,33 @@ OUTCOME_NO_PERMISSION = "no-permission"
 PEAK_BYTES_PER_ROUND = 128
 MAX_ROUNDS = (4 << 30) // PEAK_BYTES_PER_ROUND
 
-TARGET_NAMES = {1: "bob", 2: "charlie"}
 TARGET_POSITIONS = {"bob": 1, "charlie": 2}
+TARGET_NAMES = {position: name for name, position in TARGET_POSITIONS.items()}
+
+# The flat config keys of config files and CLI flags and their types, in
+# SessionConfig's field order: a key names its field, but ``report`` names
+# ``report_path``, and the three ``attack*`` keys build the AttackModel.
+CONFIG_KEYS = {
+    "protocol": str,
+    "verification_rounds": int,
+    "key_rounds": int,
+    "sample_fraction": float,
+    "qber_threshold": float,
+    "attack": str,
+    "attack_targets": str,
+    "attack_strength": float,
+    "alice_permits": bool,
+    "seed": int,
+    "corrupt": bool,
+    "report": str,
+}
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# the checked fields of SessionConfig other than attack: (field, key, type)
+_FIELD_KEYS = tuple(
+    ("report_path" if key == "report" else key, key, kind)
+    for key, kind in CONFIG_KEYS.items()
+    if not key.startswith("attack")
+)
 
 # built-in channel oracles kept, least recently used dropped first: far
 # more attack configs than a run cycles through (the eavesdrop benchmark's 16)
@@ -80,7 +110,14 @@ class SessionConfig:
     report_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.protocol not in (PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY):
+        # every field's type, then the values; a number becomes its field's type
+        for name, key, kind in _FIELD_KEYS:
+            value = getattr(self, name)
+            if type(value) is not kind and not (value is None and name == "report_path"):
+                object.__setattr__(self, name, _typed(key, value, kind))
+        if not isinstance(self.attack, AttackModel):
+            raise ConfigError(f"attack must be AttackModel, got {self.attack!r}")
+        if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol: {self.protocol!r}")
         if self.verification_rounds < 0 or self.key_rounds < 0:
             raise ConfigError("round counts must be >= 0")
@@ -92,13 +129,12 @@ class SessionConfig:
             raise ConfigError("qber_threshold must lie in [0, 1)")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        party_count = 2 if self.protocol == PROTOCOL_TWO_PARTY else 3
         for t in self.attack.targets:
-            if not 1 <= t < party_count:
+            if not 1 <= t < self.party_count:
                 raise ConfigError(
                     f"attack target {TARGET_NAMES.get(t, t)} invalid for {self.protocol}"
                 )
-        if party_count == 2 and not self.alice_permits:
+        if self.party_count == 2 and not self.alice_permits:
             raise ConfigError("withholding permission needs the three-party protocol")
 
     @property
@@ -196,60 +232,32 @@ def run_session(config: SessionConfig) -> SessionReport:
     )
     verify_block = _verify_block(spec, verification, oracle)
 
+    key_args = (spec, config.key_rounds, config.sample_fraction, config.qber_threshold)
     if not verification.passed:
-        return SessionReport(
-            config=config,
-            verify=verify_block,
-            key=_empty_key_block(),
-            outcome=OUTCOME_ABORT_VERIFY,
-            transcript_messages=len(bus.transcript),
-        )
-
-    if config.protocol == PROTOCOL_TWO_PARTY:
-        phase = run_key_phase_two_party(
-            spec,
-            config.key_rounds,
-            config.sample_fraction,
-            config.qber_threshold,
-            config.attack,
-            rngs,
-            bus,
-        )
-        outcome = OUTCOME_ESTABLISHED if phase.passed else OUTCOME_ABORT_QBER
-        keys = {ALICE: phase.alice_key, BOB: phase.bob_key}
-        key_block = _key_block(phase, oracle, outcome, keys, {})
+        # aborted before the key phase: no key statistics, no key bits
+        phase, key_block = None, {"rounds": 0, "sampled": 0, "kept": 0, "sifted_bits": 0}
+    elif config.protocol == PROTOCOL_TWO_PARTY:
+        phase = run_key_phase_two_party(*key_args, config.attack, rngs, bus)
+        keys, extra = {ALICE: phase.alice_key, BOB: phase.bob_key}, {}
     else:
-        phase = run_key_phase_controlled(
-            spec,
-            config.key_rounds,
-            config.sample_fraction,
-            config.qber_threshold,
-            config.alice_permits,
-            config.attack,
-            rngs,
-            bus,
-        )
-        if not config.alice_permits:
-            outcome = OUTCOME_NO_PERMISSION
-        elif phase.passed:
-            outcome = OUTCOME_ESTABLISHED
-        else:
-            outcome = OUTCOME_ABORT_QBER
+        phase = run_key_phase_controlled(*key_args, config.alice_permits, config.attack, rngs, bus)
+        keys = {BOB: phase.bob_key, CHARLIE: phase.charlie_key}
         extra = {"deduction_accuracy": phase.deduction_accuracy}
         if not config.alice_permits:
             # blind-guess accuracy: oracle value is exactly 1/4
             extra["guess_oracle"] = 0.25
             extra["guess_z"] = _z_score(phase.deduction_accuracy, 0.25, config.key_rounds)
-        keys = {BOB: phase.bob_key, CHARLIE: phase.charlie_key}
-        key_block = _key_block(phase, oracle, outcome, keys, extra)
 
-    return SessionReport(
-        config=config,
-        verify=verify_block,
-        key=key_block,
-        outcome=outcome,
-        transcript_messages=len(bus.transcript),
-    )
+    # one fold for every end; a two-party config always permits
+    if phase is None:
+        outcome = OUTCOME_ABORT_VERIFY
+    elif not config.alice_permits:
+        outcome = OUTCOME_NO_PERMISSION
+    else:
+        outcome = OUTCOME_ESTABLISHED if phase.passed else OUTCOME_ABORT_QBER
+    if phase is not None:
+        key_block = _key_block(phase, oracle, outcome, keys, extra)
+    return SessionReport(config, verify_block, key_block, outcome, len(bus.transcript))
 
 
 @functools.lru_cache(maxsize=ORACLE_MEMO)
@@ -283,11 +291,6 @@ def _verify_block(spec: ChannelSpec, summary, oracle) -> dict:
         block[prefix + "oracle"] = p
         block[prefix + "z"] = _z_score(frequency, p, tally.rounds)
     return block
-
-
-def _empty_key_block() -> dict:
-    # aborted before the key phase: no key statistics, no key bits
-    return {"rounds": 0, "sampled": 0, "kept": 0, "sifted_bits": 0}
 
 
 def _key_block(phase, oracle, outcome, keys: dict, extra: dict) -> dict:
@@ -430,69 +433,44 @@ def emit_report(text: str, path: str):
 
 
 def config_from_mapping(mapping: dict) -> SessionConfig:
-    """Build a config from flat key/value pairs (config files, CLI)."""
-    known = {
-        "protocol",
-        "verification_rounds",
-        "key_rounds",
-        "sample_fraction",
-        "qber_threshold",
-        "attack",
-        "attack_targets",
-        "attack_strength",
-        "alice_permits",
-        "corrupt",
-        "seed",
-        "report",
-    }
-    unknown = set(mapping) - known
+    """Build a config from pairs of ``CONFIG_KEYS`` (config files, CLI); an
+    absent key keeps its field's default, and an attack without targets
+    targets the particle sent to Bob."""
+    unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    kind = _typed(mapping, "attack", "none", str)
-    targets_text = _typed(mapping, "attack_targets", "", str)
-    targets = []
-    for name in filter(None, (t.strip() for t in targets_text.split(","))):
-        if name not in TARGET_POSITIONS:
-            raise ConfigError(f"unknown attack target: {name!r}")
-        targets.append(TARGET_POSITIONS[name])
-    if kind != "none" and not targets:
-        targets = [TARGET_POSITIONS["bob"]]  # default: the particle sent to Bob
+    kwargs = {"report_path" if key == "report" else key: mapping[key] for key in mapping}
+    attack = {}
+    if "attack" in mapping:
+        attack["kind"] = _typed("attack", kwargs.pop("attack"), str)
+    if "attack_targets" in mapping:
+        names = _typed("attack_targets", kwargs.pop("attack_targets"), str).split(",")
+        targets = set()
+        for name in filter(None, (n.strip() for n in names)):
+            if name not in TARGET_POSITIONS:
+                raise ConfigError(f"unknown attack target: {name!r}")
+            targets.add(TARGET_POSITIONS[name])
+        if targets:
+            attack["targets"] = tuple(sorted(targets))
+    if attack.get("kind", "none") != "none" and "targets" not in attack:
+        attack["targets"] = (TARGET_POSITIONS["bob"],)
+    if "attack_strength" in mapping:
+        attack["strength"] = _typed("attack_strength", kwargs.pop("attack_strength"), float)
     try:
-        attack = AttackModel(
-            kind=kind,
-            targets=tuple(sorted(set(targets))),
-            strength=_typed(mapping, "attack_strength", 0.0, float),
-        )
+        kwargs["attack"] = AttackModel(**attack)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return SessionConfig(
-        protocol=_typed(mapping, "protocol", PROTOCOL_TWO_PARTY, str),
-        verification_rounds=_typed(mapping, "verification_rounds", 1000, int),
-        key_rounds=_typed(mapping, "key_rounds", 1000, int),
-        sample_fraction=_typed(mapping, "sample_fraction", 0.1, float),
-        qber_threshold=_typed(mapping, "qber_threshold", 0.0, float),
-        attack=attack,
-        alice_permits=_typed(mapping, "alice_permits", True, bool),
-        seed=_typed(mapping, "seed", 0, int),
-        corrupt=_typed(mapping, "corrupt", False, bool),
-        report_path=_typed(mapping, "report", None, str),
-    )
+    return SessionConfig(**kwargs)
 
 
-def _typed(mapping: dict, key: str, default, kind: type):
-    """The value of key, or default when absent, with no silent coercion:
-    bools and strings must be exactly that, ints must be integral numbers
-    and floats any number (a bool is neither)."""
-    if key not in mapping:
-        return default
-    value = mapping[key]
+def _typed(key: str, value, kind: type):
+    """value as kind, with no silent coercion: bools and strings exactly so, ints
+    integral numbers, floats any number (a bool is neither); else a ConfigError."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int:
         ok = number and (isinstance(value, int) or value.is_integer())
-    elif kind is float:
-        ok = number
+    elif kind is float:  # an int past the float range is none
+        ok = number and (isinstance(value, float) or abs(value) <= _FLOAT_MAX)
     else:
         ok = isinstance(value, kind)
     if not ok:

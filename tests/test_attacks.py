@@ -165,6 +165,16 @@ def test_model_validation():
     AttackModel(IRC, targets=(1, 2))  # fine
 
 
+@pytest.mark.parametrize(
+    "targets, strength",
+    [((1.5,), 0.0), ((True,), 0.0), ((1,), "0.5"), ((1,), True), ((1,), None)],
+)
+def test_model_rejects_mistyped_targets_and_strength(targets, strength):
+    # each reached a session before, and failed there with a TypeError
+    with pytest.raises(ValueError, match="targets must be ints|strength must be a number"):
+        AttackModel(DEP, targets, strength)
+
+
 def test_model_validation_survives_optimized_mode():
     script = (
         "from ququart_qkd.attacks import AttackModel\n"

@@ -1,4 +1,6 @@
+import argparse
 import concurrent.futures
+import importlib.util
 import multiprocessing
 import os
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from ququart_qkd import cli, session
+from ququart_qkd.attacks import ATTACK_KINDS
 from ququart_qkd.cli import main
 from ququart_qkd.session import (
     OUTCOME_ABORT_VERIFY,
@@ -19,6 +22,11 @@ from ququart_qkd.session import (
     parse_flat,
     run_session,
 )
+
+_GRID = Path(__file__).resolve().parents[1] / "tools" / "report_grid.py"
+_spec = importlib.util.spec_from_file_location("report_grid", _GRID)
+report_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_grid)
 
 
 def run_cli(capsys, *argv):
@@ -519,3 +527,74 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--attack", "jamming"])
     assert exc.value.code == 1
+
+
+def subcommand_parser(command):
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
+@pytest.mark.parametrize("command, others", [("run", {"config", "repeat"}), ("predict", {"config"})])
+def test_session_flags_store_under_the_schema_keys(command, others):
+    # every flag's dest is a config key or one of the command's own options
+    sub = subcommand_parser(command)
+    dests = {action.dest for action in sub._actions} - {"help"}
+    assert dests == set(session.CONFIG_KEYS) | others
+    given = vars(sub.parse_args([]))
+    assert all(given[key] is None for key in session.CONFIG_KEYS)
+    flags = vars(sub.parse_args(["--no-permission", "--corrupt-channel"]))
+    assert flags["alice_permits"] is False and flags["corrupt"] is True
+    choices = {action.dest: action.choices for action in sub._actions if action.choices}
+    assert tuple(choices["attack"]) == ATTACK_KINDS
+    assert tuple(choices["attack_targets"]) == tuple(session.TARGET_POSITIONS) == ("bob", "charlie")
+    assert tuple(choices["protocol"]) == session.PROTOCOLS
+
+
+def config_file_lines(flags):
+    """The config file lines that stand for ``run`` flags, written out by
+    hand: each valued flag's key with its value, quoted for the strings."""
+    keys = {
+        "--protocol": ("protocol", str),
+        "--verification-rounds": ("verification_rounds", int),
+        "--key-rounds": ("key_rounds", int),
+        "--attack": ("attack", str),
+        "--attack-target": ("attack_targets", str),
+        "--attack-strength": ("attack_strength", float),
+        "--seed": ("seed", int),
+        "--report": ("report", str),
+    }
+    switches = {"--no-permission": "alice_permits = false", "--corrupt-channel": "corrupt = true"}
+    lines, targets, args = [], [], iter(flags)
+    for flag in args:
+        if flag in switches:
+            lines.append(switches[flag])
+            continue
+        key, kind = keys[flag]
+        value = next(args)
+        if flag == "--attack-target":
+            targets.append(value)
+        else:
+            lines.append(f'{key} = "{value}"' if kind is str else f"{key} = {value}")
+    if targets:
+        lines.append(f'attack_targets = "{",".join(targets)}"')
+    return lines
+
+
+@pytest.mark.parametrize("label, flags", report_grid.CLI_CONFIGS, ids=[c[0] for c in report_grid.CLI_CONFIGS])
+@pytest.mark.parametrize("repeat", [1, 3])
+def test_config_file_gives_the_bytes_of_its_flags(capsys, tmp_path, label, flags, repeat):
+    # report_grid's --cli configs, each once as flags and once as a file
+    runs = {}
+    for form in ("flags", "file"):
+        path = tmp_path / f"{form}.report"
+        argv = [*flags, "--verification-rounds", "60", "--key-rounds", "120", "--seed", "11"]
+        argv += ["--report", str(path)]
+        if form == "file":
+            config = tmp_path / "session.config"
+            config.write_text("".join(line + "\n" for line in config_file_lines(argv)))
+            argv = ["--config", str(config)]
+        code, out, err = run_cli(capsys, "run", *argv, "--repeat", str(repeat))
+        runs[form] = (code, out, err, path.read_text())
+    assert runs["file"] == runs["flags"]
+    assert runs["flags"][1].count("outcome=") == repeat

@@ -389,7 +389,7 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "from ququart_qkd.observables import Observable, outcome_from_index\n"
         "from ququart_qkd.protocol import (MessageBus, SiftedKey, compare_keys,\n"
         "    run_key_phase_controlled, run_key_phase_two_party, run_verification_phase)\n"
-        "from ququart_qkd.session import _named_streams, hex_to_bits\n"
+        "from ququart_qkd.session import ConfigError, SessionConfig, _named_streams, hex_to_bits\n"
         "two, three, none = two_party_channel(), three_party_channel(), AttackModel()\n"
         "calls = {\n"
         "    'key two-party sample 1.0': lambda: run_key_phase_two_party(\n"
@@ -426,11 +426,26 @@ def test_round_and_sample_checks_survive_optimized_mode():
         "        'bad', np.roll(np.eye(4), 1, axis=0)),\n"
         "    'observable squaring to 4': lambda: Observable('bad', 2 * np.eye(4)),\n"
         "    'outcome index 4': lambda: outcome_from_index(4),\n"
+        "    'attack target 1.5': lambda: AttackModel('intercept-key', (1.5,)),\n"
+        "    'attack target True': lambda: AttackModel('intercept-key', (True,)),\n"
+        "    'attack strength \"0.5\"': lambda: AttackModel('depolarize', (1,), '0.5'),\n"
         "}\n"
-        "for name, call in calls.items():\n"
+        "configs = {\n"
+        "    'corrupt \"false\"': dict(corrupt='false'),\n"
+        "    'alice_permits \"no\"': dict(protocol='three-party', alice_permits='no'),\n"
+        "    'verification_rounds 2.5': dict(verification_rounds=2.5),\n"
+        "    'verification_rounds True': dict(verification_rounds=True),\n"
+        "    'seed 1.5': dict(seed=1.5),\n"
+        "    'sample_fraction \"0.1\"': dict(sample_fraction='0.1'),\n"
+        "    'attack \"intercept-key\"': dict(attack='intercept-key'),\n"
+        "}\n"
+        "checks = [(name, call, ValueError) for name, call in calls.items()]\n"
+        "checks += [(name, lambda kwargs=kwargs: SessionConfig(**kwargs), ConfigError)\n"
+        "           for name, kwargs in configs.items()]\n"
+        "for name, call, error in checks:\n"
         "    try:\n"
         "        call()\n"
-        "    except ValueError:\n"
+        "    except error:\n"
         "        continue\n"
         "    raise SystemExit(f'accepted {name}')\n"
     )

@@ -72,7 +72,48 @@ def test_config_validation():
     assert SessionConfig(protocol="three-party").party_count == 3
 
 
+LIBRARY_DEFECTS = [
+    ("corrupt", {"corrupt": "false"}),
+    ("alice_permits", {"protocol": "three-party", "alice_permits": "no"}),
+    ("verification_rounds", {"verification_rounds": 2.5}),
+    ("verification_rounds", {"verification_rounds": True}),
+    ("seed", {"seed": 1.5}),
+    ("sample_fraction", {"sample_fraction": "0.1"}),
+    ("attack", {"attack": "intercept-key"}),
+    ("report", {"report_path": 3}),
+    ("qber_threshold", {"qber_threshold": 10**400}),  # past the float range
+]
+
+
+@pytest.mark.parametrize("key, kwargs", LIBRARY_DEFECTS, ids=[f"{key}-{i}" for i, (key, _) in enumerate(LIBRARY_DEFECTS)])
+def test_library_configs_are_checked_without_coercion(key, kwargs):
+    # the error names the config key, as it does for a config file
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        SessionConfig(**kwargs)
+    if key != "attack":
+        mapping = {"report" if k == "report_path" else k: v for k, v in kwargs.items()}
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            config_from_mapping(mapping)
+
+
+def test_numbers_are_stored_as_their_fields_type():
+    config = SessionConfig(verification_rounds=1e3, key_rounds=20.0, sample_fraction=0, seed=np.float64(3))
+    assert type(config.verification_rounds) is int and config.verification_rounds == 1000
+    assert type(config.key_rounds) is int and type(config.seed) is int
+    assert type(config.sample_fraction) is float and type(config.qber_threshold) is float
+    assert config == SessionConfig(verification_rounds=1000, key_rounds=20, sample_fraction=0.0, seed=3)
+    assert type(config_from_mapping({"key_rounds": 1e3}).key_rounds) is int
+    assert type(with_seed(config, 4.0).seed) is int
+    assert SessionConfig(report_path=None).report_path is None
+    small = dict(verification_rounds=10, key_rounds=20)
+    a = format_report(run_session(SessionConfig(**small, sample_fraction=0, qber_threshold=0)))
+    b = format_report(run_session(SessionConfig(**small, sample_fraction=0.0, qber_threshold=0.0)))
+    assert a == b and "config.sample_fraction = 0.0\n" in a
+
+
 def test_config_from_mapping_defaults_and_overrides():
+    assert config_from_mapping({}) == SessionConfig()
+    assert config_from_mapping({"seed": 3, "report": "x"}) == SessionConfig(seed=3, report_path="x")
     config = config_from_mapping({})
     assert config.protocol == "two-party"
     assert config.verification_rounds == 1000
@@ -116,8 +157,8 @@ CONFIG_KEYS = (
     "attack_targets",
     "attack_strength",
     "alice_permits",
-    "corrupt",
     "seed",
+    "corrupt",
     "report",
 )
 # words the parser gives meaning to, so that valid configs are drawn too
@@ -141,6 +182,10 @@ CONFIG_VALUES = st.one_of(
     st.sampled_from(CONFIG_WORDS),
     st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12),
 )
+
+
+def test_config_keys_are_the_schema():
+    assert tuple(session.CONFIG_KEYS) == CONFIG_KEYS
 
 
 @settings(deadline=None, max_examples=150)
