@@ -69,7 +69,8 @@ class AttackModel:
     """An eavesdropping strategy applied to in-transit ququarts.
 
     kind "none" carries no targets; every other kind needs at least one
-    target position.  strength is only meaningful for "depolarize".
+    target position.  strength is only meaningful for "depolarize"; it is
+    stored as a float, so equal models report equal bytes.
     """
 
     kind: str = "none"
@@ -95,6 +96,7 @@ class AttackModel:
             raise ValueError("position 0 never transits")
         elif tuple(sorted(set(self.targets))) != self.targets:
             raise ValueError("targets must be sorted and unique")
+        object.__setattr__(self, "strength", float(self.strength))
 
 
 @dataclass(frozen=True)

@@ -124,17 +124,15 @@ def three_party_channel() -> ChannelSpec:
     return ChannelSpec(3, StateVector(3, amps), checks)
 
 
+@functools.cache
 def make_channel(party_count: int) -> ChannelSpec:
     """The channel of 2 or 3 parties: one frozen spec per party count,
-    shared by every caller."""
-    if party_count not in (2, 3):
-        raise ValueError(f"a channel has 2 or 3 parties, got {party_count!r}")
-    return _channel(party_count)
-
-
-@functools.cache
-def _channel(party_count: int) -> ChannelSpec:
-    return two_party_channel() if party_count == 2 else three_party_channel()
+    built on the first call and shared by every caller."""
+    if party_count == 2:
+        return two_party_channel()
+    if party_count == 3:
+        return three_party_channel()
+    raise ValueError(f"a channel has 2 or 3 parties, got {party_count!r}")
 
 
 def corrupt_channel(spec: ChannelSpec, basis_index: int | None = None) -> ChannelSpec:

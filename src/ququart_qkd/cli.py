@@ -40,7 +40,7 @@ from .session import (
     OUTCOME_ABORT_VERIFY,
     OUTCOME_ESTABLISHED,
     OUTCOME_NO_PERMISSION,
-    PROTOCOL_TWO_PARTY,
+    PARTY_COUNTS,
     config_from_mapping,
     emit_report,
     format_report,
@@ -136,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             rest = pool.map(run_session, configs[own:])
             reports = [run_session(c) for c in configs[:own]]
             reports += rest
-    if config.report_path:
+    if config.report_path is not None:
         if repeat == 1:
             text = format_report(reports[0])
         else:
@@ -157,7 +157,7 @@ def _cmd_verify_channel(args: argparse.Namespace) -> int:
     protocols = [args.protocol] if args.protocol else PROTOCOLS
     ok = True
     for protocol in protocols:
-        spec = make_channel(2 if protocol == PROTOCOL_TWO_PARTY else 3)
+        spec = make_channel(PARTY_COUNTS[protocol])
         if args.corrupt:
             spec = corrupt_channel(spec)
         label = protocol.replace("-", "_")

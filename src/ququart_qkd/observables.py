@@ -8,9 +8,11 @@ The four-vector key basis {phi+, phi-, psi+, psi-} drives key generation;
 it is built once and shared, with every array read-only.  A key outcome
 is its index in that order, coded into two classical bits: the parity bit
 (phi = 0, psi = 1, ``index >> 1``) and the phase bit (+ = 0, - = 1,
-``index & 1``).  The sifting rule of both protocols (``sift``) works on
-these indices, one or a column at a time; ``outcome_from_index`` labels a
-single index.
+``index & 1``).  ``KEY_BITS`` is that coding, the one read-only table that
+key sifting (``protocol.sift_key``), ``outcome_from_index`` and
+``KeyOutcome`` read.  The sifting rule of both protocols (``sift``) works
+on these indices, one or a column at a time; ``outcome_from_index`` labels
+a single index.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .linalg import DIM
 
 HERMITIAN_TOL = 1e-12
 
-# Fixed key-basis order; index i maps to bits (i div 2, i mod 2).
+# Fixed key-basis order, and the (parity, phase) bits of each index, a row per index
 KEY_LABELS = ("phi+", "phi-", "psi+", "psi-")
+KEY_BITS = np.array([(i >> 1, i & 1) for i in range(len(KEY_LABELS))], dtype=np.uint8)
+KEY_BITS.setflags(write=False)
 
 OBSERVABLE_NAMES = ("sx", "ux", "sz", "uz", "ex", "oz", "id")
 
@@ -105,23 +109,18 @@ class KeyOutcome:
 
     def __post_init__(self):
         assert self.label in KEY_LABELS
-        assert (self.parity_bit, self.phase_bit) == _bits_of(KEY_LABELS.index(self.label))
+        assert [self.parity_bit, self.phase_bit] == KEY_BITS[self.index].tolist()
 
     @property
     def index(self) -> int:
-        return 2 * self.parity_bit + self.phase_bit
-
-
-def _bits_of(index: int) -> tuple[int, int]:
-    return index // 2, index % 2
+        return KEY_LABELS.index(self.label)
 
 
 def outcome_from_index(index: int) -> KeyOutcome:
     """Map a key-basis outcome index (0..3) to its labeled bit pair."""
     if not 0 <= index < 4:
         raise ValueError(f"outcome index {index} out of range")
-    parity, phase = _bits_of(index)
-    return KeyOutcome(KEY_LABELS[index], parity, phase)
+    return KeyOutcome(KEY_LABELS[index], *KEY_BITS[index].tolist())
 
 
 def sift(indices):

@@ -69,7 +69,7 @@ from .linalg import ProjectorSet, Tree
 
 # phases measure on tree levels; measure_projective stays bound for benchmark tracing
 from .linalg import measure_projective  # noqa: F401
-from .observables import KEY_LABELS, check_observable, key_basis, key_bit_errors, sift
+from .observables import KEY_BITS, KEY_LABELS, check_observable, key_basis, key_bit_errors, sift
 
 # phases code key outcomes as indices; outcome_from_index stays bound for benchmark tracing
 from .observables import outcome_from_index  # noqa: F401
@@ -169,20 +169,15 @@ class SiftedKey:
         return np.array_equal(self.column, other.column)
 
 
-# the (parity, phase) bits of each key-basis outcome index, a row per index
-_KEY_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
-_KEY_BITS.setflags(write=False)
-
-
 def sift_key(indices) -> SiftedKey:
     """Serialize key-basis outcome indices to bits in round order, parity
     (``index >> 1``) then phase (``index & 1``), gathered from the
-    read-only (4, 2) table ``_KEY_BITS``; an index outside 0..3 raises
-    ValueError."""
+    read-only (4, 2) table ``observables.KEY_BITS``; an index outside 0..3
+    raises ValueError."""
     indices = np.asarray(indices, dtype=np.intp)
     if (indices >> 2).any():
         raise ValueError("key-basis outcome indices lie in 0..3")
-    return SiftedKey(_KEY_BITS.take(indices, axis=0).ravel())
+    return SiftedKey(KEY_BITS.take(indices, axis=0).ravel())
 
 
 def compare_keys(a: SiftedKey, b: SiftedKey) -> list:
@@ -682,11 +677,12 @@ def run_key_phase_controlled(
     )
     outcomes = phase["outcomes"]
     if alice_permits:
-        hits = np.count_nonzero(np.equal(*sift(outcomes)))
+        hit = np.equal(*sift(outcomes))
     else:
         # Bob's estimate needs Alice's outcomes, so he can only guess
         bob_key = charlie_key = SiftedKey(())
-        hits = np.count_nonzero(rngs[BOB].integers(4, size=num_rounds) == outcomes[2])
+        hit = rngs[BOB].integers(4, size=num_rounds) == outcomes[2]
+    hits = int(np.count_nonzero(hit))  # an int, so the accuracy is a float
     return KeyPhaseControlled(
         **phase,
         bob_key=bob_key,

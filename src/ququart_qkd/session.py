@@ -11,12 +11,14 @@ a pure function of the attack model and the party count, so
 ``run_session`` keeps it in a bounded memo; a corrupt-channel session
 calls ``predict`` afresh.  Each role's generator stream is built on its
 first read (``_NamedStreams``), so a session builds only the streams it
-draws from, and each report value is formatted by its exact type's entry
-in a table.
+draws from.  Each report value is formatted by its exact type's entry in
+one table, and a value of any other type is a TypeError.
 
 A session's inputs are the flat keys of ``CONFIG_KEYS``, shared by config
 files and CLI flags; ``SessionConfig`` holds their defaults and checks
-every field's type and value on construction, on the library path too.
+every field's type and value on construction, on the library path too,
+and stores each as its key's type.  ``PARTY_COUNTS`` says how many
+parties each protocol has.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .protocol import (
     ALICE,
     BOB,
     CHARLIE,
+    PARTY_ORDER,
     MessageBus,
     compare_keys,
     run_key_phase_controlled,
@@ -45,7 +48,8 @@ SCHEMA_VERSION = "3"
 
 PROTOCOL_TWO_PARTY = "two-party"
 PROTOCOL_THREE_PARTY = "three-party"
-PROTOCOLS = (PROTOCOL_TWO_PARTY, PROTOCOL_THREE_PARTY)
+PARTY_COUNTS = {PROTOCOL_TWO_PARTY: 2, PROTOCOL_THREE_PARTY: 3}
+PROTOCOLS = tuple(PARTY_COUNTS)
 
 OUTCOME_ESTABLISHED = "key-established"
 OUTCOME_ABORT_VERIFY = "aborted-verification"
@@ -59,7 +63,8 @@ OUTCOME_NO_PERMISSION = "no-permission"
 PEAK_BYTES_PER_ROUND = 128
 MAX_ROUNDS = (4 << 30) // PEAK_BYTES_PER_ROUND
 
-TARGET_POSITIONS = {"bob": 1, "charlie": 2}
+# the in-transit particles by recipient; Alice's, at position 0, never travels
+TARGET_POSITIONS = {name: position for position, name in enumerate(PARTY_ORDER) if position}
 TARGET_NAMES = {position: name for name, position in TARGET_POSITIONS.items()}
 
 # The flat config keys of config files and CLI flags and their types, in
@@ -117,7 +122,9 @@ class SessionConfig:
                 object.__setattr__(self, name, _typed(key, value, kind))
         if not isinstance(self.attack, AttackModel):
             raise ConfigError(f"attack must be AttackModel, got {self.attack!r}")
-        if self.protocol not in PROTOCOLS:
+        if self.report_path == "":
+            raise ConfigError("report must be a non-empty path")
+        if self.protocol not in PARTY_COUNTS:
             raise ConfigError(f"unknown protocol: {self.protocol!r}")
         if self.verification_rounds < 0 or self.key_rounds < 0:
             raise ConfigError("round counts must be >= 0")
@@ -139,7 +146,7 @@ class SessionConfig:
 
     @property
     def party_count(self) -> int:
-        return 2 if self.protocol == PROTOCOL_TWO_PARTY else 3
+        return PARTY_COUNTS[self.protocol]
 
 
 @dataclass(frozen=True)
@@ -333,23 +340,17 @@ def _format_str(value: str) -> str:
     return f'"{escaped}"'
 
 
-# the formatter of each exact type a report holds; ``format_value``'s
-# isinstance chain gives the same text for these and handles the rest
+# the formatter of each exact type a report holds
 _FORMATTERS = {bool: _format_bool, int: int.__repr__, float: float.__repr__, str: _format_str}
 
 
 def format_value(value) -> str:
+    """A value of an exact ``_FORMATTERS`` type as report text; any other
+    type, a numpy scalar or a subclass included, is a TypeError."""
     formatter = _FORMATTERS.get(type(value))
-    if formatter is not None:
-        return formatter(value)
-    # bool has no subclasses, so a bool never gets here
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, str):
-        return _format_str(value)
-    raise TypeError(f"unsupported report value type: {type(value).__name__}")
+    if formatter is None:
+        raise TypeError(f"unsupported report value type: {type(value).__name__}")
+    return formatter(value)
 
 
 def parse_value(text: str):
@@ -369,7 +370,7 @@ def parse_value(text: str):
 
 def format_flat(items) -> str:
     """Serialize ordered (key, value) pairs as flat assignment lines, each
-    value by its exact type's formatter, or by ``format_value``."""
+    value by its exact type's formatter (``format_value``)."""
     formatter = _FORMATTERS.get
     return "".join([f"{k} = {formatter(type(v), format_value)(v)}\n" for k, v in items])
 
@@ -453,7 +454,7 @@ def config_from_mapping(mapping: dict) -> SessionConfig:
         if targets:
             attack["targets"] = tuple(sorted(targets))
     if attack.get("kind", "none") != "none" and "targets" not in attack:
-        attack["targets"] = (TARGET_POSITIONS["bob"],)
+        attack["targets"] = (TARGET_POSITIONS[BOB],)
     if "attack_strength" in mapping:
         attack["strength"] = _typed("attack_strength", kwargs.pop("attack_strength"), float)
     try:

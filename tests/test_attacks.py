@@ -175,6 +175,13 @@ def test_model_rejects_mistyped_targets_and_strength(targets, strength):
         AttackModel(DEP, targets, strength)
 
 
+def test_model_stores_its_strength_as_a_float():
+    # so equal models, one given an int, report equal bytes
+    model = AttackModel(DEP, (1,), 1)
+    assert type(model.strength) is float and model == AttackModel(DEP, (1,), 1.0)
+    assert type(AttackModel().strength) is float
+
+
 def test_model_validation_survives_optimized_mode():
     script = (
         "from ququart_qkd.attacks import AttackModel\n"
@@ -302,14 +309,14 @@ def test_attack_channels_preserve_trace_and_hermiticity():
 
 
 @st.composite
-def attack_models(draw, parties):
+def attack_models(draw, parties, strengths=st.floats(0.0, 1.0)):
     """A random attack kind on a random sorted set of a ``parties``
-    channel's transit positions, at a random strength."""
+    channel's transit positions, at a random strength from ``strengths``."""
     kind = draw(st.sampled_from(attacks.ATTACK_KINDS))
     if kind == "none":
         return AttackModel()
     targets = draw(st.sets(st.integers(1, parties - 1), min_size=1))
-    return AttackModel(kind, tuple(sorted(targets)), draw(st.floats(0.0, 1.0)))
+    return AttackModel(kind, tuple(sorted(targets)), draw(strengths))
 
 
 @settings(deadline=None, max_examples=100)

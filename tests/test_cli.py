@@ -465,6 +465,19 @@ def test_config_errors_exit_one(capsys):
         assert "config error" in err and out == "", argv
 
 
+@pytest.mark.parametrize("form", ["flag", "file"])
+def test_an_empty_report_path_exits_one(capsys, tmp_path, form):
+    # an empty path names no file: a config error before any session runs
+    argv = ["--report", ""]
+    if form == "file":
+        config = tmp_path / "session.config"
+        config.write_text('report = ""\n')
+        argv = ["--config", str(config)]
+    code, out, err = run_cli(capsys, "run", "--verification-rounds", "20", "--key-rounds", "20", *argv)
+    assert code == 1
+    assert err == "config error: report must be a non-empty path\n" and out == ""
+
+
 def test_unknown_config_key_exits_one(capsys, tmp_path):
     config = tmp_path / "bad.config"
     config.write_text("rounds = 5\n")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ququart_qkd import protocol
+from ququart_qkd import observables, protocol
 from ququart_qkd.attacks import AttackModel
 from ququart_qkd.channels import (
     ChannelCheck,
@@ -117,7 +117,7 @@ def test_sift_key_equals_the_stacked_bit_form():
             sift_key(bad)
     # the table is shared, so it cannot be written
     with pytest.raises(ValueError):
-        protocol._KEY_BITS[0, 0] = 1
+        observables.KEY_BITS[0, 0] = 1
 
 
 def reduced_joint(width, codes):
