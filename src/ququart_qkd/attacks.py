@@ -83,6 +83,8 @@ class AttackModel:
             raise ValueError(f"unknown attack kind: {self.kind!r}")
         if isinstance(self.strength, bool) or not isinstance(self.strength, (int, float)):
             raise ValueError(f"strength must be a number, got {self.strength!r}")
+        if not isinstance(self.targets, tuple):
+            raise ValueError(f"targets must be a tuple, got {self.targets!r}")
         if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.targets):
             raise ValueError(f"targets must be ints, got {self.targets!r}")
         if not 0.0 <= self.strength <= 1.0:

@@ -7,8 +7,11 @@ Three subcommands mirror the library's three jobs:
                      certificates for the built-in channels
 * ``predict``        print the exact oracle for an attack, no simulation
 
-The session flags of ``run`` and ``predict`` store under the keys of
-``session.CONFIG_KEYS`` and override a config file's values of the same keys.
+The session flags store under the keys of ``session.CONFIG_KEYS`` and
+override a config file's values of the same keys.  ``run`` takes every
+session flag, and ``predict`` only those it reads: the config file, the
+protocol, the attack and the corrupted channel (its config file may
+still hold every key, and is checked in full).
 
 Exit codes: 0 key established (or informational success), 2 aborted
 (verification or qber, or a failed channel verification), 3 no
@@ -59,13 +62,11 @@ EXIT_BY_OUTCOME = {
 RESIDUAL_PASS = 1e-12
 
 
-def _add_session_flags(parser: argparse.ArgumentParser):
+def _add_channel_flags(parser: argparse.ArgumentParser):
+    """The flags ``predict`` reads, which ``run`` shares: the config file,
+    the protocol, the attack and the corrupted channel."""
     parser.add_argument("--config", help="flat key = value config file; flags override it")
     parser.add_argument("--protocol", choices=PROTOCOLS)
-    parser.add_argument("--verification-rounds", type=int, dest="verification_rounds")
-    parser.add_argument("--key-rounds", type=int, dest="key_rounds")
-    parser.add_argument("--sample-fraction", type=float, dest="sample_fraction")
-    parser.add_argument("--qber-threshold", type=float, dest="qber_threshold")
     parser.add_argument("--attack", choices=ATTACK_KINDS)
     parser.add_argument(
         "--attack-target",
@@ -76,18 +77,28 @@ def _add_session_flags(parser: argparse.ArgumentParser):
     )
     parser.add_argument("--attack-strength", type=float, dest="attack_strength")
     parser.add_argument(
-        "--no-permission",
-        action="store_const",
-        const=False,
-        dest="alice_permits",
-        help="controller withholds her outcomes (three-party only)",
-    )
-    parser.add_argument(
         "--corrupt-channel",
         action="store_const",
         const=True,
         dest="corrupt",
         help="flip one channel amplitude sign (negative control)",
+    )
+
+
+def _add_session_flags(parser: argparse.ArgumentParser):
+    """Every session flag, for ``run``: the channel flags, the round
+    counts and thresholds, the permission, the seed and the report."""
+    _add_channel_flags(parser)
+    parser.add_argument("--verification-rounds", type=int, dest="verification_rounds")
+    parser.add_argument("--key-rounds", type=int, dest="key_rounds")
+    parser.add_argument("--sample-fraction", type=float, dest="sample_fraction")
+    parser.add_argument("--qber-threshold", type=float, dest="qber_threshold")
+    parser.add_argument(
+        "--no-permission",
+        action="store_const",
+        const=False,
+        dest="alice_permits",
+        help="controller withholds her outcomes (three-party only)",
     )
     parser.add_argument("--seed", type=int)
     parser.add_argument("--report", help="write the session report to this path")
@@ -103,7 +114,7 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
             except ValueError as exc:  # a bad line, value or byte
                 raise ConfigError(f"{args.config}: {exc}") from exc
     for key in CONFIG_KEYS:
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = ",".join(value) if key == "attack_targets" else value
     return mapping
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=_cmd_verify_channel)
 
     predict_p = sub.add_parser("predict", help="exact attack statistics, no simulation")
-    _add_session_flags(predict_p)
+    _add_channel_flags(predict_p)
     predict_p.set_defaults(func=_cmd_predict)
 
     return parser

@@ -23,18 +23,19 @@ thousands of times, so it samples a branch tree (``Tree``): its nodes are
 the distinct states, one row each of one amplitude array (a built state
 equal in bytes to a node is that node), and per level it keeps tables of
 branch probabilities, their cumulative law and child ids, so each (state,
-set) pair is computed once.  A tree may outlive its phase: attack-free
+set) pair is computed once per level.  A tree may outlive its phase: attack-free
 phases on the built-in channels share one per party count for the life of
 the process (``protocol``), while attacked and corrupt-channel phases
 build their own.  A tree is sampled one level at a time for all rounds at
 once, by one inverse-CDF rule on a column of uniforms, one per row.  A
-level computes its missing rows by one stacked product per set
-(``apply_stacked``), and the call that draws from them cuts each drawn
-child from the same product (``Tree.descend``).  ``measure_projective``
-is a one-row tree, so the tree is the one place that computes a branch
-law or a post-measurement state.  Input a user can reach (state shapes
-and norms, operator shapes, positions) is checked by raising
-``ValueError``, so the checks hold under ``python -O``.
+level fills each row it has not met by one stacked product per set
+(``apply_stacked``), and on a level that descends that product gives the
+row's children too, one per live branch (``LIVE_NORM``), so every other
+call is a gather (``Tree._fill``).  ``measure_projective`` is a one-row
+tree, so the tree is the one place that computes a branch law or a
+post-measurement state.  Input a user can reach (state shapes and norms,
+operator shapes, positions) is checked by raising ``ValueError``, so the
+checks hold under ``python -O``.
 
 Basis convention: the most significant ququart comes first, so the basis
 ket |k l m> of a three-ququart register sits at index 16*k + 4*l + m.
@@ -52,6 +53,10 @@ DIM = 4
 
 NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
+# a branch is live when its norm, the square root of its probability, is
+# at least this: only a live branch is drawn, and only a live branch has
+# a post-measurement state
+LIVE_NORM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -167,15 +172,16 @@ def measure_projective(
     outcome k is drawn with probability |P_k psi|^2 on a single uniform
     draw, so the sequence of results is a pure function of the generator
     state, and the drawn branch, normalized, is the post-measurement
-    state.  Completeness is checked once per ``ProjectorSet``; a plain
-    sequence of projectors is wrapped, and so checked, on every call.
+    state.  The probability is read from the level the draw filled.
+    Completeness is checked once per ``ProjectorSet``; a plain sequence
+    of projectors is wrapped, and so checked, on every call.
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors)
     tree, root = Tree(psi), np.zeros(1, dtype=np.intp)
     outcomes, kids = tree.descend(root, [projectors], rng.random(1))
     k = int(outcomes[0])
-    p = float(tree.probabilities(root, projectors)[0, k])
+    p = float(tree._levels[(projectors,), True].probs[0, k])
     return MeasurementResult(k, p, tree.state(int(kids[0])))
 
 
@@ -185,12 +191,12 @@ def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
     ``cdf[key]``: the count of those at or below ``u``.  That is the first
     branch whose running sum exceeds ``u``, with a uniform above the
     rounded total falling through to the last branch.  A row that drew a
-    zero-probability branch raises RuntimeError."""
+    branch that is not live (``LIVE_NORM``) raises RuntimeError."""
     outcomes = np.zeros(len(u), dtype=np.intp)
     for column in cdf.take(keys, axis=0).T:
         outcomes += u >= column
     # sqrt is monotone, so the least drawn probability decides
-    if math.sqrt(laws.ravel().take(keys * laws.shape[1] + outcomes).min()) < 1e-9:
+    if math.sqrt(laws.ravel().take(keys * laws.shape[1] + outcomes).min()) < LIVE_NORM:
         # zero-probability branch cannot be drawn from a complete set
         raise RuntimeError("sampled a zero-probability measurement branch")
     return outcomes
@@ -199,13 +205,14 @@ def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
 class _Level:
     """One level's tables (``Tree``), a row per key ``node * width + code``:
     branch probabilities (NaN until filled), their cumulative law below the
-    last branch, and child ids (-1 until built); grown from ``old``.  A row
-    is filled from its set's stacked product, and a child is cut from that
-    product when the same call draws it, else built by the same product
-    (``Tree._build``)."""
+    last branch, and child ids, -1 where there is none; grown from ``old``.
+    A level that ``descends`` holds a child for every live branch of each
+    filled row, made by the same fill (``Tree._fill``); a level that only
+    draws holds none, but for the identity slot's."""
 
-    def __init__(self, sets: tuple, nodes: int, old=None):
-        self.sets, self.width, self.branches = sets, len(sets), _branch_count(sets)
+    def __init__(self, sets: tuple, descends: bool, nodes: int, old=None):
+        self.sets, self.descends = sets, descends
+        self.width, self.branches = len(sets), _branch_count(sets)
         rows = nodes * self.width
         self.probs = np.full((rows, self.branches), np.nan)
         self.cdf = np.empty((rows, self.branches - 1))
@@ -220,23 +227,27 @@ class Tree:
 
     Nodes are the rows of one amplitude array (``amplitudes[:size]``),
     named by their row index; row 0 is the root.  Rows are rounds, each at
-    a node.  A level is the tuple of sets one ``draw``, ``descend``,
-    ``children`` or ``evolved`` call uses (a party's menu of sign sets, a
-    key set, an attack readout, a shift stack), picked per row by a code
-    (``sets[0]`` without codes); they have equal branch counts.  A None
-    set is the identity slot: it reads outcome 0 and keeps the node.  Per
-    level the tree keeps a (node x code) table of branch probabilities and
-    their cumulative law, filled once per row, and a (node x code x
-    branch) table of child ids, the identity slot's being its node
-    (``_Level``).  So a call on filled rows is a gather.  The missing rows
-    that some row reaches are computed in one stacked product per set
-    (``_fill``), and ``descend`` cuts each drawn child from that product,
-    over the square root of the probability the draw used; only evolved
-    rows and children of rows filled in an earlier call take a product of
-    their own (``_build``).  Every row is an ``apply_stacked`` branch.  So
-    the tree never holds more rows than a walk of the same rounds builds;
-    a built row equal in bytes to an existing node reuses its id, so no
-    two rows are equal and a node may have several parents.
+    a node.  A level is the tuple of sets one call uses (a party's menu of
+    sign sets, a key set, an attack readout, a shift stack), picked per
+    row by a code (``sets[0]`` without codes), and whether the call
+    descends: ``draw`` and ``probabilities`` read laws only, while
+    ``descend``, ``children`` and ``evolved`` read children too.  The sets
+    of a level have equal branch counts.  A None set is the identity
+    slot: it reads outcome 0 and keeps the node.  Per level the tree keeps
+    a (node x code) table of branch probabilities and their cumulative
+    law, and a (node x code x branch) table of child ids (``_Level``).
+
+    A row is filled once, whole, by one stacked product per set
+    (``_fill``): its law and, on a level that descends, the child of each
+    live branch, cut from the same product (a ``ProjectorSet``'s branch
+    over the square root of its probability, an ``OperatorStack``'s
+    branch as it is).  So every call is a fill of the rows it reaches
+    that are not yet filled, then a gather, and every row is an
+    ``apply_stacked`` branch.  A tree holds the nodes a walk of its
+    rounds reaches, the live siblings of every branch measured on a level
+    that descends, and every branch of an evolved node; each is built
+    once.  A built row equal in bytes to an existing node reuses its id,
+    so no two rows are equal and a node may have several parents.
     """
 
     def __init__(self, root: StateVector):
@@ -245,7 +256,7 @@ class Tree:
         self.amplitudes[0] = root.amplitudes
         self.size = 1
         self._index = {self.amplitudes[0].tobytes(): 0}  # row bytes -> node id
-        self._levels = {}  # tuple of sets -> _Level
+        self._levels = {}  # (tuple of sets, descends) -> _Level
 
     def state(self, node: int) -> StateVector:
         """The normalized state of a node; the root is the one given.  An
@@ -256,99 +267,49 @@ class Tree:
             return self.root
         return StateVector(self.root.num_ququarts, self.amplitudes[node].copy())
 
-    def _level(self, sets) -> _Level:
-        """The level of ``sets``, with rows for every node the amplitude
-        array has room for: made, or grown after the array grew."""
-        sets = tuple(sets)
-        level = self._levels.get(sets)
-        if level is None or len(level.kids) < len(self.amplitudes) * level.width:
-            level = self._levels[sets] = _Level(sets, len(self.amplitudes), level)
-        return level
+    def _filled(self, sets, descends: bool, ids, codes) -> tuple:
+        """The level of ``(sets, descends)``, with rows for every node the
+        amplitude array has room for (made, or grown after the array
+        grew), and the keys of ``ids`` on it, filled (``_fill``)."""
+        at = tuple(sets), descends
+        level = self._levels.get(at)
+        if level is None or len(level.probs) < len(self.amplitudes) * level.width:
+            level = self._levels[at] = _Level(*at, len(self.amplitudes), level)
+        keys = ids if codes is None else ids * level.width + codes
+        self._fill(level, keys)
+        return level, keys
 
     def _fill(self, level: _Level, keys):
         """Fill the level's rows of ``keys`` that are not yet filled: a
-        set's from one stacked product (``apply_stacked``), the identity
-        slot's as a sure outcome 0 whose child is the node itself.  Returns
-        the branches it computed, per code: (the code's filled keys,
-        ascending; their (key, branch, amplitude) array), from which the
-        same call's children are cut."""
+        set's from one stacked product (``apply_stacked``), its children
+        too on a level that descends, and the identity slot's as a sure
+        outcome 0 whose child is the node itself."""
         missing = keys[np.isnan(level.probs[:, 0].take(keys))]
-        fresh = {}
         if not len(missing):
-            return fresh
+            return
         # distinct and sorted; np.unique would import numpy.ma on first use
         missing = np.flatnonzero(np.bincount(missing))
         nodes, codes = np.divmod(missing, level.width)
         for code in np.flatnonzero(np.bincount(codes)).tolist():
             rows, at = missing[codes == code], nodes[codes == code]
-            projectors = level.sets[code]
-            if projectors is None:
+            ops = level.sets[code]
+            if ops is None:
                 level.probs[rows] = 0.0
                 level.probs[rows, 0] = 1.0
-                level.kids[rows] = at[:, None]
+                level.kids[rows, 0] = at
                 continue
-            branches = apply_stacked(projectors.stack, projectors.position, self.amplitudes[at])
+            branches = apply_stacked(ops.stack, ops.position, self.amplitudes[at])
             # the squared real and imaginary parts of each branch, summed
-            level.probs[rows] = np.square(branches.view(float)).sum(axis=-1)
-            fresh[code] = rows, branches
+            probs = level.probs[rows] = np.square(branches.view(float)).sum(axis=-1)
+            if level.descends:
+                norms = np.sqrt(probs)
+                row, pick = np.nonzero(norms >= LIVE_NORM)
+                kids = branches[row, pick]
+                if isinstance(ops, ProjectorSet):
+                    # the same product as the branch's probability, so the same bits
+                    kids /= norms[row, pick, None]
+                level.kids[rows[row], pick] = self._intern(kids)
         level.cdf[missing] = np.cumsum(level.probs[missing, :-1], axis=1)
-        return fresh
-
-    def probabilities(self, ids, projectors: ProjectorSet) -> np.ndarray:
-        """|P_k psi|^2 for every branch of each id's node, a row per id."""
-        level = self._level((projectors,))
-        self._fill(level, ids)
-        return level.probs[ids]
-
-    def _kids(self, level: _Level, slots, normalized: bool, needed, fresh: dict) -> np.ndarray:
-        """Child id of each slot ``key * branches + pick``: the set's
-        ``stack[pick]`` applied to the key's node, over the branch's norm
-        if ``normalized`` (the key filled).  Missing children are built
-        where the boolean mask ``needed`` (all, if None) says, and read -1
-        elsewhere; ``fresh`` holds the branches the call's fill computed
-        (``_fill``, ``_rows``)."""
-        kids = level.kids.ravel()
-        found = kids.take(slots)
-        unbuilt = found < 0
-        if needed is not None:
-            unbuilt &= needed
-        if not unbuilt.any():
-            return found
-        build = np.flatnonzero(np.bincount(slots[unbuilt]))
-        keys, picks = np.divmod(build, level.branches)
-        codes = keys % level.width
-        for code in np.flatnonzero(np.bincount(codes)).tolist():
-            at = codes == code
-            these = build[at]
-            rows = self._rows(level.sets[code], keys[at], picks[at], level.width, fresh.get(code))
-            if normalized:
-                # the same product as that branch's probability, so the same bits
-                rows /= np.sqrt(level.probs.ravel()[these])[:, None]
-            kids[these] = self._intern(rows)
-        return kids.take(slots)
-
-    def _rows(self, ops: OperatorStack, keys, picks, width: int, fresh) -> np.ndarray:
-        """``ops.stack[pick]`` applied to each key's node: cut from
-        ``fresh``, this call's (filled keys, branches) of the set
-        (``_fill``), where it holds the key, and built by ``_build``
-        elsewhere."""
-        if fresh is None:
-            return self._build(ops, keys // width, picks)
-        filled, branches = fresh
-        at = np.minimum(np.searchsorted(filled, keys), len(filled) - 1)
-        cut = filled[at] == keys
-        if cut.all():
-            return branches[at, picks]
-        rows = np.empty((len(keys), branches.shape[2]), dtype=complex)
-        rows[cut] = branches[at[cut], picks[cut]]
-        rows[~cut] = self._build(ops, keys[~cut] // width, picks[~cut])
-        return rows
-
-    def _build(self, ops: OperatorStack, nodes, picks) -> np.ndarray:
-        """``ops.stack[pick]`` applied to each node's state: its pick's
-        branch of one ``apply_stacked`` product."""
-        branches = apply_stacked(ops.stack, ops.position, self.amplitudes[nodes])
-        return branches[np.arange(len(nodes)), picks]
 
     def _intern(self, rows) -> np.ndarray:
         """Node ids of built rows: a row whose exact bytes already belong
@@ -366,13 +327,10 @@ class Tree:
         self.size = end
         return ids
 
-    def _drawn(self, ids, sets, u, codes):
-        """The level, keys, fresh branches (``_fill``) and outcomes of a
-        ``draw``."""
-        level = self._level(sets)
-        keys = ids if codes is None else ids * level.width + codes
-        fresh = self._fill(level, keys)
-        return level, keys, fresh, _inverse_cdf(level.probs, level.cdf, keys, u)
+    def probabilities(self, ids, projectors: ProjectorSet) -> np.ndarray:
+        """|P_k psi|^2 for every branch of each id's node, a row per id."""
+        level, keys = self._filled((projectors,), False, ids, None)
+        return level.probs[keys]
 
     def draw(self, ids, sets, u, codes=None) -> np.ndarray:
         """Outcome index per row from its uniform ``u`` (``_inverse_cdf``):
@@ -380,36 +338,31 @@ class Tree:
         however often its node was measured before."""
         if not len(ids):
             return np.zeros(0, dtype=np.intp)
-        return self._drawn(ids, sets, u, codes)[3]
+        level, keys = self._filled(sets, False, ids, codes)
+        return _inverse_cdf(level.probs, level.cdf, keys, u)
 
-    def descend(self, ids, sets, u, codes=None, needed=None) -> tuple:
+    def descend(self, ids, sets, u, codes=None) -> tuple:
         """``draw``'s outcome per row, and the node id of its drawn
         outcome's post-measurement state: the drawn branch over the square
-        root of the probability the draw used.  A branch this call's fill
-        computed is cut from that product; the others are built once, by
-        ``_build``.  Rows outside the boolean mask ``needed`` keep their
-        node, and their children are not built."""
+        root of the probability the draw used."""
         if not len(ids):
             return np.zeros(0, dtype=np.intp), ids
-        level, keys, fresh, outcomes = self._drawn(ids, sets, u, codes)
-        kids = self._kids(level, keys * level.branches + outcomes, True, needed, fresh)
-        return outcomes, (kids if needed is None else np.where(needed, kids, ids))
+        level, keys = self._filled(sets, True, ids, codes)
+        outcomes = _inverse_cdf(level.probs, level.cdf, keys, u)
+        return outcomes, level.kids.ravel().take(keys * level.branches + outcomes)
 
-    def children(self, ids, sets, outcomes, codes=None, needed=None) -> np.ndarray:
+    def children(self, ids, sets, outcomes, codes=None) -> np.ndarray:
         """Node id per row of the post-measurement state of a given
-        outcome, as ``descend`` builds it.  Rows outside the boolean mask
-        ``needed`` keep their node, and their children are not built."""
-        level = self._level(sets)
-        keys = ids if codes is None else ids * level.width + codes
-        fresh = self._fill(level, keys if needed is None else keys[needed])
-        kids = self._kids(level, keys * level.branches + outcomes, True, needed, fresh)
-        return kids if needed is None else np.where(needed, kids, ids)
+        outcome, as ``descend`` reaches it; -1 for an outcome that is not
+        live."""
+        level, keys = self._filled(sets, True, ids, codes)
+        return level.kids.ravel().take(keys * level.branches + outcomes)
 
     def evolved(self, ids, operators: OperatorStack, picks) -> np.ndarray:
         """Node id per row of ``operators.stack[pick]`` applied to its node's
-        state, which must stay normalized; built once per (node, pick)."""
-        level = self._level((operators,))
-        return self._kids(level, ids * level.branches + picks, False, None, {})
+        state, which must stay normalized; every pick of a node is built
+        when the node is first evolved."""
+        return self.children(ids, [operators], picks)
 
 
 def _branch_count(sets) -> int:

@@ -31,8 +31,9 @@ so they read as they would have read then; a session never reads them.
 Attack-free phases on a built-in channel (``make_channel``) measure the
 same state with the same sets in every session, so they share one tree
 per party count, kept for the life of the process; it stops growing at
-13 rows for two parties and 69 for three, after which a phase's draws
-and children are gathers from its levels' tables.  Attacked and
+13 rows for two parties and 63 for three (the menus allow 69, but a
+state reached by two paths is one row), after which a phase's draws and
+children are gathers from its levels' tables.  Attacked and
 corrupt-channel phases build their own tree.  A tree only caches
 products, so a session's draws and report do not depend on what ran
 before it; but the shared tree is process state, so sessions in one
@@ -338,10 +339,9 @@ def _key_projector_sets(party_count: int) -> tuple:
 @functools.cache
 def _attack_free_tree(party_count: int) -> Tree:
     """The branch tree of every attack-free phase on the built-in channel
-    of ``party_count`` parties, kept for the life of the process.  Its
-    children are keyed by (node, stack, pick) and only the cached
-    projector sets measure it, so it stops growing at the protocol's
-    bound: 13 rows for two parties, 69 for three."""
+    of ``party_count`` parties, kept for the life of the process.  Only
+    the cached projector sets measure it, so it stops growing within the
+    menus' bound: at 13 rows for two parties, and 63 of 69 for three."""
     return Tree(make_channel(party_count).state)
 
 
@@ -357,14 +357,12 @@ def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
 @dataclass(frozen=True, eq=False)
 class _VerificationPlan:
     """What a verification phase reads of its party count and check list:
-    the menu, the menu code of the identity (-1 without one), per check
-    its joint choice (``_joint``, or None for a choice no party can
-    make), per joint choice whether a check lists it, and per party its
-    menu of sign sets, the level it measures on.  Built once per (party
-    count, check tuple) and shared read-only."""
+    the menu, per check its joint choice (``_joint``, or None for a
+    choice no party can make), per joint choice whether a check lists it,
+    and per party its menu of sign sets, the level it measures on.  Built
+    once per (party count, check tuple) and shared read-only."""
 
     menu: tuple
-    idle: int
     check_codes: tuple
     listed: np.ndarray  # (len(menu) ** party count,) bool
     sign_levels: tuple  # per party, its menu's sign sets in menu order
@@ -391,7 +389,6 @@ def _verification_plan(party_count: int, checks: tuple) -> _VerificationPlan:
     sign_sets = _sign_projector_sets(party_count)
     return _VerificationPlan(
         menu=menu,
-        idle=code.get("id", -1),
         check_codes=check_codes,
         listed=_read_only(listed),
         sign_levels=tuple(tuple(sign_sets[j, name] for name in menu) for j in range(party_count)),
@@ -406,24 +403,18 @@ def _walk(tree, attacked, plan, uniforms, codes, rows) -> list:
     level of ``plan.sign_levels`` in turn.  ``uniforms`` and ``codes``
     hold the phase's draws, a row per party and a column per round: its
     uniforms and its codes into its menu.  Both are gathered once for
-    the rows.  A party's drawn branch's node is built only in the rows
-    where a later party measures (its code is not ``plan.idle``); the
-    last party only draws.  A round's outcomes depend only on its rows
-    of the columns and the bytes of the nodes it passes, so rows walked
-    apart read as one walk of them all."""
+    the rows.  Every party but the last descends to its drawn branch's
+    node; the last party only draws.  A round's outcomes depend only on
+    its rows of the columns and the bytes of the nodes it passes, so rows
+    walked apart read as one walk of them all."""
     ids = np.zeros(len(rows), dtype=np.intp) if attacked is None else attacked(tree, rows)
     u, codes = uniforms.take(rows, axis=1), codes.take(rows, axis=1)
-    # row j: whether a party after party j measures
-    later = codes[1:] != plan.idle
-    for j in range(len(later) - 2, -1, -1):
-        later[j] |= later[j + 1]
+    *earlier, last = plan.sign_levels
     columns = []
-    for j, sets in enumerate(plan.sign_levels):
-        if j < len(later):
-            drawn, ids = tree.descend(ids, sets, u[j], codes[j], later[j])
-        else:
-            drawn = tree.draw(ids, sets, u[j], codes[j])
+    for j, sets in enumerate(earlier):
+        drawn, ids = tree.descend(ids, sets, u[j], codes[j])
         columns.append(drawn)
+    columns.append(tree.draw(ids, last, u[-1], codes[-1]))
     return columns
 
 

@@ -159,10 +159,10 @@ def test_reports_equal_those_of_a_fresh_process(warm_reports):
 
 def attack_free_rows(parties) -> int:
     """The most rows an attack-free tree can hold, from the menus: the
-    root; per verification level, both sign branches of every menu pair at
-    each node that party measures, built only where a later party measures
-    (the identity measures nothing and keeps its node); and per key level,
-    every key branch of the level before, the last party building none."""
+    root; per verification level but the last, both sign branches of every
+    menu pair at each node that party measures (the identity measures
+    nothing and keeps its node); and per key level, every key branch of
+    the level before, the last party building none."""
     menu = TWO_PARTY_MENU if parties == 2 else THREE_PARTY_MENU
     pairs = sum(name != "id" for name in menu)
     rows = measured = 1
@@ -186,11 +186,13 @@ def test_shared_trees_stay_within_the_menu_bound(parties, warm_reports):
     tree = protocol._attack_free_tree(parties)
     assert 1 < tree.size <= attack_free_rows(parties)
     # only the protocol's cached projector sets measure it: one level per
-    # party of each phase, its menu of sign sets or its key set
+    # party of each phase, its menu of sign sets or its key set, which
+    # descends for every party but the last
     sign_sets = protocol._sign_projector_sets(parties)
     menu = TWO_PARTY_MENU if parties == 2 else THREE_PARTY_MENU
-    levels = {tuple(sign_sets[pos, name] for name in menu) for pos in range(parties)}
-    levels |= {(s,) for s in protocol._key_projector_sets(parties)}
+    key_sets = protocol._key_projector_sets(parties)
+    levels = {(tuple(sign_sets[pos, name] for name in menu), pos + 1 < parties) for pos in range(parties)}
+    levels |= {((key_sets[pos],), pos + 1 < parties) for pos in range(parties)}
     assert set(tree._levels) <= levels
 
 

@@ -167,11 +167,12 @@ def test_model_validation():
 
 @pytest.mark.parametrize(
     "targets, strength",
-    [((1.5,), 0.0), ((True,), 0.0), ((1,), "0.5"), ((1,), True), ((1,), None)],
+    [((1.5,), 0.0), ((True,), 0.0), ((1,), "0.5"), ((1,), True), ((1,), None), ([1], 0.0)],
 )
 def test_model_rejects_mistyped_targets_and_strength(targets, strength):
-    # each reached a session before, and failed there with a TypeError
-    with pytest.raises(ValueError, match="targets must be ints|strength must be a number"):
+    # each reached a session before, and failed there with a TypeError; a
+    # list of targets was reported as unsorted
+    with pytest.raises(ValueError, match="targets must be (ints|a tuple)|strength must be a number"):
         AttackModel(DEP, targets, strength)
 
 
@@ -186,7 +187,8 @@ def test_model_validation_survives_optimized_mode():
     script = (
         "from ququart_qkd.attacks import AttackModel\n"
         "for kwargs in ({'kind': 'bogus', 'targets': (1,)},\n"
-        "               {'kind': 'depolarize', 'targets': (1,), 'strength': 2.0}):\n"
+        "               {'kind': 'depolarize', 'targets': (1,), 'strength': 2.0},\n"
+        "               {'kind': 'intercept-key', 'targets': [1]}):\n"
         "    try:\n"
         "        AttackModel(**kwargs)\n"
         "    except ValueError:\n"

@@ -14,19 +14,24 @@ kept flag, and the key outcomes), identical tallies and transcripts, and
 leave every named stream in an identical state.  Every
 row of the trees that sessions grow has bit-identical branches,
 probabilities and children under the library's local operators and
-their ``embed``-ed counterparts.  A per-round walk down the tree
-(``walk_round``) shows that the level sampler builds only the nodes a
-walk builds, and the key tree's exact leaf weights give ``predict``'s
-qber.  A tree interns its rows by their exact bytes: no two rows are
-equal, and an attacked phase's rows are exactly the distinct states the
-per-round reference builds.  Verification walks only its matched rounds
-until its ``outcomes`` are read, so a tree compared with the reference
-holds a subset of its rows before that read and all of them after it.
+their ``embed``-ed counterparts.  A tree fills a row once, whole: its
+law and, on a level that descends, a child for exactly each live branch,
+cut from the one product, which no other code makes.  A per-round walk
+down the tree (``walk_round``) shows that the level sampler builds the
+nodes a walk builds, and the key tree's exact leaf weights give
+``predict``'s qber.  A tree interns its rows by their exact bytes: no two
+rows are equal, and an attacked phase's rows are exactly the distinct
+states the per-round reference reaches, their live siblings and the
+shifts of each shifted state.  Verification walks only its matched
+rounds until its ``outcomes`` are read, so a tree compared with the
+reference holds a subset of its rows before that read and all of them
+after it.
 """
 
 import functools
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +39,12 @@ import pytest
 from inverse_cdf import draw_index
 from registers import embed, ket
 
-from ququart_qkd import attacks, protocol
+from ququart_qkd import attacks, linalg, protocol
 from ququart_qkd.attacks import ATTACK_KINDS, AttackModel, attack_levels, predict
 from ququart_qkd.channels import make_channel
 from ququart_qkd.linalg import (
     DIM,
+    LIVE_NORM,
     NORM_TOL,
     MeasurementResult,
     OperatorStack,
@@ -404,23 +410,48 @@ def test_local_products_equal_embedded_products_on_session_trees(parties, model,
             if isinstance(stack, ProjectorSet):
                 probs = np.square(embedded.view(float)).sum(axis=-1).T
                 assert np.array_equal(tree.probabilities(ids, stack), probs)
-        for sets, level in tree._levels.items():
-            # each filled row's cumulative law is its probabilities' running sum
-            filled = ~np.isnan(level.probs[:, 0])
-            assert np.array_equal(level.cdf[filled], np.cumsum(level.probs[filled, :-1], axis=1))
-            # every child the session built, from its node by the dense
-            # product; the identity slot's child is its node
-            keys, picks = np.nonzero(level.kids[: tree.size * len(sets)] >= 0)
-            for key, pick in zip(keys.tolist(), picks.tolist()):
-                node, code = divmod(key, len(sets))
-                stack, kid = sets[code], level.kids[key, pick]
-                if stack is None:
-                    assert kid == node
-                    continue
-                child = dense[stack][pick] @ rows[node]
-                if isinstance(stack, ProjectorSet):
-                    child = child / math.sqrt(np.square(child.view(float)).sum())
-                assert np.array_equal(rows[kid], child)
+        check_levels(tree, dense)
+
+
+def check_levels(tree, dense):
+    """Every level of ``tree`` against the dense products ``dense`` (by
+    stack): each filled row's cumulative law is its probabilities' running
+    sum, and every child is its node's branch by the dense product,
+    normalized for a projector set; the identity slot's child is its
+    node."""
+    rows = tree.amplitudes[: tree.size]
+    for (sets, _), level in tree._levels.items():
+        filled = ~np.isnan(level.probs[:, 0])
+        assert np.array_equal(level.cdf[filled], np.cumsum(level.probs[filled, :-1], axis=1))
+        keys, picks = np.nonzero(level.kids[: tree.size * len(sets)] >= 0)
+        for key, pick in zip(keys.tolist(), picks.tolist()):
+            node, code = divmod(key, len(sets))
+            stack, kid = sets[code], level.kids[key, pick]
+            if stack is None:
+                assert kid == node
+                continue
+            child = dense[stack][pick] @ rows[node]
+            if isinstance(stack, ProjectorSet):
+                child = child / math.sqrt(np.square(child.view(float)).sum())
+            assert np.array_equal(rows[kid], child)
+
+
+def check_live_children(tree):
+    """The fill's invariant: each filled row of a level that descends has
+    a child for exactly its live branches, and every other row of any
+    level has none but the identity slot's."""
+    for (sets, descends), level in tree._levels.items():
+        filled = ~np.isnan(level.probs[:, 0])
+        live = np.sqrt(level.probs[filled]) >= LIVE_NORM
+        if descends:
+            assert np.array_equal(level.kids[filled] >= 0, live)
+        else:
+            # a draw-only level: the identity slot keeps its node
+            idle = [code for code, stack in enumerate(sets) if stack is None]
+            built = np.flatnonzero((level.kids >= 0).any(axis=1)) % len(sets)
+            assert set(built.tolist()) <= set(idle)
+        assert (level.kids[~filled] == -1).all()
+        assert (level.kids < tree.size).all()
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +472,17 @@ def walk_round(tree, node, projector_sets, parties, rngs) -> tuple:
     """Outcome indices of one round as a walk down ``tree`` from ``node``:
     each party in turn measures the node its predecessors left, drawing
     from its own stream.  A None set is the identity slot: it reads
-    outcome 0 and draws nothing.  A drawn branch's node is built only when
-    a later party measures it."""
+    outcome 0 and draws nothing.  Every party but the last goes on to its
+    drawn branch's node, as the phases do."""
     outcomes = []
-    last = None  # (projector set, outcome) of the previous measurement
-    for projectors, party in zip(projector_sets, parties):
+    for j, (projectors, party) in enumerate(zip(projector_sets, parties)):
         if projectors is None:
             outcomes.append(0)
             continue
-        if last is not None:
-            node = child(tree, node, *last)
         outcome = draw(tree, node, projectors, rngs[party])
         outcomes.append(outcome)
-        last = projectors, outcome
+        if j + 1 < len(projector_sets):
+            node = child(tree, node, projectors, outcome)
     return tuple(outcomes)
 
 
@@ -467,10 +496,35 @@ def test_state_of_an_id_outside_the_tree_raises_index_error():
     [kid] = tree.children(np.array([0]), [_key_projector_sets(2)[0]], np.array([0])).tolist()
     assert tree.state(kid).num_ququarts == 2
     with pytest.raises(IndexError):
-        tree.state(kid + 1)
+        tree.state(tree.size)
 
 
-def test_children_are_memoised_and_built_only_when_measured_again():
+def count_products(monkeypatch) -> list:
+    """The row count of every ``apply_stacked`` product from now on, each
+    checked to be made by ``Tree._fill``."""
+    calls = []
+
+    def counted(stack, position, rows):
+        assert sys._getframe(1).f_code is Tree._fill.__code__, "a product outside Tree._fill"
+        calls.append(len(rows))
+        return apply_stacked(stack, position, rows)
+
+    monkeypatch.setattr(linalg, "apply_stacked", counted)
+    return calls
+
+
+def filled_rows(tree) -> int:
+    """The filled rows of every level but the identity slot's, which no
+    product fills."""
+    rows = 0
+    for (sets, _), level in tree._levels.items():
+        keys = np.flatnonzero(~np.isnan(level.probs[:, 0]))
+        rows += sum(sets[code] is not None for code in (keys % len(sets)).tolist())
+    return rows
+
+
+def test_children_are_memoised_and_cut_from_the_fill(monkeypatch):
+    calls = count_products(monkeypatch)
     spec = make_channel(2)
     key_sets = _key_projector_sets(2)
     tree = Tree(spec.state)
@@ -481,15 +535,20 @@ def test_children_are_memoised_and_built_only_when_measured_again():
     # of each round builds none
     assert tree.size == 1 + 4
     k = draw(tree, 0, key_sets[0], rngs["alice"])
+    made = len(calls)
     assert child(tree, 0, key_sets[0], k) == child(tree, 0, key_sets[0], k)
-    assert tree.size == 1 + 4
-    # children asked for before any draw: their rows are measured first,
+    assert (tree.size, len(calls)) == (1 + 4, made)
+    check_levels(tree, dense_stacks(2))
+    # children asked for before any draw: their rows are filled first,
     # and the identity slot keeps its node
     fresh = Tree(spec.state)
     ids, outcomes = np.zeros(2, dtype=np.intp), np.array([0, k])
     kids = fresh.children(ids, [None, key_sets[0]], outcomes, np.array([0, 1]))
     assert kids[0] == 0
     assert np.array_equal(fresh.amplitudes[kids[1]], tree.amplitudes[child(tree, 0, key_sets[0], k)])
+    check_levels(fresh, dense_stacks(2))
+    # each row filled once, by one product
+    assert sum(calls) == filled_rows(tree) + filled_rows(fresh)
 
 
 @functools.cache
@@ -501,14 +560,17 @@ def dense_stacks(num_parties):
     }
 
 
-def check_level(tree, ids, sets, u, codes, needed):
-    """One ``descend`` level of ``tree`` against the scalar
-    rule: per row, ``draw_index`` on the dense branch probabilities of its
-    node's state, the identity slot reading outcome 0 and keeping its
-    node.  A needed row's child holds the drawn branch by the dense
-    product, normalized; any other row keeps its node.  Returns the
-    children."""
-    outcomes, kids = tree.descend(ids, sets, u, codes, needed)
+def check_level(tree, ids, sets, u, codes, descends):
+    """One ``descend`` level of ``tree``, or with ``descends`` false one
+    ``draw`` level, against the scalar rule: per row, ``draw_index`` on
+    the dense branch probabilities of its node's state, the identity slot
+    reading outcome 0 and keeping its node.  A descending row's child
+    holds the drawn branch by the dense product, normalized; a drawing
+    row keeps its node.  Returns the children."""
+    if descends:
+        outcomes, kids = tree.descend(ids, sets, u, codes)
+    else:
+        outcomes, kids = tree.draw(ids, sets, u, codes), ids
     dense = dense_stacks(tree.root.num_ququarts)
     picks = np.zeros(len(ids), dtype=np.intp) if codes is None else codes
     for row, (node, code) in enumerate(zip(ids.tolist(), picks.tolist())):
@@ -520,45 +582,44 @@ def check_level(tree, ids, sets, u, codes, needed):
         probs = np.square(branches.view(float)).sum(axis=-1).tolist()
         k = draw_index(probs, Draws([u[row]]))
         assert outcomes[row] == k
-        if needed[row]:
+        if descends:
             assert np.array_equal(tree.amplitudes[kids[row]], branches[k] / math.sqrt(probs[k]))
         else:
             assert kids[row] == node
+    check_live_children(tree)
     return kids
 
 
 def check_party_levels(tree, ids, rng, as_phases=True):
     """A verification phase's and a key phase's party levels from the
     nodes ``ids``, each checked by ``check_level``: every party draws its
-    menu code and uniforms from ``rng``.  A verification level needs the
-    children of the rows in which a later party measures, as the phases
-    build them, or else of a random half of the rows; a key level needs
-    all but the last party's."""
+    menu code and uniforms from ``rng``.  Every party but the last
+    descends, as the phases do; unless ``as_phases``, the last one too."""
     n = tree.root.num_ququarts
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
     codes = rng.integers(len(menu), size=(n, len(ids)))
-    measures = np.array([menu[c] != "id" for c in range(len(menu))])[codes]
     at = ids
     for j in range(n):
         sets = [_sign_projector_sets(n)[j, name] for name in menu]
-        needed = measures[j + 1 :].any(axis=0) if as_phases else rng.random(len(ids)) < 0.5
-        at = check_level(tree, at, sets, rng.random(len(ids)), codes[j], needed)
+        descends = j + 1 < n or not as_phases
+        at = check_level(tree, at, sets, rng.random(len(ids)), codes[j], descends)
     at = ids
     for j, projectors in enumerate(_key_projector_sets(n)):
-        needed = np.full(len(ids), j + 1 < n)
-        at = check_level(tree, at, [projectors], rng.random(len(ids)), None, needed)
+        descends = j + 1 < n or not as_phases
+        at = check_level(tree, at, [projectors], rng.random(len(ids)), None, descends)
 
 
 def filled_keys(tree) -> dict:
     """The keys of every level's filled rows."""
     levels = tree._levels.items()
-    return {sets: np.flatnonzero(~np.isnan(level.probs[:, 0])).tolist() for sets, level in levels}
+    return {at: np.flatnonzero(~np.isnan(level.probs[:, 0])).tolist() for at, level in levels}
 
 
 @pytest.mark.parametrize("parties", [2, 3])
 def test_level_tables_draw_by_the_scalar_rule_on_the_shared_tree(parties):
     tree = protocol._attack_free_tree(parties)
-    check_party_levels(tree, np.zeros(1000, dtype=np.intp), np.random.default_rng(0))
+    # enough rounds to reach every node's identity slot on the last level
+    check_party_levels(tree, np.zeros(2000, dtype=np.intp), np.random.default_rng(0))
     # saturated for these rounds: the levels below only read filled rows
     size, filled = tree.size, filled_keys(tree)
     check_party_levels(tree, np.zeros(300, dtype=np.intp), np.random.default_rng(1))
@@ -570,63 +631,18 @@ def test_level_tables_draw_by_the_scalar_rule_on_a_growing_attacked_tree():
     rng = np.random.default_rng(2)
     for rounds in (40, 300):
         ids = np.zeros(rounds, dtype=np.intp)
-        everywhere = np.ones(rounds, dtype=bool)
         for target in (1, 2):
             readout = attacks._attack_operators("intercept-key", target)[0]
-            ids = check_level(tree, ids, [readout], rng.random(rounds), None, everywhere)
+            ids = check_level(tree, ids, [readout], rng.random(rounds), None, True)
         size = tree.size
         check_party_levels(tree, ids, rng, as_phases=False)
         assert tree.size > size
 
 
-def built_slots(tree, sets) -> tuple:
-    """The keys of a level's filled rows and the slots of its built
-    children, as sets; both empty before the level's first call."""
-    level = tree._levels.get(tuple(sets))
-    if level is None:
-        return set(), set()
-    filled = np.flatnonzero(~np.isnan(level.probs[:, 0]))
-    return set(filled.tolist()), set(np.flatnonzero(level.kids.ravel() >= 0).tolist())
-
-
-def check_descent(tree, ids, sets, u, codes, build, calls) -> tuple:
-    """One ``descend`` level of ``tree``: every drawn child holds
-    ``_build``'s product for its (node, set, pick) over the square root of
-    the drawn probability, and ``_build`` (counted in ``calls``) made
-    exactly the new children of rows filled before the call; the others
-    were cut from the fill's branches.  Returns the children and the
-    counts of children built and cut."""
-    filled, done = built_slots(tree, sets)
-    calls.clear()
-    outcomes, kids = tree.descend(ids, sets, u, codes)
-    level = tree._levels[tuple(sets)]
-    codes = np.zeros(len(ids), dtype=np.intp) if codes is None else codes
-    new = set()
-    for node, code, k, kid in zip(ids.tolist(), codes.tolist(), outcomes.tolist(), kids.tolist()):
-        projectors, key = sets[code], node * len(sets) + code
-        if projectors is None:
-            assert (k, kid) == (0, node)
-            continue
-        product = build(tree, projectors, np.array([node]), np.array([k]))[0]
-        assert np.array_equal(tree.amplitudes[kid], product / math.sqrt(level.probs[key, k]))
-        if key * level.branches + k not in done:
-            new.add((key, k))
-    rebuilt = sum(key in filled for key, _ in new)
-    assert sum(calls) == rebuilt
-    return kids, rebuilt, len(new) - rebuilt
-
-
 def test_drawn_children_are_cut_from_the_fill_on_a_growing_attacked_tree(monkeypatch):
-    build, calls = Tree._build, []
-
-    def counted(tree, ops, nodes, picks):
-        calls.append(len(nodes))
-        return build(tree, ops, nodes, picks)
-
-    monkeypatch.setattr(Tree, "_build", counted)
+    calls = count_products(monkeypatch)
     tree = Tree(make_channel(3).state)
     rng = np.random.default_rng(4)
-    totals = np.zeros(2, dtype=int)  # children built, children cut
     for rounds in (40, 300):
         ids = np.zeros(rounds, dtype=np.intp)
         levels = [([attacks._attack_operators("intercept-key", t)[0]], None) for t in (1, 2)]
@@ -634,10 +650,41 @@ def test_drawn_children_are_cut_from_the_fill_on_a_growing_attacked_tree(monkeyp
         for j in range(3):
             levels.append(([_sign_projector_sets(3)[j, name] for name in THREE_PARTY_MENU], codes[j]))
         for sets, level_codes in levels:
-            ids, *counts = check_descent(tree, ids, sets, rng.random(rounds), level_codes, build, calls)
-            totals += counts
-    # the second pass meets rows the first one filled
-    assert totals.min() > 0, totals
+            ids = check_level(tree, ids, sets, rng.random(rounds), level_codes, True)
+        check_levels(tree, dense_stacks(3))
+        # the second pass meets rows the first one filled, and fills only
+        # the others, each by one product
+        assert sum(calls) == filled_rows(tree)
+
+
+INVARIANT_SESSIONS = [
+    SessionConfig("two-party", 200, 100, seed=12),
+    SessionConfig("three-party", 300, 100, seed=12, alice_permits=False),
+    SessionConfig("three-party", 0, 100, seed=12, corrupt=True),
+    SessionConfig("three-party", 300, seed=12, attack=AttackModel("depolarize", (1, 2), 0.5)),
+    SessionConfig("two-party", 200, seed=12, attack=AttackModel("intercept-key", (1,))),
+]
+
+
+def test_every_call_leaves_each_descending_row_with_its_live_children(monkeypatch):
+    record_trees(monkeypatch)
+    checked_calls = []
+    for name in ("draw", "descend", "children", "evolved", "probabilities"):
+
+        def checked(tree, *args, _name=name, _method=getattr(Tree, name), **kwargs):
+            result = _method(tree, *args, **kwargs)
+            check_live_children(tree)
+            checked_calls.append(_name)
+            return result
+
+        monkeypatch.setattr(Tree, name, checked)
+    for config in INVARIANT_SESSIONS:
+        run_session(config)
+    # the per-round walk and the key tree's exact law call the others
+    spec, model = make_channel(3), AttackModel("depolarize", (2,), 0.5)
+    walk_key(Tree(spec.state), spec, 20, model, _named_streams(1))
+    key_leaf_weights(spec, model)
+    assert set(checked_calls) == {"draw", "descend", "children", "evolved", "probabilities"}
 
 
 ROOT_ROW = np.zeros(1, dtype=np.intp)  # the one round an attack walk is handed
@@ -744,7 +791,7 @@ def test_zero_probability_branch_raises_on_every_draw():
     # identity slot beside it
     tree = Tree(ket(0))
     assert draw(tree, 0, comp, np.random.default_rng(0)) == 0
-    assert not np.isnan(tree._levels[(comp,)].probs[0]).any()
+    assert not np.isnan(tree._levels[(comp,), False].probs[0]).any()
     ids, u = np.zeros(3, dtype=np.intp), np.array([0.5, 1.0, 0.25])
     codes = np.array([1, 0, 1])  # the first and last rows read the identity slot
     for level, level_codes in (([comp], None), ([comp, None], codes)):
@@ -801,14 +848,16 @@ def test_built_rows_equal_in_bytes_share_one_id():
     def evolved(ids, picks):
         return tree.evolved(np.array(ids), shifts, np.array(picks)).tolist()
 
-    [one] = evolved([0], [1])
-    [two] = evolved([one], [1])
-    assert tree.size == 3
-    assert evolved([0, two, 0], [2, 2, 0]) == [two, 0, 0]
-    assert tree.size == 3
-    # equal new rows within one product are one new node
-    assert evolved([0, 0, one], [3, 3, 2]) == [3, 3, 3]
+    [two] = tree.evolved(np.array([0]), OperatorStack([np.roll(np.eye(DIM), 2, axis=0)]), np.array([0]))
+    assert tree.size == 2
+    # one product shifts the root and |2> alike: |1> and |3> are each built
+    # twice in it, and each is one new node
+    [one, also] = evolved([0, two], [1, 3])
+    assert one == also and tree.size == 4
+    np.testing.assert_array_equal(tree.state(one).amplitudes, ket(1).amplitudes)
+    assert evolved([one, two, 0, two], [1, 2, 0, 0]) == [two, 0, 0, two]
     assert tree.size == 4
+    check_live_children(tree)
     # a measurement's normalized branch equal to the root is the root
     comp = ProjectorSet([np.outer(e, e) for e in np.eye(DIM, dtype=complex)])
     assert child(tree, 0, comp, 0) == 0 and child(tree, two, comp, 2) == two
@@ -862,12 +911,13 @@ def test_report_grid_trees_hold_distinct_rows(monkeypatch):
 
 
 def reference_rows(spec, rounds, model, rngs) -> list:
-    """Per phase (verification, then key), the states the per-round
-    reference builds where a phase's tree builds a row, as a dict from
-    each state's path (the operations and outcomes that led to it from
-    the root) to its bytes: every attacked state, and a party's drawn
-    branch where a later party measures.  The draws are
-    ``reference_phases``'."""
+    """Per phase (verification, then key), the bytes of every row a
+    phase's tree holds beside its root, as the per-round reference builds
+    them: each live branch (``LIVE_NORM``) of a measurement that a later
+    one follows, normalized (an attack readout, or a party's measurement
+    on every level but the last), which holds the state the round goes
+    on from, and every shift of a depolarized target's measured state.
+    The draws are ``reference_phases``'."""
     n = spec.party_count
     parties = PARTY_ORDER[:n]
     menu = TWO_PARTY_MENU if n == 2 else THREE_PARTY_MENU
@@ -880,44 +930,47 @@ def reference_rows(spec, rounds, model, rngs) -> list:
 
     depolarize = model.kind == "depolarize"
 
+    def measure(state, projectors, u, built):
+        # the drawn branch's state, and every live branch normalized
+        branches = projectors.stack @ state.amplitudes
+        probs = np.square(branches.view(float)).sum(axis=1).tolist()
+        for branch, p in zip(branches, probs):
+            if math.sqrt(p) >= LIVE_NORM:
+                built.add((branch / math.sqrt(p)).tobytes())
+        return per_call_measure_projective(state, projectors, Draws([u]))
+
     def attacked(draws, built):
-        state, path = spec.state, ()
+        state = spec.state
         for j, t in enumerate(model.targets):
             if depolarize and draws[0][j] >= model.strength:
                 continue
-            u = Draws([draws[int(depolarize)][j]])
-            measured = per_call_measure_projective(state, readouts[t], u)
-            state, path = measured.post_state, path + (("read", t, measured.outcome_index),)
-            built[path] = state.amplitudes.tobytes()
+            measured = measure(state, readouts[t], draws[int(depolarize)][j], built)
+            state = measured.post_state
             if depolarize:
+                built.update((shift @ state.amplitudes).tobytes() for shift in shifts[t])
                 amount = (int(draws[2][j]) - measured.outcome_index) % DIM
                 state = StateVector(n, shifts[t][amount] @ state.amplitudes)
-                path += (("shift", t, amount),)
-                built[path] = state.amplitudes.tobytes()
-        return state, path
+        return state
 
-    def measured(state, path, sets, uniforms, built):
-        for j, (projectors, u) in enumerate(zip(sets, uniforms)):
-            if projectors is None:
-                continue
-            result = per_call_measure_projective(state, projectors, Draws([u]))
-            if any(later is not None for later in sets[j + 1 :]):
-                state, path = result.post_state, path + ((j, id(projectors), result.outcome_index),)
-                built[path] = state.amplitudes.tobytes()
+    def measured(state, sets, uniforms, built):
+        *earlier, _ = zip(sets, uniforms)
+        for projectors, u in earlier:
+            if projectors is not None:
+                state = measure(state, projectors, u, built).post_state
 
-    verification, key = {}, {}
+    verification, key = set(), set()
     attack = attack_columns(model, rngs["attack"], rounds)
     columns = [menu_columns(rngs[p], rounds) for p in parties]
     for index in range(rounds):
-        state, path = attacked(round_of(attack, index), verification)
+        state = attacked(round_of(attack, index), verification)
         choices = [menu[int(codes[index])] for codes, _ in columns]
         sets = [dense_sign_sets(n)[pos, name] for pos, name in enumerate(choices)]
-        measured(state, path, sets, [u[index] for _, u in columns], verification)
+        measured(state, sets, [u[index] for _, u in columns], verification)
     attack = attack_columns(model, rngs["attack"], rounds)
     uniforms = [rngs[p].random(rounds) for p in parties]
     for index in range(rounds):
-        state, path = attacked(round_of(attack, index), key)
-        measured(state, path, dense_key_sets(n), round_of(uniforms, index), key)
+        state = attacked(round_of(attack, index), key)
+        measured(state, dense_key_sets(n), round_of(uniforms, index), key)
     return [verification, key]
 
 
@@ -936,17 +989,18 @@ def test_attacked_phases_build_no_more_rows_than_the_reference_walk(parties, mod
     summary = verification_phase(spec, 300, model, rngs)
     run_key_phase(spec, 300, model, rngs)
     assert len(trees) == 2
-    references = reference_rows(spec, 300, model, _named_streams(4))
+    root = {spec.state.amplitudes.tobytes()}
+    expected = [root | rows for rows in reference_rows(spec, 300, model, _named_streams(4))]
     # the verification tree holds the matched rounds' rows until the
     # discarded rounds are read
-    root = {spec.state.amplitudes.tobytes()}
-    assert row_bytes(trees[0]) <= root | set(references[0].values())
+    assert row_bytes(trees[0]) <= expected[0]
     summary.outcomes
-    for tree, built in zip(trees, references):
+    for tree, reached in zip(trees, expected):
         rows = row_bytes(tree)
-        assert len(rows) == tree.size <= 1 + len(built)
-        # exactly the distinct states the reference reaches, the root included
-        assert rows == {spec.state.amplitudes.tobytes()} | set(built.values())
+        # exactly the distinct states the reference reaches and their
+        # live siblings, the root included
+        assert len(rows) == tree.size
+        assert rows == reached
 
 
 def test_unchunked_products_equal_embedded_products(monkeypatch):
@@ -965,10 +1019,10 @@ def test_unchunked_products_equal_embedded_products(monkeypatch):
     rows = tree.amplitudes[: tree.size].copy()
     embedded = np.stack([dense @ row for row in rows], axis=1)
     probs = np.square(embedded.view(float)).sum(axis=-1).T
-    # a fresh one-set level: every row is filled by one product
-    assert (stack,) not in tree._levels
+    # fresh one-set levels: every row is filled by one product
+    assert ((stack,), False) not in tree._levels and ((stack,), True) not in tree._levels
     assert np.array_equal(tree.probabilities(ids, stack), probs)
-    # and every row's likelier branch is built by one product
+    # and every row's branches are built by one product
     picks = np.argmax(probs, axis=1)
     kids = tree.children(ids, [stack], picks)
     for node, (pick, kid) in enumerate(zip(picks.tolist(), kids.tolist())):
@@ -1089,7 +1143,7 @@ def test_verification_walks_matched_rounds_and_the_rest_on_first_read(parties, m
     assert max(rows for _, rows in calls) == summary.matched
     assert [rows for name, rows in calls if name == "draw"] == [summary.matched]
     root = {spec.state.amplitudes.tobytes()}
-    reached = root | set(reference_rows(spec, 301, model, _named_streams(9))[0].values())
+    reached = root | reference_rows(spec, 301, model, _named_streams(9))[0]
     assert row_bytes(trees[0]) <= reached
 
     calls.clear()

@@ -548,20 +548,62 @@ def subcommand_parser(command):
     return subparsers.choices[command]
 
 
-@pytest.mark.parametrize("command, others", [("run", {"config", "repeat"}), ("predict", {"config"})])
-def test_session_flags_store_under_the_schema_keys(command, others):
+# the config keys whose flags predict takes: those it reads
+PREDICT_KEYS = {"protocol", "attack", "attack_targets", "attack_strength", "corrupt"}
+
+
+@pytest.mark.parametrize(
+    "command, keys, others",
+    [("run", set(session.CONFIG_KEYS), {"config", "repeat"}), ("predict", PREDICT_KEYS, {"config"})],
+)
+def test_session_flags_store_under_the_schema_keys(command, keys, others):
     # every flag's dest is a config key or one of the command's own options
     sub = subcommand_parser(command)
     dests = {action.dest for action in sub._actions} - {"help"}
-    assert dests == set(session.CONFIG_KEYS) | others
+    assert dests == keys | others
     given = vars(sub.parse_args([]))
-    assert all(given[key] is None for key in session.CONFIG_KEYS)
-    flags = vars(sub.parse_args(["--no-permission", "--corrupt-channel"]))
-    assert flags["alice_permits"] is False and flags["corrupt"] is True
+    assert all(given[key] is None for key in keys)
+    switches = ["--corrupt-channel"] + (["--no-permission"] if command == "run" else [])
+    flags = vars(sub.parse_args(switches))
+    assert flags["corrupt"] is True and flags.get("alice_permits", False) is False
     choices = {action.dest: action.choices for action in sub._actions if action.choices}
     assert tuple(choices["attack"]) == ATTACK_KINDS
     assert tuple(choices["attack_targets"]) == tuple(session.TARGET_POSITIONS) == ("bob", "charlie")
     assert tuple(choices["protocol"]) == session.PROTOCOLS
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--verification-rounds", "10"],
+        ["--key-rounds", "7"],
+        ["--sample-fraction", "0.2"],
+        ["--qber-threshold", "0.2"],
+        ["--no-permission"],
+        ["--seed", "5"],
+        ["--report", "out.report"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_predict_rejects_the_flags_it_does_not_read(capsys, tmp_path, monkeypatch, flag):
+    # it once took them, exited 0 and wrote nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--protocol", "three-party", *flag])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_config_file_is_checked_in_full(capsys, tmp_path):
+    # a config file may hold every key, each checked, though predict reads few
+    config = tmp_path / "session.config"
+    config.write_text('protocol = "three-party"\nseed = 5\nkey_rounds = 7\nalice_permits = false\n')
+    code, out, _ = run_cli(capsys, "predict", "--config", str(config))
+    assert code == 0 and "qber = " in out
+    config.write_text('protocol = "two-party"\nseed = "5"\n')
+    code, out, err = run_cli(capsys, "predict", "--config", str(config))
+    assert (code, out) == (1, "") and err.startswith("config error:")
 
 
 def config_file_lines(flags):

@@ -134,7 +134,7 @@ def test_verification_plan_is_shared_and_read_only(parties):
     with pytest.raises(ValueError):
         plan.listed[0] = True
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.idle = 0
+        plan.menu = ()
     assert isinstance(plan.check_codes, tuple) and isinstance(plan.sign_levels, tuple)
     assert all(isinstance(level, tuple) for level in plan.sign_levels)
     # the joint choices, listed table and levels the phase used to build per call
@@ -142,7 +142,7 @@ def test_verification_plan_is_shared_and_read_only(parties):
     codes = [reduced_joint(len(menu), [menu.index(n) for n in c.operators]) for c in spec.checks]
     assert list(plan.check_codes) == codes
     assert np.flatnonzero(plan.listed).tolist() == sorted(codes)
-    assert plan.menu == menu and plan.idle == (menu.index("id") if "id" in menu else -1)
+    assert plan.menu == menu
     sign_sets = protocol._sign_projector_sets(parties)
     assert plan.sign_levels == tuple(tuple(sign_sets[j, n] for n in menu) for j in range(parties))
     choices = [np.random.default_rng(j).integers(len(menu), size=50) for j in range(parties)]
