@@ -190,11 +190,13 @@ def _inverse_cdf(laws, cdf, keys, u) -> np.ndarray:
     whose cumulative probabilities below the last branch are
     ``cdf[key]``: the count of those at or below ``u``.  That is the first
     branch whose running sum exceeds ``u``, with a uniform above the
-    rounded total falling through to the last branch.  A row that drew a
+    rounded total falling through to the last branch.  The cumulative
+    probabilities are gathered one branch at a time, so a draw holds one
+    of them per row, not its whole row of ``cdf``.  A row that drew a
     branch that is not live (``LIVE_NORM``) raises RuntimeError."""
     outcomes = np.zeros(len(u), dtype=np.intp)
-    for column in cdf.take(keys, axis=0).T:
-        outcomes += u >= column
+    for b in range(cdf.shape[1]):
+        outcomes += u >= cdf[:, b].take(keys)
     # sqrt is monotone, so the least drawn probability decides
     if math.sqrt(laws.ravel().take(keys * laws.shape[1] + outcomes).min()) < LIVE_NORM:
         # zero-probability branch cannot be drawn from a complete set

@@ -6,22 +6,21 @@ auditable.  Each round consumes one fresh copy of the channel state,
 optionally filtered through an attack on the in-transit ququarts.  Each
 phase samples a branch tree (``linalg.Tree``) rooted at the channel
 state one level at a time for all rounds: the attack's targets
-(``attacks.attack_levels``), then each party.  Every party measures its
-own ququart, so its projector sets are 4x4 stacks at its position,
-built once per party count.  Each (state, projector set) pair is
-measured once per tree.  Every stream draws a phase's values in bulk,
-one column per kind of draw, a row per round: a party draws its
-verification menu codes by ``integers(4, size=N)`` and then its
-uniforms by ``random(N)``, and its key-phase uniforms by ``random(N)``.
-Both phases keep their outcomes only as one int column per party, a row
-per round: verification tallies them, and the key phase sifts, samples,
-scores and keys them whole.  What verification reads of its party count
-and check list (the menu, each check's joint choice, the table of listed
-joint choices and each party's level of sign sets) is a read-only plan,
-built once per (party count, check tuple) and shared by the built-in and
-corrupt channels.  Attack-free phases draw nothing from the attack
-stream and never read it.  The key phase walks every round down its
-tree at once.  Verification makes all its draws first; the menu codes
+(``attacks.attack_levels``), then each party.  Both phases take one
+set-up from their inputs (``_phase``: the checks on the round count and
+streams, the tree and the attack's draws) and reach the tree only by one
+walk (``_walk``); ``_phase`` states the draws each stream makes in
+each phase.  Every party measures its own ququart, so its projector
+sets are 4x4 stacks at its position, built once per party count.  Each
+(state, projector set) pair is measured once per tree.  Both phases keep
+their outcomes only as one int column per party, a row per round:
+verification tallies them, and the key phase sifts, samples, scores and
+keys them whole.  What verification reads of its party count and check
+list (the menu, each check's joint choice, the table of listed joint
+choices and each party's level of sign sets) is a read-only plan, built
+once per (party count, check tuple) and shared by the built-in and
+corrupt channels.  The key phase walks every round down its tree at
+once.  Verification makes all its draws first; the menu codes
 alone say which rounds match a check, and only those are walked then.
 The discarded rounds, which no tally reads (12 of 16 joint choices for
 two parties, 60 of 64 for three), are walked by the same walk on the
@@ -268,36 +267,6 @@ def _reveal(column: np.ndarray, sample=None) -> dict:
     return {"outcomes": dict(zip(rows, map(KEY_LABELS.__getitem__, values.tolist())))}
 
 
-def _party_positions(spec: ChannelSpec):
-    return PARTY_ORDER[: spec.party_count]
-
-
-def _distinct_streams(spec: ChannelSpec, rngs: dict):
-    """The parties, after checking that no two of them or the attack share
-    a generator: each draws its own columns, so the parties' choices and
-    outcomes are independent of each other and of the attack's only when
-    the streams are distinct.  An attack stream not in ``rngs`` is left
-    out: a session builds each stream on its first read, and a stream
-    not yet built is shared with no party."""
-    parties = _party_positions(spec)
-    streams = [rngs[p] for p in parties]
-    if "attack" in rngs:
-        streams.append(rngs["attack"])
-    if len({id(s) for s in streams}) != len(streams):
-        raise ValueError("the party and attack streams must be distinct generators")
-    return parties
-
-
-def _attacked(attack: AttackModel, party_count: int, rngs: dict, num_rounds: int):
-    """The attack's walk of ``num_rounds`` rounds (``attacks.attack_levels``),
-    its columns drawn from the attack stream, or None attack-free: then
-    nothing is drawn, the attack stream is not read, and every round
-    starts at the tree's root."""
-    if attack.kind == "none":
-        return None
-    return attack_levels(attack, party_count)(rngs["attack"], num_rounds)
-
-
 def _menu(party_count: int):
     return TWO_PARTY_MENU if party_count == 2 else THREE_PARTY_MENU
 
@@ -354,6 +323,71 @@ def _phase_tree(spec: ChannelSpec, attack: AttackModel) -> Tree:
     return Tree(spec.state)
 
 
+def _phase(spec: ChannelSpec, num_rounds: int, attack: AttackModel, rngs: dict) -> tuple:
+    """A phase's set-up from its inputs: its parties in position order,
+    its tree (``_phase_tree``) and the attack's walk of its ``num_rounds``
+    rounds, a map from rows (an index array) to the node ids of their
+    attacked copies of the root (``attacks.attack_levels``).  A negative
+    round count raises ValueError, and so do two parties, or a party and
+    the attack, that share a generator: the parties' choices and outcomes
+    are independent of each other and of the attack's only when their
+    streams are distinct.  An attack stream not in ``rngs`` is shared
+    with no party, since a session builds each stream on its first read.
+
+    Every stream draws a phase's values in bulk, one call per kind of
+    draw, a row per round; for N rounds, in this order per stream:
+
+    * attack: the attack's columns, drawn here (``attacks.attack_levels``:
+      a measuring attack's readout uniforms, and depolarize's gates,
+      readout uniforms and fresh digits, each N x T for T targets).
+      Attack-free, nothing is drawn, the stream is not read, and the walk
+      leaves every round at the root.
+    * each party, verification: its menu codes by ``integers(4,
+      size=N)``, then one uniform per round by ``random(N)``, all before
+      any round is walked (``run_verification_phase``); an idle round's
+      uniform is drawn but never read.
+    * each party, key phase: one uniform per round by ``random(N)``,
+      drawn when the walk reaches the party (``_walk``); without the
+      controller's permission, Bob then guesses by ``integers(4, size=N)``
+      (``run_key_phase_controlled``).
+    * public: a key phase's sample, ``choice(N, size=count,
+      replace=False)`` for the ``count = round(sample_fraction * N)`` it
+      reveals, drawn only when a reveal is posted and ``count`` is not 0.
+    """
+    if num_rounds < 0:
+        raise ValueError("num_rounds must be >= 0")
+    parties = PARTY_ORDER[: spec.party_count]
+    streams = [rngs[p] for p in parties]
+    if "attack" in rngs:
+        streams.append(rngs["attack"])
+    if len({id(s) for s in streams}) != len(streams):
+        raise ValueError("the party and attack streams must be distinct generators")
+    # an attack-free walk draws nothing, so its stream is not read
+    stream = None if attack.kind == "none" else rngs["attack"]
+    attacked = attack_levels(attack, spec.party_count)(stream, num_rounds)
+    return parties, _phase_tree(spec, attack), attacked
+
+
+def _walk(tree, ids, levels, draws) -> list:
+    """Outcome indices of the rounds that start at the nodes ``ids``, a
+    column per party: each party on its level of ``levels`` in turn.
+    ``draws`` is an iterator of each party's (uniforms, codes): a uniform
+    per round, and per round a code into the party's level, or None for a
+    level of one set.  A party's pair is taken when the walk reaches it,
+    so it may be drawn or gathered then (``_phase``), and is dropped when
+    the party is done.  Every party but the last descends to its drawn
+    branch's node; the last party only draws.  A round's outcomes depend
+    only on its rows of the draws and the bytes of the nodes it passes, so
+    rows walked apart read as one walk of them all."""
+    *earlier, last = levels
+    columns = []
+    for sets in earlier:
+        drawn, ids = tree.descend(ids, sets, *next(draws))
+        columns.append(drawn)
+    columns.append(tree.draw(ids, last, *next(draws)))
+    return columns
+
+
 @dataclass(frozen=True, eq=False)
 class _VerificationPlan:
     """What a verification phase reads of its party count and check list:
@@ -395,29 +429,6 @@ def _verification_plan(party_count: int, checks: tuple) -> _VerificationPlan:
     )
 
 
-def _walk(tree, attacked, plan, uniforms, codes, rows) -> list:
-    """Outcome indices of the verification rounds ``rows`` (an index
-    array), a column per party: each round's attacked copy of the tree's
-    root (``attacked(tree, rows)``, an ``attacks.attack_levels`` walk, or
-    the root itself when ``attacked`` is None), then each party on its
-    level of ``plan.sign_levels`` in turn.  ``uniforms`` and ``codes``
-    hold the phase's draws, a row per party and a column per round: its
-    uniforms and its codes into its menu.  Both are gathered once for
-    the rows.  Every party but the last descends to its drawn branch's
-    node; the last party only draws.  A round's outcomes depend only on
-    its rows of the columns and the bytes of the nodes it passes, so rows
-    walked apart read as one walk of them all."""
-    ids = np.zeros(len(rows), dtype=np.intp) if attacked is None else attacked(tree, rows)
-    u, codes = uniforms.take(rows, axis=1), codes.take(rows, axis=1)
-    *earlier, last = plan.sign_levels
-    columns = []
-    for j, sets in enumerate(earlier):
-        drawn, ids = tree.descend(ids, sets, u[j], codes[j])
-        columns.append(drawn)
-    columns.append(tree.draw(ids, last, u[-1], codes[-1]))
-    return columns
-
-
 def run_verification_phase(
     spec: ChannelSpec,
     num_rounds: int,
@@ -433,29 +444,21 @@ def run_verification_phase(
     state.  pass means zero violations among matched rounds; zero matched
     rounds passes vacuously and is flagged.
 
-    Every draw is made first: the attack's columns
-    (``attacks.attack_levels``; attack-free, none, and the attack stream
-    is not read), then per party its menu codes by
-    ``integers(4, size=num_rounds)`` and one uniform per round by
-    ``random(num_rounds)``; an idle round's uniform is drawn but never
-    read.  The party and attack streams must be distinct generators.  The
-    codes alone say which rounds match a check (the joint choice, by
-    column arithmetic, against the plan's ``listed`` table), and only
-    those rounds are walked down the phase's branch tree now, one level
-    at a time for all of them: the attack's targets, then each party
-    (``_walk``).  The tallies come from them alone.  The discarded rounds
-    are walked by the same walk when the summary's ``outcomes`` are first
+    Every draw is made first, in the layout of ``_phase``.  The codes
+    alone say which rounds match a check (the joint choice, by column
+    arithmetic, against the plan's ``listed`` table), and only those
+    rounds are walked down the phase's branch tree now, one level at a
+    time for all of them: the attack's targets, then each party
+    (``_walk``), its draws gathered for those rows when the walk reaches
+    it.  The tallies come from them alone.  The discarded rounds are
+    walked by the same walk when the summary's ``outcomes`` are first
     read, and read as they would have read now.  The menu, the check
     codes, the listed table and the parties' levels are the plan of the
     party count and check list (``_verification_plan``), built once.
     """
-    if num_rounds < 0:
-        raise ValueError("num_rounds must be >= 0")
-    parties = _distinct_streams(spec, rngs)
+    parties, tree, attacked = _phase(spec, num_rounds, attack, rngs)
     plan = _verification_plan(spec.party_count, spec.checks)
     width = len(plan.menu)
-    tree = _phase_tree(spec, attack)
-    attacked = _attacked(attack, spec.party_count, rngs, num_rounds)
 
     codes = np.empty((len(parties), num_rounds), dtype=np.int64)
     uniforms = np.empty((len(parties), num_rounds))
@@ -464,6 +467,10 @@ def run_verification_phase(
         uniforms[j] = rngs[p].random(num_rounds)
     choices = tuple(_read_only(codes))
 
+    def walk(rows):
+        gathered = ((u.take(rows), c.take(rows)) for u, c in zip(uniforms, codes))
+        return _walk(tree, attacked(tree, rows), plan.sign_levels, gathered)
+
     # rounds are tallied per joint choice
     choice = _joint(width, choices)
     kept = _read_only(plan.listed[choice])
@@ -471,7 +478,7 @@ def run_verification_phase(
 
     # the outcome product is -1 exactly when an odd number of outcomes is
     # 1 (the identity reads 0)
-    kept_outcomes = tuple(map(_read_only, _walk(tree, attacked, plan, uniforms, codes, matched)))
+    kept_outcomes = tuple(map(_read_only, walk(matched)))
     odd = kept_outcomes[0]
     for column in kept_outcomes[1:]:
         odd = odd ^ column
@@ -497,7 +504,7 @@ def run_verification_phase(
         matched=len(matched),
         discarded=num_rounds - len(matched),
         vacuous=len(matched) == 0,
-        walk=functools.partial(_walk, tree, attacked, plan, uniforms, codes),
+        walk=walk,
     )
     # batch announcement at end of phase; per-round would be equivalent
     for j, p in enumerate(parties):
@@ -543,37 +550,23 @@ def _key_phase(spec, num_rounds, sample_fraction, qber_threshold, attack, rngs, 
     qber, and the other rounds give the reference and estimate keys.
     With ``reveal`` None nothing is posted or sampled.
 
-    All rounds are sampled together, one level of the phase's branch tree
+    All rounds are walked together, one level of the phase's branch tree
     at a time: the attack's targets, then each party in the key basis
-    (``linalg.Tree``).  Each party draws one uniform per round, as one
-    ``random(num_rounds)`` from its stream; the party and attack streams
-    must be distinct generators.  Attack-free, every round starts at the
-    root and the attack stream is not read.  Sifting, the qber and the
-    keys work on the outcome columns whole.
+    (``_walk``), its uniforms drawn in the layout of ``_phase`` when the
+    walk reaches it.  Sifting, the qber and the keys work on the outcome
+    columns whole.
 
     Returns the ``KeyPhase`` fields as a dict, the reference key and the
     estimate key.
     """
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError("sample_fraction must lie in [0, 1)")
-    if num_rounds < 0:
-        raise ValueError("num_rounds must be >= 0")
-    parties = _distinct_streams(spec, rngs)
-    tree = _phase_tree(spec, attack)
-    # the attack's columns live only while every round is walked
-    attacked = _attacked(attack, spec.party_count, rngs, num_rounds)
-    if attacked is None:
-        ids = np.zeros(num_rounds, dtype=np.intp)
-    else:
-        ids = attacked(tree, np.arange(num_rounds))
-    columns = []
-    for j, projectors in enumerate(_key_projector_sets(spec.party_count)):
-        level, u = (projectors,), rngs[parties[j]].random(num_rounds)
-        if j + 1 < len(parties):
-            drawn, ids = tree.descend(ids, level, u)
-        else:
-            drawn = tree.draw(ids, level, u)
-        columns.append(_read_only(drawn))
+    parties, tree, attacked = _phase(spec, num_rounds, attack, rngs)
+    levels = [(projectors,) for projectors in _key_projector_sets(spec.party_count)]
+    draws = ((rngs[p].random(num_rounds), None) for p in parties)
+    ids = attacked(tree, np.arange(num_rounds))
+    del attacked  # its columns are read by that walk alone: release them before the parties draw
+    columns = list(map(_read_only, _walk(tree, ids, levels, draws)))
     sample = _read_only(np.zeros(0, dtype=np.intp))
     if reveal is not None:
         requester, revealers, control = reveal
@@ -654,9 +647,8 @@ def run_key_phase_controlled(
     actual bits estimates the qber and is consumed.  Without permission
     nothing is revealed: Bob's best guess is uniform (his marginal is
     independent of Charlie's outcome), the accuracy of that guess is
-    reported, and no key material is produced.  Bob's guesses are one
-    bulk ``integers(4, size=num_rounds)`` from his stream, after his key
-    phase uniforms.
+    reported, and no key material is produced.  Bob's guesses are drawn
+    from his stream in the layout of ``_phase``.
     """
     if spec.party_count != 3:
         raise ValueError("the controlled key phase needs a three-party channel")

@@ -57,9 +57,10 @@ OUTCOME_ABORT_QBER = "aborted-qber"
 OUTCOME_NO_PERMISSION = "no-permission"
 
 # A phase holds a few columns with a row per round.  Measured peak above
-# the imported library: at most ~101 B per round in any phase of either
-# protocol, under any attack (README, "Round counts and memory").  With
-# 128 B per round, the cap keeps a session's peak within 4 GiB.
+# the imported library: at most ~115 B per round in any phase of either
+# protocol, under any attack (tools/phase_peaks.py; README, "Round counts
+# and memory").  With 128 B per round, the cap keeps a phase's peak
+# within 4 GiB.
 PEAK_BYTES_PER_ROUND = 128
 MAX_ROUNDS = (4 << 30) // PEAK_BYTES_PER_ROUND
 

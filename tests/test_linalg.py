@@ -235,14 +235,15 @@ def test_projector_set_measurement_matches_dense_reference(channel):
         stacked = ProjectorSet(projs)
         for state in (spec.state, collapsed.post_state):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            a = [measure_projective(state, stacked, fast) for _ in range(1000)]
+            # the 1000 draws as one descent of 1000 rows at the root
+            tree, roots = Tree(state), np.zeros(1000, dtype=np.intp)
+            outcomes, kids = tree.descend(roots, [stacked], fast.random(1000))
+            probs = tree.probabilities(roots, stacked)[np.arange(1000), outcomes]
             b = [reference_measure_projective(state, projs, slow) for _ in range(1000)]
-            assert [r.outcome_index for r in a] == [r.outcome_index for r in b], label
+            assert outcomes.tolist() == [r.outcome_index for r in b], label
+            np.testing.assert_allclose(probs, [r.probability for r in b], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                [r.probability for r in a], [r.probability for r in b], rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                [r.post_state.amplitudes for r in a],
+                tree.amplitudes[kids],
                 [r.post_state.amplitudes for r in b],
                 rtol=0,
                 atol=1e-12,
